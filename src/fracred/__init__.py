@@ -17,10 +17,8 @@ from .operators import (
     CoefficientField,
     DiscreteOperator,
     PositivityError,
-    RestrictionBlocks,
     assemble,
     ellipticity_check,
-    operator_restriction_blocks,
 )
 from .calculus import (
     CALIBRATION_TOL,
@@ -54,6 +52,7 @@ from .dirichlet import (
     dirichlet_energy,
     exterior_data_matrix,
     solution_stability,
+    solve_exterior_block,
     solve_exterior_value,
     stability_constant,
 )

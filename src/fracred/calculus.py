@@ -92,17 +92,22 @@ class TimeQuadrature:
         w[-1] *= 0.5
         return w
 
-    def scalar_power(self, lam, a: float):
-        """Quadrature value of the fractional-power integral at lambda.
+    def mode_terms(self, lam, power: float, increment: bool = True) -> np.ndarray:
+        """Weighted heat-flow terms w_q t_q**(-power) evol(t_q lambda).
 
-        expm1 keeps full relative precision where t*lambda is tiny; the
-        literal difference e^{-t lambda} - 1 would lose eps^(1-a) of the
-        answer and miss tight calibration tolerances.
+        evol(x) is e^{-x} - 1 with increment, else e^{-x}; the node axis is
+        appended last, so summing it integrates against t**(-power).  expm1
+        keeps full relative precision where t*lambda is tiny; the literal
+        difference e^{-t lambda} - 1 would lose eps^(1-a) of the answer and
+        miss tight calibration tolerances.
         """
-        lam = np.asarray(lam, dtype=float)
-        wt = self.singular_weights(1.0 + a)
-        vals = np.expm1(-np.multiply.outer(lam, self.t)) @ wt
-        return vals / gamma_neg(a)
+        x = np.multiply.outer(np.asarray(lam, dtype=float), self.t)
+        evol = np.expm1(-x) if increment else np.exp(-x)
+        return evol * self.singular_weights(power)
+
+    def scalar_power(self, lam, a: float):
+        """Quadrature value of the fractional-power integral at lambda."""
+        return self.mode_terms(lam, 1.0 + a).sum(axis=-1) / gamma_neg(a)
 
     def calibration_error(self, lambdas, a: float) -> float:
         """Max relative error of scalar_power against lambda^a."""
@@ -129,12 +134,11 @@ class TimeQuadrature:
 
 def calibration_rows(quad: TimeQuadrature, lambdas, a: float):
     """Per-lambda calibration table: (lambda, exact, quadrature, rel_error)."""
-    rows = []
-    for lam in np.asarray(lambdas, dtype=float):
-        exact = lam**a
-        approx = float(quad.scalar_power(lam, a))
-        rows.append((float(lam), exact, approx, abs(approx - exact) / exact))
-    return rows
+    lam = np.asarray(lambdas, dtype=float)
+    exact = lam**a
+    approx = quad.scalar_power(lam, a)
+    rel = np.abs(approx - exact) / exact
+    return list(zip(lam.tolist(), exact.tolist(), approx.tolist(), rel.tolist()))
 
 
 @dataclass(frozen=True)
@@ -213,16 +217,13 @@ def power_via_heat_quadrature(
 
     The sum (1/Gamma(-a)) sum_q w_q (e^{-t_q L} - I) v / t_q^{1+a} is
     accumulated in the eigenbasis: the per-mode factor is exactly the
-    scalar quadrature applied to each eigenvalue, and the heat increments
-    use expm1 (see heat_increment).  The scalar calibration is checked for
-    the operator's spectral range first.
+    scalar quadrature applied to each eigenvalue.  The scalar calibration
+    is checked for the operator's spectral range first.
     """
     if not 0 < a < 1:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     quad.ensure_calibrated(op.lambda_min, op.lambda_max, a, tol)
-    wt = quad.singular_weights(1.0 + a)
-    factors = np.expm1(-np.multiply.outer(op.eigenvalues, quad.t)) @ wt
-    factors /= gamma_neg(a)
+    factors = quad.scalar_power(op.eigenvalues, a)
     return op.synthesize(factors * op.spectral_coefficients(v))
 
 

@@ -28,16 +28,15 @@ import scipy.linalg
 from .calculus import (
     TimeQuadrature,
     apply_power,
-    fractional_stiffness,
     gamma_neg,
     heat_kernel_entry,
     min_element_diameter,
     power_matrix,
+    power_via_heat_quadrature,
 )
-from .dirichlet import _interior_cholesky
+from .dirichlet import solve_exterior_block
 from .mesh import OMEGA, RegionLabels
-from .operators import DiscreteOperator
-from .reduction import _check_shared_exterior
+from .operators import DiscreteOperator, check_shared_exterior
 
 logger = logging.getLogger(__name__)
 
@@ -136,19 +135,16 @@ def runge_rank(
     data on E.  The row-rank claim is only meaningful when |E| <= |W|;
     for larger E the report still carries the spectrum.
     """
+    labels = op.resolve_labels(labels)
     if np.intersect1d(labels.w_nodes, labels.e_nodes).size:
         raise ValueError("W and E overlap")
-    w_dofs = op.region_dofs("W", labels)
-    e_dofs = op.region_dofs("E", labels)
+    w_dofs = op.region_dofs("W")
+    e_dofs = op.region_dofs("E")
     if w_dofs.size == 0 or e_dofs.size == 0:
         raise ValueError("empty W or E window")
-    interior = op.omega_interior_dofs(labels)
-    G = fractional_stiffness(op, a)
-    factor = _interior_cholesky(op, a, labels)
-    U = np.zeros((op.n_dofs, w_dofs.size), dtype=G.dtype)
-    U[w_dofs, np.arange(w_dofs.size)] = 1.0
-    U[interior] = scipy.linalg.cho_solve(factor, -G[np.ix_(interior, w_dofs)])
-    R = (power_matrix(op, a) @ U)[e_dofs]
+    hats = np.zeros((op.n_dofs, w_dofs.size))
+    hats[w_dofs, np.arange(w_dofs.size)] = 1.0
+    R = (power_matrix(op, a) @ solve_exterior_block(op, a, hats))[e_dofs]
     svals = scipy.linalg.svdvals(R)
     report = SingularValueReport(
         singular_values=svals,
@@ -175,26 +171,30 @@ class HeatRatioReport:
     t_in_window: bool
 
 
+def is_plain_laplacian(op: DiscreteOperator) -> bool:
+    """A = I, b = 0, c = 0 on every element and an unweighted mass."""
+    coeffs = op.coeffs
+    return (
+        op.mass_density is None
+        and bool(np.all(coeffs.A == np.eye(op.mesh.dim)))
+        and not np.any(coeffs.b)
+        and not np.any(coeffs.c)
+    )
+
+
 def heat_bound_check(
     op_neglap: DiscreteOperator, t: float, node_pairs
 ) -> HeatRatioReport:
     """Ratios of the discrete heat kernel to (4 pi t)^{-n/2} e^{-r^2/4t}.
 
-    The operator must be the plain Laplacian assembly (A = I, b = 0,
-    c = 0, unweighted mass): the Gaussian is only the right comparison
-    there.  The window requirement h^2 << t << box^2 is reported via
-    t_in_window (and logged when violated), not asserted.
+    The operator must be the plain Laplacian assembly (see
+    is_plain_laplacian): the Gaussian is only the right comparison there.
+    The window requirement h^2 << t << box^2 is reported via t_in_window
+    (and logged when violated), not asserted.
     """
-    coeffs = op_neglap.coeffs
-    d = op_neglap.mesh.dim
-    eye = np.eye(d)
-    if (
-        np.any(coeffs.A != eye)
-        or np.any(coeffs.b != 0)
-        or np.any(coeffs.c != 0)
-        or op_neglap.mass_density is not None
-    ):
+    if not is_plain_laplacian(op_neglap):
         raise ValueError("heat bound check requires the plain -Laplace operator")
+    d = op_neglap.mesh.dim
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
 
@@ -253,19 +253,13 @@ def heatflow_rigidity_probe(
 ) -> float:
     """Max over Sigma of |sum_q w_q (U1 - U2)(x, t_q) t_q^{-1-a}|.
 
-    U_i is the heat flow of the exterior datum under op_i.  The value must
-    equal |Gamma(-a)| times the spectral flux gap |(L1^a - L2^a) f| at the
-    same nodes (both are quadratures of the same increments), verified
-    here to 1e-8 relative; identical operators give zero.
+    U_i is the heat flow of the exterior datum under op_i, so the sum is
+    |Gamma(-a)| times the gap of the heat-quadrature routes to L_i^a f.  It
+    must equal |Gamma(-a)| times the spectral flux gap |(L1^a - L2^a) f|
+    at the same nodes, verified here to 1e-8 relative; identical operators
+    give zero.
     """
-    labels = op1.labels
-    if labels is None:
-        raise ValueError("operator was assembled without region labels")
-    _check_shared_exterior(op1, op2, labels)
-
-    quad.ensure_calibrated(
-        min(op1.lambda_min, op2.lambda_min), max(op1.lambda_max, op2.lambda_max), a
-    )
+    check_shared_exterior(op1, op2)
     sigma = np.atleast_1d(np.asarray(sigma_nodes, dtype=int))
     support_nodes = op1.free_nodes[np.flatnonzero(f.values)]
     # closure of the support: every node sharing an element with it
@@ -275,21 +269,13 @@ def heatflow_rigidity_probe(
     if np.intersect1d(sigma, closure).size:
         raise ValueError("Sigma closure meets the datum support")
 
-    wt = quad.singular_weights(1.0 + a)
-    vals = []
+    heat, flux = [], []
     for op in (op1, op2):
         dofs = op.dofs_of_nodes(sigma)
-        coeff = op.spectral_coefficients(f.values)
-        evol = np.expm1(-np.multiply.outer(op.eigenvalues, quad.t))
-        vals.append((op.eigenvectors[dofs] @ (coeff[:, None] * evol)) @ wt)
-    probe = np.abs(vals[0] - vals[1])
-    value = float(probe.max())
-
-    flux1 = apply_power(op1, a, f.values)
-    flux2 = apply_power(op2, a, f.values)
-    d1 = op1.dofs_of_nodes(sigma)
-    d2 = op2.dofs_of_nodes(sigma)
-    spectral = abs(gamma_neg(a)) * float(np.abs(flux1[d1] - flux2[d2]).max())
+        heat.append(power_via_heat_quadrature(op, a, f.values, quad)[dofs])
+        flux.append(apply_power(op, a, f.values)[dofs])
+    value = abs(gamma_neg(a)) * float(np.abs(heat[0] - heat[1]).max())
+    spectral = abs(gamma_neg(a)) * float(np.abs(flux[0] - flux[1]).max())
     scale = max(value, spectral, 1e-30)
     if abs(value - spectral) > 1e-8 * scale:
         raise ArithmeticError(

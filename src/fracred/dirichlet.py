@@ -64,13 +64,7 @@ class ExteriorData:
     @staticmethod
     def hat(op: DiscreteOperator, labels: RegionLabels, node: int) -> "ExteriorData":
         """Unit nodal hat at the given mesh node (must lie in W)."""
-        w_dofs = op.region_dofs("W", labels)
-        dof = op.dofs_of_nodes(node)[0]
-        if dof not in w_dofs:
-            raise ExteriorDataError(f"node {node} is not a W node")
-        values = np.zeros(op.n_dofs)
-        values[dof] = 1.0
-        return ExteriorData(values, w_dofs)
+        return ExteriorData.from_node_values(op, labels, [node], [1.0])
 
     @staticmethod
     def from_node_values(
@@ -106,49 +100,70 @@ class CauchyPair:
     a: float
 
 
-def _interior_split(op: DiscreteOperator, labels: RegionLabels):
-    interior = op.omega_interior_dofs(labels)
-    rest = np.setdiff1d(np.arange(op.n_dofs), interior)
-    return interior, rest
+def _interior_solve(op: DiscreteOperator, a: float, B: np.ndarray):
+    """X = G_II^{-1} B against the cached Cholesky factor of G_II.
 
-
-def _interior_cholesky(op: DiscreteOperator, a: float, labels: RegionLabels):
-    """Cached Cholesky factor of G_II; failure would flag a non-PD block."""
-    interior, _ = _interior_split(op, labels)
+    Returns X and the relative residual of each column, every one of which
+    must stay within SOLVE_TOL.  A failing factorization flags a non-PD
+    interior block.
+    """
+    interior = op.omega_interior_dofs()
     G = fractional_stiffness(op, a)
+    G_II = G[np.ix_(interior, interior)]
 
     def build():
         try:
-            return scipy.linalg.cho_factor(G[np.ix_(interior, interior)])
+            return scipy.linalg.cho_factor(G_II)
         except scipy.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"interior block of L^{a} not positive definite"
             ) from exc
 
-    return op.cached(("gii_cholesky", a), build)
+    X = scipy.linalg.cho_solve(op.cached(("gii_cholesky", a), build), B)
+    res = np.linalg.norm(G_II @ X - B, axis=0)
+    scale = np.linalg.norm(B, axis=0)
+    residuals = res / np.where(scale > 0, scale, 1.0)
+    worst = float(residuals.max(initial=0.0))
+    if worst > SOLVE_TOL:
+        raise ArithmeticError(f"interior solve residual {worst:.3e} too large")
+    return X, residuals
+
+
+def _exterior_solve(op: DiscreteOperator, a: float, F: np.ndarray):
+    """Block Schur solve G_II U_I = -G_IW F_W; returns U and the residuals."""
+    F = np.asarray(F)
+    if F.ndim != 2 or F.shape[0] != op.n_dofs:
+        raise ExteriorDataError(
+            f"data block shape {F.shape} does not match {op.n_dofs} dofs"
+        )
+    w_dofs = op.region_dofs("W")
+    off_w = np.ones(op.n_dofs, dtype=bool)
+    off_w[w_dofs] = False
+    if np.any(F[off_w] != 0):
+        raise ExteriorDataError("exterior data block has support outside W")
+    interior = op.omega_interior_dofs()
+    G = fractional_stiffness(op, a)
+    U = np.array(F, dtype=np.result_type(F, G.dtype))
+    X, residuals = _interior_solve(op, a, -(G[np.ix_(interior, w_dofs)] @ F[w_dofs]))
+    U[interior] = X
+    return U, residuals
+
+
+def solve_exterior_block(op: DiscreteOperator, a: float, F) -> np.ndarray:
+    """Exterior-value solutions for every column of a dof x k data block.
+
+    Each column of F must vanish off W; column j of the result solves
+    B(u, w) = 0 on Omega-interior dofs with u = F[:, j] elsewhere.
+    """
+    return _exterior_solve(op, a, F)[0]
 
 
 def solve_exterior_value(
     op: DiscreteOperator, a: float, f: ExteriorData
 ) -> NonlocalSolution:
     """Solve B(u, w) = 0 on Omega-interior dofs with u = f elsewhere."""
-    labels = _require_labels(op)
-    if f.values.shape[0] != op.n_dofs:
-        raise ExteriorDataError("datum length does not match operator")
-    interior, _ = _interior_split(op, labels)
-    G = fractional_stiffness(op, a)
-    factor = _interior_cholesky(op, a, labels)
-
-    rhs = -(G @ f.values)[interior]
-    u = np.array(f.values, dtype=np.result_type(f.values, G.dtype))
-    u[interior] = scipy.linalg.cho_solve(factor, rhs)
-
-    res = np.linalg.norm(G[np.ix_(interior, interior)] @ u[interior] - rhs)
-    scale = np.linalg.norm(rhs)
-    residual = float(res / scale) if scale > 0 else float(res)
-    if residual > SOLVE_TOL:
-        raise ArithmeticError(f"interior solve residual {residual:.3e} too large")
-    return NonlocalSolution(u=u, data=f, a=a, residual=residual)
+    U, residuals = _exterior_solve(op, a, f.values[:, None])
+    return NonlocalSolution(u=U[:, 0], data=f, a=a, residual=float(residuals[0]))
 
 
 def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
@@ -158,11 +173,9 @@ def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
 
 def stability_constant(op: DiscreteOperator, a: float) -> float:
     """C = 1 + ||G_II^{-1} G_IX||_2, the measured solve amplification."""
-    labels = _require_labels(op)
-    interior, rest = _interior_split(op, labels)
-    G = fractional_stiffness(op, a)
-    factor = _interior_cholesky(op, a, labels)
-    X = scipy.linalg.cho_solve(factor, G[np.ix_(interior, rest)])
+    interior = op.omega_interior_dofs()
+    rest = np.setdiff1d(np.arange(op.n_dofs), interior)
+    X, _ = _interior_solve(op, a, fractional_stiffness(op, a)[np.ix_(interior, rest)])
     c = 1.0 + float(np.linalg.norm(X, 2))
     logger.info("stability constant at a=%s: %.6g", a, c)
     return c
@@ -177,12 +190,11 @@ def cauchy_pair(
     op: DiscreteOperator, a: float, sol: NonlocalSolution, labels: RegionLabels
 ) -> CauchyPair:
     """Extract (u|_W, (L^a u)|_Wtilde), flux in the strong nodal sense."""
-    if op.labels is None or not labels.matches(op.labels):
-        raise ValueError("labels do not belong to this operator")
+    op.resolve_labels(labels)
     if sol.a != a:
         raise ValueError(f"solution was computed at a={sol.a}, not {a}")
-    w_dofs = op.region_dofs("W", labels)
-    wt_dofs = op.region_dofs("WTILDE", labels)
+    w_dofs = op.region_dofs("W")
+    wt_dofs = op.region_dofs("WTILDE")
     flux = apply_power(op, a, sol.u)
     pair = CauchyPair(
         w_nodes=op.free_nodes[w_dofs],
@@ -241,21 +253,15 @@ def exterior_data_matrix(
     """
     if flux not in ("dual", "nodal"):
         raise ValueError(f"unknown flux normalization {flux!r}")
-    if op.labels is None or not labels.matches(op.labels):
-        raise ValueError("labels do not belong to this operator")
-    interior, _ = _interior_split(op, labels)
-    w_dofs = op.region_dofs("W", labels)
-    wt_dofs = op.region_dofs("WTILDE", labels)
-    G = fractional_stiffness(op, a)
-    factor = _interior_cholesky(op, a, labels)
-
-    # block solve against every W hat at once
-    U = np.zeros((op.n_dofs, w_dofs.size), dtype=G.dtype)
-    U[w_dofs, np.arange(w_dofs.size)] = 1.0
-    U[interior] = scipy.linalg.cho_solve(factor, -G[np.ix_(interior, w_dofs)])
+    op.resolve_labels(labels)
+    w_dofs = op.region_dofs("W")
+    wt_dofs = op.region_dofs("WTILDE")
+    hats = np.zeros((op.n_dofs, w_dofs.size))
+    hats[w_dofs, np.arange(w_dofs.size)] = 1.0
+    U = solve_exterior_block(op, a, hats)
 
     if flux == "dual":
-        responses = (G @ U)[wt_dofs]
+        responses = (fractional_stiffness(op, a) @ U)[wt_dofs]
     else:
         responses = (power_matrix(op, a) @ U)[wt_dofs]
     if not np.any(responses != 0):
@@ -267,10 +273,3 @@ def exterior_data_matrix(
         a=a,
         flux=flux,
     )
-
-
-def _require_labels(op: DiscreteOperator) -> RegionLabels:
-    labels = op.labels
-    if labels is None:
-        raise ValueError("operator was assembled without region labels")
-    return labels

@@ -33,8 +33,8 @@ from .mesh import Mesh, MeshError, RegionLabels
 from .operators import (
     CoefficientField,
     DiscreteOperator,
-    _observed_ellipticity,
     assemble,
+    observed_ellipticity,
 )
 
 
@@ -213,10 +213,6 @@ def pushforward_potential(c, DF) -> np.ndarray:
     return float(c / det[0]) if single else c / det
 
 
-#: a WeightedOperator is a DiscreteOperator whose mass carries a density
-WeightedOperator = DiscreteOperator
-
-
 def assemble_weighted(
     mesh: Mesh,
     A,
@@ -236,7 +232,7 @@ def assemble_weighted(
         A=A_full,
         b=b_full,
         c=c_full,
-        bound=float(bound) if bound is not None else _observed_ellipticity(A_full),
+        bound=float(bound) if bound is not None else observed_ellipticity(A_full),
         labels=labels,
     )
     return assemble(mesh, coeffs, mass_density=weight)
@@ -272,6 +268,7 @@ def gauge_invariance_check(
     Verifies first that the deformation fixed every W, Wtilde, and E node
     (coordinates equal exactly) and that connectivity is shared.
     """
+    labels = op_A.resolve_labels(labels)
     if not np.array_equal(op_A.mesh.elements, op_FA.mesh.elements):
         raise DiffeoError("operators do not share mesh connectivity")
     fixed = np.concatenate([labels.w_nodes, labels.wtilde_nodes, labels.e_nodes])

@@ -16,7 +16,7 @@ scenario); OMEGA must stay buffered from both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,14 +206,6 @@ class RegionLabels:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             getattr(self, name).setflags(write=False)
-
-    def element_set(self, tag: str) -> np.ndarray:
-        return {
-            OMEGA: self.omega_elements,
-            W: self.w_elements,
-            WTILDE: self.wtilde_elements,
-            E: self.e_elements,
-        }[tag]
 
     def node_set(self, tag: str) -> np.ndarray:
         return {

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .mesh import OMEGA, Mesh, RegionLabels
+from .mesh import Mesh, RegionLabels
 
 #: relative Hermitian-deviation tolerance for the assembled stiffness
 HERMITIAN_TOL = 1e-12
@@ -129,7 +129,7 @@ class CoefficientField:
             target = labels.omega_elements if labels is not None else slice(None)
             c_full[target] = c_arr
         if bound is None:
-            bound = _observed_ellipticity(A_full)
+            bound = observed_ellipticity(A_full)
         return cls(A=A_full, b=b_full, c=c_full, bound=float(bound), labels=labels)
 
     def validate(self, mesh: Mesh) -> None:
@@ -150,7 +150,8 @@ class CoefficientField:
                 raise CoefficientError("b and c must vanish off OMEGA")
 
 
-def _observed_ellipticity(A: np.ndarray) -> float:
+def observed_ellipticity(A: np.ndarray) -> float:
+    """Largest of ||A||_2 and ||A^{-1}||_2 over a stack of SPD matrices."""
     sym_dev = np.abs(A - np.swapaxes(A, 1, 2)).max()
     scale = max(np.abs(A).max(), 1.0)
     if sym_dev > 1e-12 * scale:
@@ -169,7 +170,7 @@ def ellipticity_check(coeffs: CoefficientField) -> float:
     Raises CoefficientError when A is asymmetric, not positive definite, or
     the observed constant exceeds the declared bound.
     """
-    observed = _observed_ellipticity(coeffs.A)
+    observed = observed_ellipticity(coeffs.A)
     if observed > coeffs.bound * (1 + 1e-12):
         raise CoefficientError(
             f"observed ellipticity {observed:.6e} exceeds declared "
@@ -254,6 +255,20 @@ def _scatter(mesh: Mesh, local: np.ndarray, dtype) -> np.ndarray:
     return full
 
 
+def omega_stiffness(op: DiscreteOperator) -> np.ndarray:
+    """Stiffness assembled over OMEGA elements only (cached)."""
+
+    def build():
+        k_loc, _ = local_matrices(op.mesh, op.coeffs)
+        keep = np.zeros(op.mesh.element_count, dtype=bool)
+        keep[op.resolve_labels().omega_elements] = True
+        k_loc = np.where(keep[:, None, None], k_loc, 0.0)
+        full = _scatter(op.mesh, k_loc, k_loc.dtype)
+        return full[np.ix_(op.free_nodes, op.free_nodes)]
+
+    return op.cached("omega_stiffness", build)
+
+
 @dataclass
 class DiscreteOperator:
     """Assembled operator with its dense generalized eigendecomposition.
@@ -307,25 +322,28 @@ class DiscreteOperator:
             raise ValueError(f"nodes {bad.tolist()} are constrained (box boundary)")
         return dofs
 
+    def resolve_labels(self, labels: RegionLabels | None = None) -> RegionLabels:
+        """The operator's own region labels, checked against ``labels``.
+
+        A passed labeling is never used in place of ``self.labels``: it must
+        tag every element and node identically, or ValueError is raised.
+        """
+        if self.labels is None:
+            raise ValueError("operator was assembled without region labels")
+        if labels is not None and not labels.matches(self.labels):
+            raise ValueError("labels do not belong to this operator")
+        return self.labels
+
     def region_dofs(self, tag: str, labels: RegionLabels | None = None) -> np.ndarray:
-        lab = labels if labels is not None else self.labels
-        if lab is None:
-            raise ValueError("operator has no region labels attached")
-        nodes = lab.node_set(tag)
+        nodes = self.resolve_labels(labels).node_set(tag)
         free = nodes[self.node_to_dof[nodes] >= 0]
         return self.node_to_dof[free]
 
     def omega_interior_dofs(self, labels: RegionLabels | None = None) -> np.ndarray:
-        lab = labels if labels is not None else self.labels
-        if lab is None:
-            raise ValueError("operator has no region labels attached")
-        return self.dofs_of_nodes(lab.omega_interior_nodes)
+        return self.dofs_of_nodes(self.resolve_labels(labels).omega_interior_nodes)
 
     def boundary_omega_dofs(self, labels: RegionLabels | None = None) -> np.ndarray:
-        lab = labels if labels is not None else self.labels
-        if lab is None:
-            raise ValueError("operator has no region labels attached")
-        return self.dofs_of_nodes(lab.boundary_omega_nodes)
+        return self.dofs_of_nodes(self.resolve_labels(labels).boundary_omega_nodes)
 
     def mass_inner(self, u, v):
         """M-weighted inner product, linear in u, conjugating v."""
@@ -413,57 +431,20 @@ def assemble(
     )
 
 
-#: group names used by operator_restriction_blocks, in storage order
-BLOCK_GROUPS = ("OMEGA_INTERIOR", "OMEGA_BOUNDARY", "W", "WTILDE", "E", "OTHER")
-
-
-@dataclass(frozen=True)
-class RestrictionBlocks:
-    """Disjoint dof groups and the corresponding sub-matrices of F(L)."""
-
-    index: dict
-    blocks: dict
-
-    def assemble_full(self, n: int, dtype) -> np.ndarray:
-        out = np.zeros((n, n), dtype=dtype)
-        for (gi, gj), block in self.blocks.items():
-            out[np.ix_(self.index[gi], self.index[gj])] = block
-        return out
-
-
-def operator_restriction_blocks(
-    op: DiscreteOperator, labels: RegionLabels, F: np.ndarray
-) -> RestrictionBlocks:
-    """Partition a matrix function of the operator by region dof groups.
-
-    The groups are OMEGA_INTERIOR, OMEGA_BOUNDARY, W, WTILDE, E and OTHER,
-    derived from the priority node tags so they are disjoint and tile the
-    full matrix.  F must be a dense (n_dofs, n_dofs) matrix computed from
-    this operator.
-    """
-    F = np.asarray(F)
-    n = op.n_dofs
-    if F.shape != (n, n):
-        raise ValueError(f"matrix shape {F.shape} does not match {n} dofs")
-
-    tags = labels.node_tags[op.free_nodes]
-    boundary_dofs = op.node_to_dof[
-        labels.boundary_omega_nodes[
-            op.node_to_dof[labels.boundary_omega_nodes] >= 0
-        ]
-    ]
-    groups: dict[str, np.ndarray] = {}
-    omega_dofs = np.flatnonzero(tags == OMEGA)
-    groups["OMEGA_BOUNDARY"] = np.intersect1d(omega_dofs, boundary_dofs)
-    groups["OMEGA_INTERIOR"] = np.setdiff1d(omega_dofs, boundary_dofs)
-    for tag, name in (("W", "W"), ("WTILDE", "WTILDE"), ("E", "E")):
-        groups[name] = np.flatnonzero(tags == tag)
-    assigned = np.concatenate([groups[g] for g in BLOCK_GROUPS if g != "OTHER"])
-    groups["OTHER"] = np.setdiff1d(np.arange(n), assigned)
-
-    blocks = {
-        (gi, gj): F[np.ix_(groups[gi], groups[gj])]
-        for gi in BLOCK_GROUPS
-        for gj in BLOCK_GROUPS
-    }
-    return RestrictionBlocks(index=groups, blocks=blocks)
+def check_shared_exterior(op1: DiscreteOperator, op2: DiscreteOperator) -> None:
+    """Require a shared mesh and equal coefficients off op1's OMEGA elements."""
+    if op1.mesh is not op2.mesh and not (
+        np.array_equal(op1.mesh.nodes, op2.mesh.nodes)
+        and np.array_equal(op1.mesh.elements, op2.mesh.elements)
+    ):
+        raise ValueError("operators do not share a mesh")
+    outside = np.setdiff1d(
+        np.arange(op1.mesh.element_count), op1.resolve_labels().omega_elements
+    )
+    c1, c2 = op1.coeffs, op2.coeffs
+    if not (
+        np.array_equal(c1.A[outside], c2.A[outside])
+        and np.array_equal(c1.b[outside], c2.b[outside])
+        and np.array_equal(c1.c[outside], c2.c[outside])
+    ):
+        raise ValueError("exterior coefficient mismatch")

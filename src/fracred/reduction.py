@@ -24,9 +24,9 @@ import numpy as np
 import scipy.linalg
 
 from .calculus import QuadratureError, TimeQuadrature, apply_inverse, apply_power
-from .dirichlet import CauchyPair, ExteriorData, NonlocalSolution, cauchy_gap, cauchy_pair, solve_exterior_value
+from .dirichlet import NonlocalSolution, cauchy_gap, cauchy_pair, solve_exterior_value
 from .mesh import RegionLabels
-from .operators import DiscreteOperator, _scatter, local_matrices
+from .operators import DiscreteOperator, check_shared_exterior, omega_stiffness
 
 #: invariant tolerances for the lifted pair
 LIFT_TOL_PHI = 1e-10
@@ -78,20 +78,6 @@ class BoundaryCauchyData:
     conormal: np.ndarray
 
 
-def _omega_stiffness(op: DiscreteOperator, labels: RegionLabels) -> np.ndarray:
-    """Stiffness assembled over OMEGA elements only (cached)."""
-
-    def build():
-        k_loc, _ = local_matrices(op.mesh, op.coeffs)
-        keep = np.zeros(op.mesh.elements.shape[0], dtype=bool)
-        keep[labels.omega_elements] = True
-        k_loc = np.where(keep[:, None, None], k_loc, 0.0)
-        full = _scatter(op.mesh, k_loc, k_loc.dtype)
-        return full[np.ix_(op.free_nodes, op.free_nodes)]
-
-    return op.cached("omega_stiffness", build)
-
-
 def _boundary_edges(mesh, labels: RegionLabels) -> np.ndarray:
     """Edges of the OMEGA element patch that face a non-OMEGA element.
 
@@ -105,7 +91,7 @@ def _boundary_edges(mesh, labels: RegionLabels) -> np.ndarray:
     return uniq[counts == 1]
 
 
-def _boundary_mass(op: DiscreteOperator, labels: RegionLabels):
+def _boundary_mass(op: DiscreteOperator):
     """Mass matrix of the Omega interface, and the interface dofs.
 
     In 1D the interface is two points and the natural pairing is the
@@ -114,12 +100,12 @@ def _boundary_mass(op: DiscreteOperator, labels: RegionLabels):
     """
 
     def build():
-        bd_dofs = op.boundary_omega_dofs(labels)
+        bd_dofs = op.boundary_omega_dofs()
         if op.mesh.dim == 1:
             return bd_dofs, np.eye(bd_dofs.size)
         pos = {int(d): k for k, d in enumerate(bd_dofs)}
         B = np.zeros((bd_dofs.size, bd_dofs.size))
-        for n0, n1 in _boundary_edges(op.mesh, labels):
+        for n0, n1 in _boundary_edges(op.mesh, op.labels):
             ell = float(np.linalg.norm(op.mesh.nodes[n1] - op.mesh.nodes[n0]))
             i = pos[int(op.node_to_dof[n0])]
             j = pos[int(op.node_to_dof[n1])]
@@ -141,9 +127,9 @@ def boundary_cauchy(
     stiffness rows at interface dofs, r_j = (K_Omega Psi)_j, the standard
     variational flux lifting; B is the interface mass.
     """
-    bd_dofs, B = _boundary_mass(op, labels)
-    K_omega = _omega_stiffness(op, labels)
-    r = (K_omega @ pair.psi)[bd_dofs]
+    op.resolve_labels(labels)
+    bd_dofs, B = _boundary_mass(op)
+    r = (omega_stiffness(op) @ pair.psi)[bd_dofs]
     try:
         g = scipy.linalg.cho_factor(B)
     except scipy.linalg.LinAlgError as exc:
@@ -168,24 +154,6 @@ def boundary_gap(one: BoundaryCauchyData, other: BoundaryCauchyData) -> float:
     )
 
 
-def _check_shared_exterior(op1: DiscreteOperator, op2: DiscreteOperator, labels):
-    if op1.mesh is not op2.mesh and not (
-        np.array_equal(op1.mesh.nodes, op2.mesh.nodes)
-        and np.array_equal(op1.mesh.elements, op2.mesh.elements)
-    ):
-        raise ValueError("operators do not share a mesh")
-    outside = np.setdiff1d(
-        np.arange(op1.mesh.elements.shape[0]), labels.omega_elements
-    )
-    c1, c2 = op1.coeffs, op2.coeffs
-    if not (
-        np.array_equal(c1.A[outside], c2.A[outside])
-        and np.array_equal(c1.b[outside], c2.b[outside])
-        and np.array_equal(c1.c[outside], c2.c[outside])
-    ):
-        raise ValueError("exterior coefficient mismatch")
-
-
 def theorem1_probe(
     op1: DiscreteOperator,
     op2: DiscreteOperator,
@@ -199,7 +167,8 @@ def theorem1_probe(
     are maxima over the probe list.  Requires both operators to share the
     mesh and all non-OMEGA element coefficients.
     """
-    _check_shared_exterior(op1, op2, labels)
+    op1.resolve_labels(labels)
+    check_shared_exterior(op1, op2)
     per_probe = []
     ext_gap = 0.0
     bdy_gap = 0.0
@@ -246,11 +215,9 @@ def moment_functional(
         quad.ensure_calibrated(op.lambda_min, op.lambda_max, a)
     dofs = op.dofs_of_nodes(np.asarray(nodes, dtype=int))
     coeff = op.spectral_coefficients(u)
-    outer = np.multiply.outer(op.eigenvalues, quad.t)
-    evol = np.expm1(-outer) if increment else np.exp(-outer)
-    wt = quad.singular_weights(m + a)
+    terms = quad.mode_terms(op.eigenvalues, m + a, increment)
     # per-node, per-time contributions before the final weighted sum
-    contrib = (op.eigenvectors[dofs] @ (coeff[:, None] * evol)) * wt
+    contrib = op.eigenvectors[dofs] @ (coeff[:, None] * terms)
     head = np.abs(contrib[:, :5]).max(axis=1)
     peak = np.abs(contrib).max(axis=1)
     diverging = head > 1e-3 * peak

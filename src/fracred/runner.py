@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import calibration_rows, fractional_stiffness
 from .config import SUITE_NAMES, ConfigError, ExperimentConfig
-from .diagnostics import heat_bound_check, heatflow_rigidity_probe, runge_rank, ucp_quotient
+from .diagnostics import heat_bound_check, heatflow_rigidity_probe, is_plain_laplacian, runge_rank, ucp_quotient
 from .dirichlet import ExteriorData, solve_exterior_value, stability_constant
 from .gauge import gauge_invariance_check, pushforward_operator
 from .mesh import dump_json
@@ -161,9 +161,8 @@ def _suite_direct(ctx: RunContext) -> None:
         alpha, beta = 0.7, -1.3
         combo = ExteriorData(alpha * f.values + beta * g.values, f.w_dofs)
         u_combo = solve_exterior_value(op, a, combo).u
-        u_sep = alpha * solve_exterior_value(op, a, f).u + beta * solve_exterior_value(
-            op, a, g
-        ).u
+        u_f = solve_exterior_value(op, a, f).u
+        u_sep = alpha * u_f + beta * solve_exterior_value(op, a, g).u
         lin = float(
             np.linalg.norm(u_combo - u_sep) / max(np.linalg.norm(u_combo), 1e-300)
         )
@@ -173,7 +172,7 @@ def _suite_direct(ctx: RunContext) -> None:
         c_stab = stability_constant(op, a)
         interior = op.omega_interior_dofs(labels)
         G = fractional_stiffness(op, a)
-        res = float(np.abs((G @ solve_exterior_value(op, a, f).u)[interior]).max())
+        res = float(np.abs((G @ u_f)[interior]).max())
         per_a[str(a)] = {
             "linearity_residual": lin,
             "stability_constant": c_stab,
@@ -244,17 +243,6 @@ def _suite_gauge(ctx: RunContext) -> None:
     ) + "\n"
 
 
-def _plain_laplacian(op) -> bool:
-    eye = np.eye(op.mesh.dim)
-    return (
-        op.mass_density is None
-        and not np.iscomplexobj(op.K)
-        and bool(np.all(op.coeffs.A == eye))
-        and not np.any(op.coeffs.b)
-        and not np.any(op.coeffs.c)
-    )
-
-
 def _heat_pairs(ctx: RunContext, op) -> list:
     # pairs straddling the origin, comfortably away from the box edge
     targets = [0.0, 0.1, 0.2]
@@ -307,7 +295,7 @@ def _suite_diagnostics(ctx: RunContext) -> None:
         ]
         doc["per_a"][str(a)] = entry
 
-    if _plain_laplacian(op):
+    if is_plain_laplacian(op):
         h = float(np.sqrt(2.0 * op.mesh.element_measures().min())
                   if op.mesh.dim == 2 else op.mesh.element_measures().min())
         span = float(np.min(op.mesh.box[:, 1] - op.mesh.box[:, 0]))

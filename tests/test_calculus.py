@@ -23,6 +23,7 @@ from fracred.calculus import (
     apply_inverse,
     apply_power,
     bilinear_form,
+    calibration_rows,
     fourier_crosscheck_neglap,
     fractional_stiffness,
     gamma_neg,
@@ -78,6 +79,16 @@ class TestScalarQuadrature:
         lam = np.geomspace(1e-2, 1e5, 30)
         for a in (0.25, 0.5, 0.75):
             assert quad.calibration_error(lam, a) < CALIBRATION_TOL
+
+    def test_calibration_rows_match_scalar_calls(self, quad):
+        # the table is evaluated in one array call; every row must equal the
+        # per-lambda scalar evaluation bit for bit
+        lam = np.geomspace(0.5, 5e3, 11)
+        for a in (0.25, 0.5, 0.75):
+            for want, (got, exact, approx, rel) in zip(lam, calibration_rows(quad, lam, a)):
+                assert (got, exact) == (want, want**a)
+                assert approx == float(quad.scalar_power(want, a))
+                assert rel == abs(approx - exact) / exact
 
     def test_ensure_calibrated_raises_for_coarse_grid(self):
         bad = TimeQuadrature(s_max=4.0, n=12)

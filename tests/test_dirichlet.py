@@ -15,9 +15,11 @@ from fracred.dirichlet import (
     dirichlet_energy,
     exterior_data_matrix,
     solution_stability,
+    solve_exterior_block,
     solve_exterior_value,
     stability_constant,
 )
+from fracred.diagnostics import runge_rank
 from fracred.mesh import build_interval_mesh, label_regions
 from fracred.operators import CoefficientField, assemble
 
@@ -256,3 +258,69 @@ class TestExteriorDataMatrix:
             np.testing.assert_allclose(
                 report.matrix[:, j], pair.flux_Wtilde, rtol=1e-12, atol=1e-13
             )
+
+
+class TestSolveExteriorBlock:
+    @pytest.fixture(params=["base1d", "base2d"])
+    def scn(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_block_equals_single_solves(self, scn):
+        op = scn.op
+        w_dofs = op.region_dofs("W")
+        F = np.zeros((op.n_dofs, 4))
+        F[w_dofs] = np.random.default_rng(41).standard_normal((w_dofs.size, 4))
+        U = solve_exterior_block(op, 0.5, F)
+        for j in range(F.shape[1]):
+            u = solve_exterior_value(op, 0.5, ExteriorData(F[:, j], w_dofs)).u
+            assert np.abs(U[:, j] - u).max() < 1e-12
+
+    def test_zero_block_gives_exact_zeros(self, scn):
+        U = solve_exterior_block(scn.op, 0.5, np.zeros((scn.op.n_dofs, 3)))
+        assert np.all(U == 0.0)
+
+    def test_support_off_w_rejected(self, scn):
+        F = np.zeros((scn.op.n_dofs, 2))
+        F[scn.op.region_dofs("E")[0], 1] = 1.0
+        with pytest.raises(ExteriorDataError):
+            solve_exterior_block(scn.op, 0.5, F)
+
+
+class TestLabelBinding:
+    """Passed labels are checked against the operator's own, never used."""
+
+    @pytest.fixture(scope="class")
+    def shifted(self):
+        # Omega moved by one cell pair: same interior node count, so a
+        # factor cached for the operator's own Omega would silently fit
+        mesh = build_interval_mesh(-2.0, 2.0, 80)
+        own = label_regions(mesh, (-1.0, 1.0), (1.05, 1.8), (-1.95, -1.05))
+        moved = label_regions(mesh, (-0.9, 1.1), (1.2, 1.8), (-1.95, -1.05))
+        assert own.omega_interior_nodes.size == moved.omega_interior_nodes.size
+        from types import SimpleNamespace
+
+        op = assemble(mesh, CoefficientField.build(mesh, labels=own))
+        return SimpleNamespace(mesh=mesh, op=op, own=own, moved=moved)
+
+    def test_shifted_omega_refused_after_warm_cache(self, shifted):
+        op, own, moved = shifted.op, shifted.own, shifted.moved
+        runge_rank(op, 0.5, own)
+        exterior_data_matrix(op, 0.5, own)
+        node = int(np.intersect1d(own.w_nodes, moved.w_nodes)[0])
+        sol = solve_exterior_value(op, 0.5, ExteriorData.hat(op, own, node))
+        calls = [
+            lambda: runge_rank(op, 0.5, moved),
+            lambda: exterior_data_matrix(op, 0.5, moved),
+            lambda: cauchy_pair(op, 0.5, sol, moved),
+            lambda: ExteriorData.hat(op, moved, node),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="labels"):
+                call()
+
+    def test_equal_relabeling_is_accepted(self, shifted):
+        op = shifted.op
+        again = label_regions(shifted.mesh, (-1.0, 1.0), (1.05, 1.8), (-1.95, -1.05))
+        assert again is not op.labels
+        assert op.resolve_labels(again) is op.labels
+        assert runge_rank(op, 0.25, again).smallest == runge_rank(op, 0.25, op.labels).smallest

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from fracred.mesh import build_interval_mesh, build_rect_mesh, label_regions
 from fracred.operators import (
-    BLOCK_GROUPS,
     CoefficientError,
     CoefficientField,
     PositivityError,
     assemble,
     ellipticity_check,
-    operator_restriction_blocks,
 )
 
 
@@ -163,19 +161,3 @@ class TestCoefficientValidation:
         assert np.all(field.A[labels.omega_elements] == 3.0 * np.eye(1))
         assert np.all(field.c[outside] == 0)
         assert np.all(field.c[labels.omega_elements] == 1.0)
-
-
-class TestRestrictionBlocks:
-    def test_groups_partition_dofs(self, base1d):
-        op, labels = base1d.op, base1d.labels
-        blocks = operator_restriction_blocks(op, labels, op.K)
-        sizes = [blocks.index[g].size for g in BLOCK_GROUPS]
-        assert sum(sizes) == op.n_dofs
-        stacked = np.sort(np.concatenate([blocks.index[g] for g in BLOCK_GROUPS]))
-        np.testing.assert_array_equal(stacked, np.arange(op.n_dofs))
-
-    def test_tiles_reassemble(self, base1d):
-        op, labels = base1d.op, base1d.labels
-        blocks = operator_restriction_blocks(op, labels, op.K)
-        rebuilt = blocks.assemble_full(op.n_dofs, op.K.dtype)
-        np.testing.assert_array_equal(rebuilt, op.K)

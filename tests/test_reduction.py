@@ -99,7 +99,7 @@ class TestBoundaryCauchy:
         # whole interface mass sums to the patch perimeter
         from fracred.reduction import _boundary_edges, _boundary_mass
 
-        _, B = _boundary_mass(base2d.op, base2d.labels)
+        _, B = _boundary_mass(base2d.op)
         edges = _boundary_edges(base2d.mesh, base2d.labels)
         perimeter = sum(
             float(np.linalg.norm(base2d.mesh.nodes[n1] - base2d.mesh.nodes[n0]))
@@ -113,7 +113,7 @@ class TestBoundaryCauchy:
         from fracred.reduction import _boundary_edges, _boundary_mass
 
         op = base2d.op
-        bd_dofs, B = _boundary_mass(op, base2d.labels)
+        bd_dofs, B = _boundary_mass(op)
         pos = {int(d): k for k, d in enumerate(bd_dofs)}
         n0, n1 = _boundary_edges(base2d.mesh, base2d.labels)[0]
         ell = float(np.linalg.norm(base2d.mesh.nodes[n1] - base2d.mesh.nodes[n0]))
@@ -130,7 +130,7 @@ class TestBoundaryCauchy:
         sol = first_probe_solution(base2d)
         fake = LiftedPair(phi=np.zeros_like(x), psi=x, source=sol, residuals={})
         bc = boundary_cauchy(op, fake, base2d.labels)
-        _, B = _boundary_mass(op, base2d.labels)
+        _, B = _boundary_mass(op)
         assert abs((B @ bc.conormal).sum()) < 1e-12
 
     def test_gap_rejects_different_node_sets(self, base1d, base2d):
