@@ -52,7 +52,6 @@ from .dirichlet import (
     dirichlet_energy,
     exterior_data_matrix,
     solution_stability,
-    solve_exterior_block,
     solve_exterior_value,
     stability_constant,
 )

@@ -34,7 +34,7 @@ from .calculus import (
     power_matrix,
     power_via_heat_quadrature,
 )
-from .dirichlet import solve_exterior_block
+from .dirichlet import ExteriorData, solve_exterior_value
 from .mesh import OMEGA, RegionLabels
 from .operators import DiscreteOperator, check_shared_exterior
 
@@ -142,9 +142,8 @@ def runge_rank(
     e_dofs = op.region_dofs("E")
     if w_dofs.size == 0 or e_dofs.size == 0:
         raise ValueError("empty W or E window")
-    hats = np.zeros((op.n_dofs, w_dofs.size))
-    hats[w_dofs, np.arange(w_dofs.size)] = 1.0
-    R = (power_matrix(op, a) @ solve_exterior_block(op, a, hats))[e_dofs]
+    U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
+    R = (power_matrix(op, a) @ U)[e_dofs]
     svals = scipy.linalg.svdvals(R)
     report = SingularValueReport(
         singular_values=svals,
@@ -251,7 +250,7 @@ def heatflow_rigidity_probe(
     quad: TimeQuadrature,
     sigma_nodes,
 ) -> float:
-    """Max over Sigma of |sum_q w_q (U1 - U2)(x, t_q) t_q^{-1-a}|.
+    """Max over Sigma and datum columns of |sum_q w_q (U1 - U2)(x, t_q) t_q^{-1-a}|.
 
     U_i is the heat flow of the exterior datum under op_i, so the sum is
     |Gamma(-a)| times the gap of the heat-quadrature routes to L_i^a f.  It
@@ -261,7 +260,8 @@ def heatflow_rigidity_probe(
     """
     check_shared_exterior(op1, op2)
     sigma = np.atleast_1d(np.asarray(sigma_nodes, dtype=int))
-    support_nodes = op1.free_nodes[np.flatnonzero(f.values)]
+    rows = f.values.reshape(f.values.shape[0], -1)
+    support_nodes = op1.free_nodes[np.flatnonzero(rows.any(axis=1))]
     # closure of the support: every node sharing an element with it
     el = op1.mesh.elements
     touching = el[np.isin(el, support_nodes).any(axis=1)]

@@ -31,17 +31,18 @@ SOLVE_TOL = 1e-10
 
 
 class ExteriorDataError(ValueError):
-    """Exterior datum not supported on the W window."""
+    """Exterior datum malformed, non-finite, or supported off the W window."""
 
 
 @dataclass(frozen=True)
 class ExteriorData:
-    """Nodal vector supported on the W window (dof numbering).
+    """Nodal data supported on the W window (dof numbering).
 
     Attributes
     ----------
     values : ndarray
-        Full dof-length vector; entries off ``w_dofs`` must vanish.
+        A dof-length vector, or a dof x k block holding one datum per
+        column; entries off ``w_dofs`` must vanish and all must be finite.
     w_dofs : ndarray
         Sorted dof indices of the W nodes.
     """
@@ -54,11 +55,13 @@ class ExteriorData:
         w_dofs = np.asarray(self.w_dofs, dtype=int)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "w_dofs", w_dofs)
-        mask = np.ones(values.shape[0], dtype=bool)
-        mask[w_dofs] = False
-        if values.ndim != 1:
-            raise ExteriorDataError("exterior datum must be a vector")
-        if np.any(values[mask] != 0):
+        if values.ndim not in (1, 2):
+            raise ExteriorDataError("exterior datum must be a dof vector or a dof x k block")
+        if not np.all(np.isfinite(values)):
+            raise ExteriorDataError("exterior datum has non-finite values")
+        off_w = np.ones(values.shape[0], dtype=bool)
+        off_w[w_dofs] = False
+        if np.any(values[off_w] != 0):
             raise ExteriorDataError("exterior datum has support outside W")
 
     @staticmethod
@@ -78,10 +81,29 @@ class ExteriorData:
         full[dofs] = values
         return ExteriorData(full, w_dofs)
 
+    @staticmethod
+    def w_hats(op: DiscreteOperator) -> "ExteriorData":
+        """Block of unit hats, one column per W dof: the identity on W."""
+        w_dofs = op.region_dofs("W")
+        hats = np.zeros((op.n_dofs, w_dofs.size))
+        hats[w_dofs, np.arange(w_dofs.size)] = 1.0
+        return ExteriorData(hats, w_dofs)
+
+    @staticmethod
+    def stack(data) -> "ExteriorData":
+        """Block whose columns are the given data, in order, on one W."""
+        data = list(data)
+        if not data:
+            raise ExteriorDataError("no exterior data to stack")
+        w_dofs = data[0].w_dofs
+        if any(not np.array_equal(f.w_dofs, w_dofs) for f in data):
+            raise ExteriorDataError("exterior data live on different W windows")
+        return ExteriorData(np.column_stack([f.values for f in data]), w_dofs)
+
 
 @dataclass(frozen=True)
 class NonlocalSolution:
-    """Solution of the exterior-value problem together with its datum."""
+    """Solution (shaped like its datum's values) with the worst column's residual."""
 
     u: np.ndarray
     data: ExteriorData
@@ -91,7 +113,7 @@ class NonlocalSolution:
 
 @dataclass(frozen=True)
 class CauchyPair:
-    """Exterior partial Cauchy data (u|_W, (L^a u)|_Wtilde)."""
+    """Exterior partial Cauchy data (u|_W, (L^a u)|_Wtilde), one column per datum."""
 
     w_nodes: np.ndarray
     trace_W: np.ndarray
@@ -103,9 +125,9 @@ class CauchyPair:
 def _interior_solve(op: DiscreteOperator, a: float, B: np.ndarray):
     """X = G_II^{-1} B against the cached Cholesky factor of G_II.
 
-    Returns X and the relative residual of each column, every one of which
-    must stay within SOLVE_TOL.  A failing factorization flags a non-PD
-    interior block.
+    Returns X and the worst relative residual over the columns, which must
+    stay within SOLVE_TOL.  A failing factorization flags a non-PD interior
+    block.
     """
     interior = op.omega_interior_dofs()
     G = fractional_stiffness(op, a)
@@ -122,48 +144,34 @@ def _interior_solve(op: DiscreteOperator, a: float, B: np.ndarray):
     X = scipy.linalg.cho_solve(op.cached(("gii_cholesky", a), build), B)
     res = np.linalg.norm(G_II @ X - B, axis=0)
     scale = np.linalg.norm(B, axis=0)
-    residuals = res / np.where(scale > 0, scale, 1.0)
-    worst = float(residuals.max(initial=0.0))
-    if worst > SOLVE_TOL:
+    worst = float(np.max(res / np.where(scale > 0, scale, 1.0), initial=0.0))
+    if not worst <= SOLVE_TOL:
         raise ArithmeticError(f"interior solve residual {worst:.3e} too large")
-    return X, residuals
-
-
-def _exterior_solve(op: DiscreteOperator, a: float, F: np.ndarray):
-    """Block Schur solve G_II U_I = -G_IW F_W; returns U and the residuals."""
-    F = np.asarray(F)
-    if F.ndim != 2 or F.shape[0] != op.n_dofs:
-        raise ExteriorDataError(
-            f"data block shape {F.shape} does not match {op.n_dofs} dofs"
-        )
-    w_dofs = op.region_dofs("W")
-    off_w = np.ones(op.n_dofs, dtype=bool)
-    off_w[w_dofs] = False
-    if np.any(F[off_w] != 0):
-        raise ExteriorDataError("exterior data block has support outside W")
-    interior = op.omega_interior_dofs()
-    G = fractional_stiffness(op, a)
-    U = np.array(F, dtype=np.result_type(F, G.dtype))
-    X, residuals = _interior_solve(op, a, -(G[np.ix_(interior, w_dofs)] @ F[w_dofs]))
-    U[interior] = X
-    return U, residuals
-
-
-def solve_exterior_block(op: DiscreteOperator, a: float, F) -> np.ndarray:
-    """Exterior-value solutions for every column of a dof x k data block.
-
-    Each column of F must vanish off W; column j of the result solves
-    B(u, w) = 0 on Omega-interior dofs with u = F[:, j] elsewhere.
-    """
-    return _exterior_solve(op, a, F)[0]
+    return X, worst
 
 
 def solve_exterior_value(
     op: DiscreteOperator, a: float, f: ExteriorData
 ) -> NonlocalSolution:
-    """Solve B(u, w) = 0 on Omega-interior dofs with u = f elsewhere."""
-    U, residuals = _exterior_solve(op, a, f.values[:, None])
-    return NonlocalSolution(u=U[:, 0], data=f, a=a, residual=float(residuals[0]))
+    """Solve B(u, w) = 0 on Omega-interior dofs with u = f elsewhere.
+
+    The Schur solve G_II u_I = -G_IW f_W runs once for every column of a
+    dof x k datum; a vector datum is the one-column case.  The datum must
+    have the operator's dof count and W window.
+    """
+    F = f.values
+    if F.shape[0] != op.n_dofs:
+        raise ExteriorDataError(
+            f"datum has {F.shape[0]} rows, operator has {op.n_dofs} dofs"
+        )
+    if not np.array_equal(f.w_dofs, op.region_dofs("W")):
+        raise ExteriorDataError("datum window is not the operator's W")
+    interior = op.omega_interior_dofs()
+    G = fractional_stiffness(op, a)
+    U = np.array(F, dtype=np.result_type(F, G.dtype))
+    X, residual = _interior_solve(op, a, -(G[np.ix_(interior, f.w_dofs)] @ F[f.w_dofs]))
+    U[interior] = X
+    return NonlocalSolution(u=U, data=f, a=a, residual=residual)
 
 
 def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
@@ -208,18 +216,16 @@ def cauchy_pair(
     return pair
 
 
-def cauchy_gap(one: CauchyPair, other: CauchyPair) -> float:
-    """Max-norm distance between two Cauchy pairs on matching windows."""
+def cauchy_gap(one: CauchyPair, other: CauchyPair):
+    """Max-norm distance between two Cauchy pairs on matching windows, per datum column."""
     if not (
         np.array_equal(one.w_nodes, other.w_nodes)
         and np.array_equal(one.wtilde_nodes, other.wtilde_nodes)
     ):
         raise ValueError("Cauchy pairs live on different windows")
-    return float(
-        max(
-            np.abs(one.trace_W - other.trace_W).max(),
-            np.abs(one.flux_Wtilde - other.flux_Wtilde).max(),
-        )
+    return np.maximum(
+        np.abs(one.trace_W - other.trace_W).max(axis=0),
+        np.abs(one.flux_Wtilde - other.flux_Wtilde).max(axis=0),
     )
 
 
@@ -256,9 +262,7 @@ def exterior_data_matrix(
     op.resolve_labels(labels)
     w_dofs = op.region_dofs("W")
     wt_dofs = op.region_dofs("WTILDE")
-    hats = np.zeros((op.n_dofs, w_dofs.size))
-    hats[w_dofs, np.arange(w_dofs.size)] = 1.0
-    U = solve_exterior_block(op, a, hats)
+    U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
 
     if flux == "dual":
         responses = (fractional_stiffness(op, a) @ U)[wt_dofs]

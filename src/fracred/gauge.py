@@ -16,10 +16,10 @@ d F_j / d x_i, which is what makes the formulas above literal matrix
 products per element.
 
 Exterior Cauchy data is therefore invariant under interior deformations
-that fix the windows, which gauge_invariance_check verifies probe by
-probe.  The metric dictionary g = (det A)^{1/(n-2)} A^{-1} and its inverse
-are provided for n >= 3 together with the Laplace-Beltrami assembly
-sqrt(det g) g^{jk}.
+that fix the windows, which gauge_invariance_check verifies on a block of
+probes with one solve per operator.  The metric dictionary
+g = (det A)^{1/(n-2)} A^{-1} and its inverse are provided for n >= 3
+together with the Laplace-Beltrami assembly sqrt(det g) g^{jk}.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import cauchy_gap, cauchy_pair, solve_exterior_value
+from .dirichlet import ExteriorData, cauchy_gap, cauchy_pair, solve_exterior_value
 from .mesh import Mesh, MeshError, RegionLabels
 from .operators import (
     CoefficientField,
@@ -265,8 +265,9 @@ def gauge_invariance_check(
 ) -> float:
     """Max Cauchy-data deviation between an operator and its transport.
 
-    Verifies first that the deformation fixed every W, Wtilde, and E node
-    (coordinates equal exactly) and that connectivity is shared.
+    The probes are solved as one block per operator.  Verifies first that
+    the deformation fixed every W, Wtilde, and E node (coordinates equal
+    exactly) and that connectivity is shared.
     """
     labels = op_A.resolve_labels(labels)
     if not np.array_equal(op_A.mesh.elements, op_FA.mesh.elements):
@@ -274,12 +275,10 @@ def gauge_invariance_check(
     fixed = np.concatenate([labels.w_nodes, labels.wtilde_nodes, labels.e_nodes])
     if not np.array_equal(op_A.mesh.nodes[fixed], op_FA.mesh.nodes[fixed]):
         raise DiffeoError("deformation moved window or E nodes")
-    gap = 0.0
-    for f in probes:
-        cp1 = cauchy_pair(op_A, a, solve_exterior_value(op_A, a, f), labels)
-        cp2 = cauchy_pair(op_FA, a, solve_exterior_value(op_FA, a, f), labels)
-        gap = max(gap, cauchy_gap(cp1, cp2))
-    return gap
+    f = ExteriorData.stack(probes)
+    cp1 = cauchy_pair(op_A, a, solve_exterior_value(op_A, a, f), labels)
+    cp2 = cauchy_pair(op_FA, a, solve_exterior_value(op_FA, a, f), labels)
+    return float(cauchy_gap(cp1, cp2).max())
 
 
 def metric_from_conductivity(A, n: int) -> np.ndarray:

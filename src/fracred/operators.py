@@ -345,12 +345,9 @@ class DiscreteOperator:
     def boundary_omega_dofs(self, labels: RegionLabels | None = None) -> np.ndarray:
         return self.dofs_of_nodes(self.resolve_labels(labels).boundary_omega_nodes)
 
-    def mass_inner(self, u, v):
-        """M-weighted inner product, linear in u, conjugating v."""
-        return np.vdot(v, self.M @ u)
-
-    def mass_norm(self, v) -> float:
-        return float(np.sqrt(max(self.mass_inner(v, v).real, 0.0)))
+    def mass_norm(self, v):
+        """M-norm of a dof vector, or of each column of a dof x k block."""
+        return np.sqrt(np.maximum(np.sum(v.conj() * (self.M @ v), axis=0).real, 0.0))
 
     def spectral_coefficients(self, v) -> np.ndarray:
         """Coordinates of v in the M-orthonormal eigenbasis."""

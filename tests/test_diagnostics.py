@@ -205,6 +205,14 @@ class TestRigidityProbe:
         )
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
+    def test_block_datum_is_the_worst_column(self, perturbed1d, base1d, quad):
+        probes = hat_probes(base1d)[:3]
+        sigma = self.sigma(base1d)
+        ops = (perturbed1d.op1, perturbed1d.op2)
+        block = heatflow_rigidity_probe(*ops, 0.5, ExteriorData.stack(probes), quad, sigma)
+        singles = [heatflow_rigidity_probe(*ops, 0.5, f, quad, sigma) for f in probes]
+        assert block == pytest.approx(max(singles), rel=1e-12)
+
     def test_sigma_near_support_rejected(self, perturbed1d, base1d, quad):
         f = hat_probes(base1d)[0]
         w_nodes = base1d.labels.node_set("W")

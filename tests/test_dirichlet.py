@@ -15,7 +15,6 @@ from fracred.dirichlet import (
     dirichlet_energy,
     exterior_data_matrix,
     solution_stability,
-    solve_exterior_block,
     solve_exterior_value,
     stability_constant,
 )
@@ -56,9 +55,36 @@ class TestExteriorData:
             ExteriorData(values, w_dofs)
 
     def test_non_vector_rejected(self, base1d):
+        # a dof x k block is valid data; 0-d and 3-d arrays are not
         w_dofs = base1d.op.region_dofs("W", base1d.labels)
         with pytest.raises(ExteriorDataError):
-            ExteriorData(np.zeros((base1d.op.n_dofs, 1)), w_dofs)
+            ExteriorData(np.float64(1.0), w_dofs)
+        with pytest.raises(ExteriorDataError):
+            ExteriorData(np.zeros((base1d.op.n_dofs, 1, 1)), w_dofs)
+
+    def test_non_finite_rejected(self, base1d):
+        w_dofs = base1d.op.region_dofs("W", base1d.labels)
+        for bad in (np.nan, np.inf):
+            values = np.zeros((base1d.op.n_dofs, 2))
+            values[w_dofs[0], 1] = bad
+            with pytest.raises(ExteriorDataError, match="non-finite"):
+                ExteriorData(values, w_dofs)
+
+    def test_w_hats_is_the_identity_on_w(self, base1d):
+        op = base1d.op
+        hats = ExteriorData.w_hats(op)
+        w_dofs = op.region_dofs("W")
+        assert hats.values.shape == (op.n_dofs, w_dofs.size)
+        np.testing.assert_array_equal(hats.values[w_dofs], np.eye(w_dofs.size))
+        stacked = ExteriorData.stack(hat_probes(base1d))
+        np.testing.assert_array_equal(stacked.values, hats.values)
+
+    def test_stack_rejects_empty_and_mixed_windows(self, base1d, fine1d):
+        with pytest.raises(ExteriorDataError):
+            ExteriorData.stack([])
+        mixed = [hat_probes(base1d)[0], hat_probes(fine1d)[0]]
+        with pytest.raises(ExteriorDataError):
+            ExteriorData.stack(mixed)
 
     def test_from_node_values_places_entries(self, base1d):
         nodes = base1d.labels.node_set("W")[:3]
@@ -261,6 +287,8 @@ class TestExteriorDataMatrix:
 
 
 class TestSolveExteriorBlock:
+    """solve_exterior_value on a dof x k block ExteriorData."""
+
     @pytest.fixture(params=["base1d", "base2d"])
     def scn(self, request):
         return request.getfixturevalue(request.param)
@@ -270,20 +298,41 @@ class TestSolveExteriorBlock:
         w_dofs = op.region_dofs("W")
         F = np.zeros((op.n_dofs, 4))
         F[w_dofs] = np.random.default_rng(41).standard_normal((w_dofs.size, 4))
-        U = solve_exterior_block(op, 0.5, F)
+        sol = solve_exterior_value(op, 0.5, ExteriorData(F, w_dofs))
+        assert sol.u.shape == F.shape
         for j in range(F.shape[1]):
             u = solve_exterior_value(op, 0.5, ExteriorData(F[:, j], w_dofs)).u
-            assert np.abs(U[:, j] - u).max() < 1e-12
+            assert np.abs(sol.u[:, j] - u).max() < 1e-12
 
     def test_zero_block_gives_exact_zeros(self, scn):
-        U = solve_exterior_block(scn.op, 0.5, np.zeros((scn.op.n_dofs, 3)))
-        assert np.all(U == 0.0)
+        zero = ExteriorData(np.zeros((scn.op.n_dofs, 3)), scn.op.region_dofs("W"))
+        sol = solve_exterior_value(scn.op, 0.5, zero)
+        assert np.all(sol.u == 0.0)
+        assert sol.residual == 0.0
 
     def test_support_off_w_rejected(self, scn):
         F = np.zeros((scn.op.n_dofs, 2))
         F[scn.op.region_dofs("E")[0], 1] = 1.0
         with pytest.raises(ExteriorDataError):
-            solve_exterior_block(scn.op, 0.5, F)
+            solve_exterior_value(scn.op, 0.5, ExteriorData(F, scn.op.region_dofs("W")))
+
+    def test_residual_is_the_worst_column(self, scn):
+        op = scn.op
+        f = ExteriorData.w_hats(op)
+        sol = solve_exterior_value(op, 0.5, f)
+        interior, w_dofs = op.omega_interior_dofs(), f.w_dofs
+        G = fractional_stiffness(op, 0.5)
+        B = -(G[np.ix_(interior, w_dofs)] @ f.values[w_dofs])
+        res = G[np.ix_(interior, interior)] @ sol.u[interior] - B
+        per_column = np.linalg.norm(res, axis=0) / np.linalg.norm(B, axis=0)
+        assert sol.residual == pytest.approx(per_column.max(), rel=1e-12)
+
+    def test_foreign_window_rejected(self, base1d):
+        # right dof count, but the datum's W is not the operator's
+        op = base1d.op
+        w_dofs = op.region_dofs("W")[:-1]
+        with pytest.raises(ExteriorDataError, match="window"):
+            solve_exterior_value(op, 0.5, ExteriorData(np.zeros(op.n_dofs), w_dofs))
 
 
 class TestLabelBinding:

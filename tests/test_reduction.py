@@ -12,7 +12,7 @@ from fracred.calculus import (
     apply_power,
     gamma_neg,
 )
-from fracred.dirichlet import solve_exterior_value
+from fracred.dirichlet import ExteriorData, cauchy_pair, solve_exterior_value
 from fracred.operators import CoefficientField, assemble
 from fracred.reduction import (
     LiftedPair,
@@ -54,6 +54,71 @@ class TestLift:
         sol = first_probe_solution(base1d, 0.25)
         with pytest.raises(ValueError):
             lift(base1d.op, 0.5, sol)
+
+    def test_zero_datum_has_zero_residuals(self, base1d):
+        zero = ExteriorData(np.zeros(base1d.op.n_dofs), base1d.op.region_dofs("W"))
+        pair = lift(base1d.op, 0.5, solve_exterior_value(base1d.op, 0.5, zero))
+        assert pair.residuals == {"phi": 0.0, "psi": 0.0, "interior": 0.0}
+        assert np.all(pair.psi == 0.0)
+
+    def test_zero_column_does_not_mask_the_others(self, base1d):
+        op = base1d.op
+        f = hat_probes(base1d)[0]
+        block = np.column_stack([np.zeros(op.n_dofs), f.values])
+        sol = solve_exterior_value(op, 0.5, ExteriorData(block, f.w_dofs))
+        residuals = lift(op, 0.5, sol).residuals
+        assert all(np.isfinite(value) for value in residuals.values())
+        # the hat column's roundoff, not the zero column, sets the worst value
+        assert residuals["interior"] > 0.0
+
+
+class TestBlockEquivalence:
+    """A dof x k block gives the same results as k single-column calls."""
+
+    @pytest.fixture(params=["base1d", "base2d"])
+    def scn(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.fixture
+    def columns(self, scn):
+        w_dofs = scn.op.region_dofs("W")
+        values = np.zeros((scn.op.n_dofs, 4))
+        values[w_dofs] = np.random.default_rng(43).standard_normal((w_dofs.size, 4))
+        return [ExteriorData(values[:, j], w_dofs) for j in range(4)]
+
+    def test_lift_and_data_match_single_calls(self, scn, columns):
+        op, a = scn.op, 0.5
+        sol = solve_exterior_value(op, a, ExteriorData.stack(columns))
+        pair = lift(op, a, sol)
+        cp = cauchy_pair(op, a, sol, scn.labels)
+        bc = boundary_cauchy(op, pair, scn.labels)
+        for j, f in enumerate(columns):
+            sol_j = solve_exterior_value(op, a, f)
+            pair_j = lift(op, a, sol_j)
+            cp_j = cauchy_pair(op, a, sol_j, scn.labels)
+            bc_j = boundary_cauchy(op, pair_j, scn.labels)
+            for got, want in [
+                (pair.phi[:, j], pair_j.phi),
+                (pair.psi[:, j], pair_j.psi),
+                (cp.trace_W[:, j], cp_j.trace_W),
+                (cp.flux_Wtilde[:, j], cp_j.flux_Wtilde),
+                (bc.trace[:, j], bc_j.trace),
+                (bc.conormal[:, j], bc_j.conormal),
+            ]:
+                assert np.abs(got - want).max() < 1e-12
+            np.testing.assert_array_equal(cp.w_nodes, cp_j.w_nodes)
+            np.testing.assert_array_equal(bc.nodes, bc_j.nodes)
+
+    def test_per_probe_matches_single_probes(self, scn, columns):
+        other = assemble(scn.mesh, CoefficientField.build(scn.mesh, labels=scn.labels, c=5.0))
+        rep = theorem1_probe(scn.op, other, 0.5, columns, scn.labels)
+        assert len(rep["per_probe"]) == len(columns)
+        for entry, f in zip(rep["per_probe"], columns):
+            single = theorem1_probe(scn.op, other, 0.5, [f], scn.labels)
+            for key in ("exterior_gap", "boundary_gap"):
+                assert entry[key] == pytest.approx(single[key], rel=1e-10)
+        for key in ("exterior_gap", "boundary_gap"):
+            assert rep[key] == max(entry[key] for entry in rep["per_probe"])
 
 
 class TestBoundaryCauchy:
