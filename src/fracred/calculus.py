@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .operators import AssemblyError, DiscreteOperator
+from .operators import AssemblyError, DiscreteOperator, worst_relative
 
 #: default relative tolerance demanded of the scalar calibration
 CALIBRATION_TOL = 1e-8
@@ -237,8 +237,7 @@ def apply_inverse(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     )
     rhs = op.M @ v
     x = scipy.linalg.cho_solve(factor, rhs)
-    res = np.linalg.norm(op.K @ x - rhs, axis=0)
-    worst = float(np.max(res / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300), initial=0.0))
+    worst = worst_relative(np.linalg.norm(op.K @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
     if not worst <= 1e-10:
         raise AssemblyError(f"inverse solve relative residual {worst:.3e} too large")
     return x

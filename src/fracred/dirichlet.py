@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .calculus import apply_power, fractional_stiffness, power_matrix, sobolev_norm
 from .mesh import RegionLabels
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, worst_relative
 
 logger = logging.getLogger(__name__)
 
@@ -73,11 +73,11 @@ class ExteriorData:
     def from_node_values(
         op: DiscreteOperator, labels: RegionLabels, nodes, values
     ) -> "ExteriorData":
-        """Datum with the given values at the given W mesh nodes."""
+        """Datum with one row of values (a vector or a k-column block) per W mesh node."""
         w_dofs = op.region_dofs("W", labels)
         dofs = op.dofs_of_nodes(np.asarray(nodes, dtype=int))
         values = np.asarray(values)
-        full = np.zeros(op.n_dofs, dtype=np.result_type(values, float))
+        full = np.zeros((op.n_dofs,) + values.shape[1:], dtype=np.result_type(values, float))
         full[dofs] = values
         return ExteriorData(full, w_dofs)
 
@@ -91,7 +91,7 @@ class ExteriorData:
 
     @staticmethod
     def stack(data) -> "ExteriorData":
-        """Block whose columns are the given data, in order, on one W."""
+        """Block whose columns are the given data, in order, on one W; blocks keep their columns."""
         data = list(data)
         if not data:
             raise ExteriorDataError("no exterior data to stack")
@@ -142,9 +142,7 @@ def _interior_solve(op: DiscreteOperator, a: float, B: np.ndarray):
             ) from exc
 
     X = scipy.linalg.cho_solve(op.cached(("gii_cholesky", a), build), B)
-    res = np.linalg.norm(G_II @ X - B, axis=0)
-    scale = np.linalg.norm(B, axis=0)
-    worst = float(np.max(res / np.where(scale > 0, scale, 1.0), initial=0.0))
+    worst = worst_relative(np.linalg.norm(G_II @ X - B, axis=0), np.linalg.norm(B, axis=0))
     if not worst <= SOLVE_TOL:
         raise ArithmeticError(f"interior solve residual {worst:.3e} too large")
     return X, worst

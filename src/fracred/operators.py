@@ -150,6 +150,14 @@ class CoefficientField:
                 raise CoefficientError("b and c must vanish off OMEGA")
 
 
+def worst_relative(res, scale) -> float:
+    """Worst ratio res / scale over the columns; a zero scale counts as 1.
+
+    A zero column (scale 0) solves to exactly 0, so its residual is 0 too.
+    """
+    return float(np.max(res / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
 def observed_ellipticity(A: np.ndarray) -> float:
     """Largest of ||A||_2 and ||A^{-1}||_2 over a stack of SPD matrices."""
     sym_dev = np.abs(A - np.swapaxes(A, 1, 2)).max()

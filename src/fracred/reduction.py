@@ -27,7 +27,7 @@ import scipy.linalg
 from .calculus import QuadratureError, TimeQuadrature, apply_inverse, apply_power
 from .dirichlet import ExteriorData, NonlocalSolution, cauchy_gap, cauchy_pair, solve_exterior_value
 from .mesh import RegionLabels
-from .operators import DiscreteOperator, check_shared_exterior, omega_stiffness
+from .operators import DiscreteOperator, check_shared_exterior, omega_stiffness, worst_relative
 
 #: invariant tolerances for the lifted pair
 LIFT_TOL_PHI = 1e-10
@@ -51,11 +51,6 @@ class LiftedPair:
     residuals: dict
 
 
-def _relative(res, scale) -> float:
-    """Worst ratio res / scale over the columns; a zero scale counts as 1."""
-    return float(np.max(res / np.where(scale > 0, scale, 1.0), initial=0.0))
-
-
 def lift(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> LiftedPair:
     """Build (Phi, Psi) from a nonlocal solution and verify the identities."""
     if sol.a != a:
@@ -65,11 +60,11 @@ def lift(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> LiftedPair:
     psi = apply_power(op, a, phi)
 
     Mu = op.M @ u
-    r_phi = _relative(np.linalg.norm(op.K @ phi - Mu, axis=0), np.linalg.norm(Mu, axis=0))
+    r_phi = worst_relative(np.linalg.norm(op.K @ phi - Mu, axis=0), np.linalg.norm(Mu, axis=0))
     direct = apply_power(op, a - 1.0, u)
-    r_psi = _relative(np.linalg.norm(psi - direct, axis=0), np.linalg.norm(psi, axis=0))
+    r_psi = worst_relative(np.linalg.norm(psi - direct, axis=0), np.linalg.norm(psi, axis=0))
     interior = op.omega_interior_dofs()
-    r_int = _relative(np.abs((op.K @ psi)[interior]).max(axis=0), op.mass_norm(u))
+    r_int = worst_relative(np.abs((op.K @ psi)[interior]).max(axis=0), op.mass_norm(u))
 
     residuals = {"phi": r_phi, "psi": r_psi, "interior": r_int}
     if not (r_phi <= LIFT_TOL_PHI and r_psi <= LIFT_TOL_PSI and r_int <= LIFT_TOL_INTERIOR):
@@ -169,24 +164,34 @@ def theorem1_probe(
 ) -> dict:
     """Compare exterior Cauchy data and reduced boundary data per probe.
 
-    The probes are stacked into one dof x k block, so each operator takes
-    one solve, one lift and one extraction of each kind of data.  Returns
-    {"exterior_gap", "boundary_gap", "per_probe"} where the gaps are maxima
-    over the probes.  Requires both operators to share the mesh and all
-    non-OMEGA element coefficients.
+    The probes are stacked into one dof x k block, and each distinct
+    operator object takes one solve, one lift and one extraction of each
+    kind of data; when op2 is op1 those data are compared with themselves.
+    Returns {"exterior_gap", "boundary_gap", "per_probe", "lift_residuals"}
+    where the gaps are maxima over the probes and lift_residuals holds the
+    worst value per key over the lifted operators.  Requires both operators
+    to share the mesh and all non-OMEGA element coefficients.
     """
     op1.resolve_labels(labels)
     check_shared_exterior(op1, op2)
     f = ExteriorData.stack(probes)
-    exterior, boundary = [], []
-    for op in (op1, op2):
+
+    def evaluate(op):
         sol = solve_exterior_value(op, a, f)
-        exterior.append(cauchy_pair(op, a, sol, labels))
-        boundary.append(boundary_cauchy(op, lift(op, a, sol), labels))
-    e = cauchy_gap(*exterior)
-    b = boundary_gap(*boundary)
+        pair = lift(op, a, sol)
+        return cauchy_pair(op, a, sol, labels), boundary_cauchy(op, pair, labels), pair.residuals
+
+    ext1, bd1, res1 = evaluate(op1)
+    ext2, bd2, res2 = (ext1, bd1, res1) if op2 is op1 else evaluate(op2)
+    e = cauchy_gap(ext1, ext2)
+    b = boundary_gap(bd1, bd2)
     per_probe = [{"exterior_gap": float(x), "boundary_gap": float(y)} for x, y in zip(e, b)]
-    return {"exterior_gap": float(e.max()), "boundary_gap": float(b.max()), "per_probe": per_probe}
+    return {
+        "exterior_gap": float(e.max()),
+        "boundary_gap": float(b.max()),
+        "per_probe": per_probe,
+        "lift_residuals": {key: max(res1[key], res2[key]) for key in res1},
+    }
 
 
 def moment_functional(

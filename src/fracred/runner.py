@@ -26,7 +26,7 @@ from .dirichlet import ExteriorData, solve_exterior_value, stability_constant
 from .gauge import gauge_invariance_check, pushforward_operator
 from .mesh import dump_json
 from .operators import AssemblyError, PositivityError, assemble
-from .reduction import lift, theorem1_probe
+from .reduction import theorem1_probe
 
 
 SUITE_DESCRIPTIONS = {
@@ -71,16 +71,6 @@ class RunContext:
         if i not in self._ops:
             self._ops[i] = assemble(self.mesh, self.fields[i])
         return self._ops[i]
-
-    def free_region_nodes(self, op, tag: str) -> np.ndarray:
-        nodes = self.labels.node_set(tag)
-        return nodes[op.node_to_dof[nodes] >= 0]
-
-    def probes(self, op) -> list:
-        return [
-            ExteriorData.hat(op, self.labels, node)
-            for node in self.free_region_nodes(op, "W")
-        ]
 
 
 def _csv(rows: list, header: str) -> str:
@@ -145,24 +135,18 @@ def _suite_direct(ctx: RunContext) -> None:
     w_nodes = labels.w_nodes
     per_a = {}
     for a in ctx.cfg.exponents:
-        zero = ExteriorData.from_node_values(
-            op, labels, w_nodes, np.zeros(w_nodes.size)
-        )
-        sol0 = solve_exterior_value(op, a, zero)
-        if np.any(sol0.u != 0):
+        f = ctx.rng.standard_normal(w_nodes.size)
+        g = ctx.rng.standard_normal(w_nodes.size)
+        alpha, beta = 0.7, -1.3
+        # one block solve, columns: zero datum, f, g, alpha f + beta g
+        block = np.column_stack([np.zeros(w_nodes.size), f, g, alpha * f + beta * g])
+        data = ExteriorData.from_node_values(op, labels, w_nodes, block)
+        U = solve_exterior_value(op, a, data).u
+        if np.any(U[:, 0] != 0):
             raise ContractError(f"zero datum gave a nonzero solution at a={a}")
 
-        f = ExteriorData.from_node_values(
-            op, labels, w_nodes, ctx.rng.standard_normal(w_nodes.size)
-        )
-        g = ExteriorData.from_node_values(
-            op, labels, w_nodes, ctx.rng.standard_normal(w_nodes.size)
-        )
-        alpha, beta = 0.7, -1.3
-        combo = ExteriorData(alpha * f.values + beta * g.values, f.w_dofs)
-        u_combo = solve_exterior_value(op, a, combo).u
-        u_f = solve_exterior_value(op, a, f).u
-        u_sep = alpha * u_f + beta * solve_exterior_value(op, a, g).u
+        u_f, u_combo = U[:, 1], U[:, 3]
+        u_sep = alpha * u_f + beta * U[:, 2]
         lin = float(
             np.linalg.norm(u_combo - u_sep) / max(np.linalg.norm(u_combo), 1e-300)
         )
@@ -184,18 +168,16 @@ def _suite_direct(ctx: RunContext) -> None:
 def _suite_reduce(ctx: RunContext) -> None:
     op = ctx.operator(0)
     labels = ctx.labels
-    probes = ctx.probes(op)
-    hats = ExteriorData.w_hats(op)
+    probes = [ExteriorData.w_hats(op)]
     doc = {"per_a": {}}
     for a in ctx.cfg.exponents:
-        worst = lift(op, a, solve_exterior_value(op, a, hats)).residuals
         self_probe = theorem1_probe(op, op, a, probes, labels)
         if self_probe["exterior_gap"] > 1e-10 or self_probe["boundary_gap"] > 1e-10:
             raise ContractError(
                 f"identical operators disagree at a={a}: {self_probe['exterior_gap']:.3e}"
             )
         entry = {
-            "lift_residuals": worst,
+            "lift_residuals": self_probe["lift_residuals"],
             "self_exterior_gap": self_probe["exterior_gap"],
             "self_boundary_gap": self_probe["boundary_gap"],
         }
@@ -222,7 +204,7 @@ def _suite_gauge(ctx: RunContext) -> None:
     if km_dev > 1e-12:
         raise ContractError(f"transported matrices differ by {km_dev:.3e}")
     coeff_diff = float(np.abs(op.coeffs.A - moved.coeffs.A).max())
-    probes = ctx.probes(op)
+    probes = [ExteriorData.w_hats(op)]
     per_a = {}
     for a in ctx.cfg.exponents:
         dev = gauge_invariance_check(op, moved, a, ctx.labels, probes)
@@ -259,7 +241,7 @@ def _suite_diagnostics(ctx: RunContext) -> None:
     doc = {"per_a": {}}
     sval_rows = []
 
-    wt = ctx.free_region_nodes(op, "WTILDE")
+    wt = op.free_nodes[op.region_dofs("WTILDE")]
     chain = [wt[: max(1, wt.size // 3)], wt[: max(2, (2 * wt.size) // 3)], wt]
     for a in ctx.cfg.exponents:
         entry = {}
@@ -307,7 +289,7 @@ def _suite_diagnostics(ctx: RunContext) -> None:
 
     if len(ctx.fields) == 2:
         other = ctx.operator(1)
-        f = ctx.probes(op)[0]
+        f = ExteriorData.hat(op, labels, op.free_nodes[op.region_dofs("W")[0]])
         sigma = wt[: min(5, wt.size)]
         per_a = {}
         for a in ctx.cfg.exponents:

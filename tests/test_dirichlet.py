@@ -92,6 +92,24 @@ class TestExteriorData:
         dofs = base1d.op.dofs_of_nodes(nodes)
         np.testing.assert_array_equal(f.values[dofs], [1.0, -2.0, 0.5])
 
+    def test_from_node_values_block_equals_stacked_singles(self, base1d):
+        op, labels = base1d.op, base1d.labels
+        nodes = labels.w_nodes
+        block = np.random.default_rng(3).standard_normal((nodes.size, 3))
+        f = ExteriorData.from_node_values(op, labels, nodes, block)
+        singles = [ExteriorData.from_node_values(op, labels, nodes, col) for col in block.T]
+        stacked = ExteriorData.stack(singles)
+        assert f.values.shape == (op.n_dofs, 3)
+        np.testing.assert_array_equal(f.values, stacked.values)
+        np.testing.assert_array_equal(f.w_dofs, stacked.w_dofs)
+
+    def test_stack_keeps_the_columns_of_a_block(self, base1d):
+        hats = ExteriorData.w_hats(base1d.op)
+        np.testing.assert_array_equal(ExteriorData.stack([hats]).values, hats.values)
+        f = hat_probes(base1d)[0]
+        mixed = ExteriorData.stack([hats, f])
+        np.testing.assert_array_equal(mixed.values, np.column_stack([hats.values, f.values]))
+
 
 class TestExteriorSolve:
     def test_zero_datum_solves_to_zero(self, base1d):

@@ -1,10 +1,12 @@
 """Lifting nonlocal solutions to local boundary Cauchy data."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import hat_probes
+from conftest import bundled_config, hat_probes
 
 from fracred.calculus import (
     QuadratureError,
@@ -12,6 +14,7 @@ from fracred.calculus import (
     apply_power,
     gamma_neg,
 )
+from fracred.config import load_config
 from fracred.dirichlet import ExteriorData, cauchy_pair, solve_exterior_value
 from fracred.operators import CoefficientField, assemble
 from fracred.reduction import (
@@ -22,10 +25,25 @@ from fracred.reduction import (
     moment_functional,
     theorem1_probe,
 )
+from fracred.runner import run_suites
 
 
 def first_probe_solution(scn, a=0.5):
     return solve_exterior_value(scn.op, a, hat_probes(scn)[0])
+
+
+def count_calls(monkeypatch, *functions):
+    """Wrap every fracred module binding of each function; returns the call counts."""
+    counts = {fn.__name__: 0 for fn in functions}
+    for fn in functions:
+        def wrapper(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fracred" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+    return counts
 
 
 class TestLift:
@@ -226,6 +244,35 @@ class TestTheoremProbe:
         assert rep["boundary_gap"] == pytest.approx(0.0981762934537036, rel=1e-9)
         assert rep["exterior_gap"] > 1e-6
         assert rep["boundary_gap"] > 1e-6
+
+    def test_each_operator_is_evaluated_once(self, monkeypatch, base1d, perturbed1d):
+        counts = count_calls(monkeypatch, lift, solve_exterior_value)
+        probes = hat_probes(base1d)[:3]
+        theorem1_probe(base1d.op, base1d.op, 0.5, probes, base1d.labels)
+        assert counts == {"lift": 1, "solve_exterior_value": 1}
+        theorem1_probe(perturbed1d.op1, perturbed1d.op2, 0.5, probes, perturbed1d.labels)
+        assert counts == {"lift": 3, "solve_exterior_value": 3}
+
+    def test_reduce_suite_solves_and_lifts_once_per_exponent(self, monkeypatch, tmp_path):
+        counts = count_calls(monkeypatch, lift, solve_exterior_value)
+        cfg = load_config(bundled_config("baseline-1d.json"))
+        assert run_suites(cfg, out_dir=tmp_path, suites=["reduce"]).ok
+        n = len(cfg.exponents)
+        assert counts == {"lift": n, "solve_exterior_value": n}
+
+    def test_lift_residuals_are_those_of_the_block_lift(self, base1d, perturbed1d):
+        op, probes = base1d.op, hat_probes(base1d)
+        rep = theorem1_probe(op, op, 0.5, probes, base1d.labels)
+        block = lift(op, 0.5, solve_exterior_value(op, 0.5, ExteriorData.stack(probes)))
+        assert rep["lift_residuals"] == block.residuals
+
+        ops = (perturbed1d.op1, perturbed1d.op2)
+        rep = theorem1_probe(*ops, 0.5, probes, perturbed1d.labels)
+        per_op = [
+            lift(o, 0.5, solve_exterior_value(o, 0.5, ExteriorData.stack(probes))).residuals
+            for o in ops
+        ]
+        assert rep["lift_residuals"] == {k: max(r[k] for r in per_op) for k in per_op[0]}
 
     def test_rejects_exterior_coefficient_mismatch(self, base1d):
         # same mesh, but c = 5 everywhere (not confined to Omega)
