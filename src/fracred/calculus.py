@@ -147,19 +147,20 @@ class SpectralFunction:
 
     fn: Callable[[np.ndarray], np.ndarray]
 
+    def values(self, op: DiscreteOperator) -> np.ndarray:
+        """phi at each eigenvalue of op; ValueError if any value is not finite."""
+        values = self.fn(op.eigenvalues)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("spectral function not finite on the spectrum")
+        return values
+
     def apply(self, op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
         """phi(L) v for a dof vector or for each column of a dof x k block."""
-        values = self.fn(op.eigenvalues)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spectral function not finite on the spectrum")
-        return op.synthesize((values * op.spectral_coefficients(v).T).T)
+        return op.eigenvectors @ (self.values(op) * op.spectral_coefficients(v).T).T
 
     def matrix(self, op: DiscreteOperator) -> np.ndarray:
-        values = self.fn(op.eigenvalues)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spectral function not finite on the spectrum")
         phi = op.eigenvectors
-        return (phi * values) @ (phi.conj().T @ op.M)
+        return (phi * self.values(op)) @ (op.M_csr @ phi).conj().T
 
 
 def apply_power(op: DiscreteOperator, a: float, v: np.ndarray) -> np.ndarray:
@@ -185,7 +186,7 @@ def fractional_stiffness(op: DiscreteOperator, a: float) -> np.ndarray:
     """Matrix of the form (u, w) -> <L^a u, w>_M, Hermitized (cached)."""
 
     def build():
-        G = op.M @ power_matrix(op, a)
+        G = op.M_csr @ power_matrix(op, a)
         return 0.5 * (G + G.conj().T)
 
     return op.cached(("fractional_stiffness", a), build)
@@ -235,9 +236,9 @@ def apply_inverse(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     factor = op.cached(
         "stiffness_cholesky", lambda: scipy.linalg.cho_factor(op.K)
     )
-    rhs = op.M @ v
+    rhs = op.M_csr @ v
     x = scipy.linalg.cho_solve(factor, rhs)
-    worst = worst_relative(np.linalg.norm(op.K @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
+    worst = worst_relative(np.linalg.norm(op.K_csr @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
     if not worst <= 1e-10:
         raise AssemblyError(f"inverse solve relative residual {worst:.3e} too large")
     return x
@@ -245,7 +246,7 @@ def apply_inverse(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
 
 def bilinear_form(op: DiscreteOperator, a: float, u: np.ndarray, w: np.ndarray):
     """B(u, w) = <L^a u, w>_M, linear in u, conjugating w."""
-    return np.vdot(w, op.M @ apply_power(op, a, u))
+    return np.vdot(w, op.M_csr @ apply_power(op, a, u))
 
 
 def sobolev_norm(op: DiscreteOperator, a: float, v: np.ndarray) -> float:

@@ -85,18 +85,6 @@ class SingularValueReport:
         return bool(np.all(self.singular_values[:k] >= other.singular_values[:k] - slack))
 
 
-def _mass_sphere_whitener(op: DiscreteOperator) -> np.ndarray:
-    """Cached L^{-T} with M = L L^T: maps the unit 2-sphere to the M-sphere."""
-
-    def build():
-        L = scipy.linalg.cholesky(op.M, lower=True)
-        return scipy.linalg.solve_triangular(
-            L.T, np.eye(op.n_dofs), lower=False
-        )
-
-    return op.cached("mass_sphere_whitener", build)
-
-
 def ucp_quotient(
     op: DiscreteOperator, a: float, sigma_nodes
 ) -> SingularValueReport:
@@ -115,13 +103,18 @@ def ucp_quotient(
         logger.warning("ucp_quotient: Sigma meets OMEGA (%d nodes)",
                        int(np.sum(labels.node_tags[sigma] == OMEGA)))
     dofs = op.dofs_of_nodes(sigma)
-    Pa = power_matrix(op, a)
-    W = _mass_sphere_whitener(op)
-    stacked = np.vstack([W[dofs], (Pa @ W)[dofs]])
-    svals = scipy.linalg.svdvals(stacked)
+    rows = np.zeros((dofs.size, op.n_dofs))
+    rows[np.arange(dofs.size), dofs] = 1.0
+    # v = L^{-T} x (M = L L^T) maps the unit sphere onto the M-sphere; the map
+    # x -> rows L^{-T} x has the singular values of its transpose L^{-1} rows^T
+    L = op.cached("mass_sphere_whitener", lambda: scipy.linalg.cholesky(op.M, lower=True))
+    stacked_t = scipy.linalg.solve_triangular(
+        L, np.vstack([rows, power_matrix(op, a)[dofs]]).T, lower=True
+    )
+    svals = scipy.linalg.svdvals(stacked_t)
     return SingularValueReport(
         singular_values=svals,
-        shape=stacked.shape,
+        shape=stacked_t.T.shape,
         tag=f"ucp a={a} |Sigma|={sigma.size}",
     )
 
@@ -143,7 +136,7 @@ def runge_rank(
     if w_dofs.size == 0 or e_dofs.size == 0:
         raise ValueError("empty W or E window")
     U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
-    R = (power_matrix(op, a) @ U)[e_dofs]
+    R = power_matrix(op, a)[e_dofs] @ U
     svals = scipy.linalg.svdvals(R)
     report = SingularValueReport(
         singular_values=svals,
@@ -219,17 +212,8 @@ def heat_bound_check(
         ]
     )
     gauss = (4.0 * math.pi * t) ** (-d / 2.0) * np.exp(-(sep**2) / (4.0 * t))
-    edge = np.minimum(
-        (nodes[pairs[:, 0]] - box[:, 0]).min(axis=1),
-        (box[:, 1] - nodes[pairs[:, 0]]).min(axis=1),
-    )
-    edge = np.minimum(
-        edge,
-        np.minimum(
-            (nodes[pairs[:, 1]] - box[:, 0]).min(axis=1),
-            (box[:, 1] - nodes[pairs[:, 1]]).min(axis=1),
-        ),
-    )
+    ends = nodes[pairs]  # (pair, endpoint, coordinate)
+    edge = np.minimum((ends - box[:, 0]).min(axis=(1, 2)), (box[:, 1] - ends).min(axis=(1, 2)))
     return HeatRatioReport(
         t=float(t),
         pairs=pairs,

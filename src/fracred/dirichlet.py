@@ -123,25 +123,25 @@ class CauchyPair:
 
 
 def _interior_solve(op: DiscreteOperator, a: float, B: np.ndarray):
-    """X = G_II^{-1} B against the cached Cholesky factor of G_II.
+    """X = G_II^{-1} B against G_II and its Cholesky factor, cached together.
 
     Returns X and the worst relative residual over the columns, which must
     stay within SOLVE_TOL.  A failing factorization flags a non-PD interior
     block.
     """
-    interior = op.omega_interior_dofs()
-    G = fractional_stiffness(op, a)
-    G_II = G[np.ix_(interior, interior)]
 
     def build():
+        interior = op.omega_interior_dofs()
+        G_II = fractional_stiffness(op, a)[np.ix_(interior, interior)]
         try:
-            return scipy.linalg.cho_factor(G_II)
+            return G_II, scipy.linalg.cho_factor(G_II)
         except scipy.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"interior block of L^{a} not positive definite"
             ) from exc
 
-    X = scipy.linalg.cho_solve(op.cached(("gii_cholesky", a), build), B)
+    G_II, factor = op.cached(("gii_cholesky", a), build)
+    X = scipy.linalg.cho_solve(factor, B)
     worst = worst_relative(np.linalg.norm(G_II @ X - B, axis=0), np.linalg.norm(B, axis=0))
     if not worst <= SOLVE_TOL:
         raise ArithmeticError(f"interior solve residual {worst:.3e} too large")
@@ -263,9 +263,9 @@ def exterior_data_matrix(
     U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
 
     if flux == "dual":
-        responses = (fractional_stiffness(op, a) @ U)[wt_dofs]
+        responses = fractional_stiffness(op, a)[wt_dofs] @ U
     else:
-        responses = (power_matrix(op, a) @ U)[wt_dofs]
+        responses = power_matrix(op, a)[wt_dofs] @ U
     if not np.any(responses != 0):
         raise ArithmeticError("exterior data map vanished; windows decoupled")
     return ExteriorDataMatrix(

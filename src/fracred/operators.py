@@ -17,7 +17,8 @@ identity rather than an approximation.
 The stiffness matrix is Hermitian, real whenever b vanishes identically, and
 the generalized eigendecomposition K Phi = M Phi diag(lambda) with
 Phi^H M Phi = I is computed densely at assembly time.  Desk scale only
-(a few thousand degrees of freedom).
+(a few thousand degrees of freedom): the eigendecomposition and every
+factorization stay dense, and K and M are also held as CSR for products.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .mesh import Mesh, RegionLabels
 
@@ -285,6 +287,10 @@ class DiscreteOperator:
     eliminated); ``free_nodes`` maps degree-of-freedom index to mesh node
     index and ``node_to_dof`` inverts it with -1 on constrained nodes.
 
+    ``K_csr`` and ``M_csr`` equal ``K`` and ``M`` entry for entry; every
+    product with K or M goes through them.  ``eigen_residual`` is the worst
+    relative eigenpair residual ||K phi - lambda M phi|| / lambda.
+
     The instance is treated as immutable after assembly.  ``_cache`` holds
     idempotent derived matrices (fractional stiffness, factorizations);
     entries are write-once values of pure functions of the operator, so
@@ -295,8 +301,11 @@ class DiscreteOperator:
     coeffs: CoefficientField
     K: np.ndarray
     M: np.ndarray
+    K_csr: scipy.sparse.csr_array
+    M_csr: scipy.sparse.csr_array
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    eigen_residual: float
     free_nodes: np.ndarray
     node_to_dof: np.ndarray
     mass_density: np.ndarray | None = None
@@ -355,14 +364,11 @@ class DiscreteOperator:
 
     def mass_norm(self, v):
         """M-norm of a dof vector, or of each column of a dof x k block."""
-        return np.sqrt(np.maximum(np.sum(v.conj() * (self.M @ v), axis=0).real, 0.0))
+        return np.sqrt(np.maximum(np.sum(v.conj() * (self.M_csr @ v), axis=0).real, 0.0))
 
     def spectral_coefficients(self, v) -> np.ndarray:
         """Coordinates of v in the M-orthonormal eigenbasis."""
-        return self.eigenvectors.conj().T @ (self.M @ v)
-
-    def synthesize(self, coefficients) -> np.ndarray:
-        return self.eigenvectors @ coefficients
+        return self.eigenvectors.conj().T @ (self.M_csr @ v)
 
     def cached(self, key, compute):
         if key not in self._cache:
@@ -417,10 +423,11 @@ def assemble(
 
     # residual check: K phi_i = lambda_i M phi_i to 1e-10 lambda_i, with the
     # M-orthonormal column scaling the eigensolver already imposes
-    R = K @ vecs - (M @ vecs) * vals
-    rel = np.linalg.norm(R, axis=0) / vals
-    if rel.max() > EIGEN_RESIDUAL_TOL:
-        raise AssemblyError(f"eigenpair residual {rel.max():.3e} too large")
+    K_csr, M_csr = scipy.sparse.csr_array(K), scipy.sparse.csr_array(M)
+    R = K_csr @ vecs - (M_csr @ vecs) * vals
+    residual = float((np.linalg.norm(R, axis=0) / vals).max())
+    if residual > EIGEN_RESIDUAL_TOL:
+        raise AssemblyError(f"eigenpair residual {residual:.3e} too large")
 
     density = None if mass_density is None else np.asarray(mass_density, dtype=float)
     return DiscreteOperator(
@@ -428,8 +435,11 @@ def assemble(
         coeffs=coeffs,
         K=K,
         M=M,
+        K_csr=K_csr,
+        M_csr=M_csr,
         eigenvalues=vals,
         eigenvectors=vecs,
+        eigen_residual=residual,
         free_nodes=free,
         node_to_dof=node_to_dof,
         mass_density=density,

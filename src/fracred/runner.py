@@ -124,6 +124,8 @@ def _suite_assemble(ctx: RunContext) -> None:
                 "lambda_max": float(op.eigenvalues[-1]),
                 "ellipticity_bound": float(op.coeffs.bound),
                 "complex": bool(np.iscomplexobj(op.K)),
+                "eigen_residual": op.eigen_residual,
+                "spectral_condition": op.lambda_max / op.lambda_min,
             }
         )
     ctx.outputs["assemble.json"] = dump_json({"operators": report}) + "\n"
@@ -156,7 +158,7 @@ def _suite_direct(ctx: RunContext) -> None:
         c_stab = stability_constant(op, a)
         interior = op.omega_interior_dofs(labels)
         G = fractional_stiffness(op, a)
-        res = float(np.abs((G @ u_f)[interior]).max())
+        res = float(np.abs(G[interior] @ u_f).max())
         per_a[str(a)] = {
             "linearity_residual": lin,
             "stability_constant": c_stab,

@@ -1,10 +1,13 @@
 """Exterior-value solves and the exterior Cauchy data they generate."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracred.dirichlet as dirichlet
 from fracred.calculus import fractional_stiffness
 from fracred.dirichlet import (
     CauchyPair,
@@ -391,3 +394,24 @@ class TestLabelBinding:
         assert again is not op.labels
         assert op.resolve_labels(again) is op.labels
         assert runge_rank(op, 0.25, again).smallest == runge_rank(op, 0.25, op.labels).smallest
+
+
+class TestInteriorBlockCache:
+    def test_interior_block_is_cached_with_its_factor(self, base1d, monkeypatch):
+        op = assemble(base1d.mesh, base1d.fields[0])
+        a = 0.5
+        f = seeded_datum(SimpleNamespace(op=op, labels=base1d.labels), 0)
+        first = solve_exterior_value(op, a, f)
+        G_II, factor = op.cached(("gii_cholesky", a), None)
+        interior = op.omega_interior_dofs()
+        assert np.array_equal(G_II, fractional_stiffness(op, a)[np.ix_(interior, interior)])
+        # a warm solve reads G only for its right-hand side, not for the residual
+        calls = []
+        monkeypatch.setattr(
+            dirichlet,
+            "fractional_stiffness",
+            lambda *args: calls.append(args) or fractional_stiffness(*args),
+        )
+        again = solve_exterior_value(op, a, f)
+        assert len(calls) == 1
+        assert np.array_equal(again.u, first.u) and again.residual == first.residual

@@ -1,7 +1,10 @@
-"""Module layering: no fracred module reaches into another's private names."""
+"""Module layering: no fracred module reaches into another's private names,
+and no product is taken with the dense K or M."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import fracred
 
@@ -26,3 +29,62 @@ def test_no_cross_module_private_imports():
     assert sources
     offenders = [hit for path in sources for hit in private_imports(path)]
     assert offenders == []
+
+
+#: dense operator matrices; products go through their CSR twins K_csr, M_csr
+DENSE_MATRICES = ("K", "M")
+
+
+def dense_operand(node):
+    """Name of the dense .K/.M attribute an ``@`` operand is built from, or None.
+
+    Follows attribute access, method calls and indexing down to the base, so
+    ``op.M @ v``, ``op.M.T @ v``, ``op.K.conj() @ v`` and ``op.K[rows] @ v``
+    are all found; passing ``op.M`` to a function (eigh, cholesky) is not a
+    product and is not followed.
+    """
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and node.attr in DENSE_MATRICES:
+            return node.attr
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return None
+
+
+def dense_products(path: Path) -> list:
+    """``@`` and ``@=`` in one source file with a dense .K or .M operand."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            operands = (node.target, node.value)
+        else:
+            continue
+        for name in filter(None, map(dense_operand, operands)):
+            found.append(f"{path.name}:{node.lineno} multiplies by dense .{name}")
+    return found
+
+
+def test_no_products_with_dense_k_or_m():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    offenders = [hit for path in sources for hit in dense_products(path)]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ("x = op.M @ v", 1),
+        ("x = v.conj().T @ op.K.T", 1),
+        ("x = op.K[rows] @ (op.M.conj() @ v)", 2),
+        ("x @= op.M", 1),
+        ("x = op.M_csr @ v + op.K_csr @ w", 0),
+        ("L = scipy.linalg.cholesky(op.M, lower=True) @ v", 0),
+        ("d = op.K - moved.K", 0),
+    ],
+)
+def test_dense_product_check_finds_its_targets(tmp_path, source, hits):
+    path = tmp_path / "probe.py"
+    path.write_text(source + "\n")
+    assert len(dense_products(path)) == hits

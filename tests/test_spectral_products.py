@@ -1,0 +1,130 @@
+"""Products with K and M go through the CSR twins and match the dense formulas.
+
+Each function below once formed dense n x n products; the reference here is
+that old formula.  Sparse sums run in another order than dense GEMMs, so
+results agree to roundoff, not bit for bit: matrices to 1e-12 relative to
+their largest entry, singular values to 1e-12 of the largest (Weyl: a
+perturbation E moves every singular value by at most ||E||_2).
+"""
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from conftest import bundled_config
+
+from fracred import operators
+from fracred.calculus import fractional_stiffness, power_matrix
+from fracred.config import load_config
+from fracred.diagnostics import runge_rank, ucp_quotient
+from fracred.dirichlet import ExteriorData, exterior_data_matrix, solve_exterior_value
+from fracred.operators import AssemblyError, CoefficientField, assemble
+from fracred.runner import run_suites
+
+RTOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def magnetic2d(base2d) -> SimpleNamespace:
+    """Complex Hermitian operator: a magnetic term on the OMEGA elements of base2d."""
+    field = CoefficientField.build(base2d.mesh, labels=base2d.labels, b=[0.3, -0.5])
+    return SimpleNamespace(
+        mesh=base2d.mesh, labels=base2d.labels, op=assemble(base2d.mesh, field)
+    )
+
+
+@pytest.fixture(params=["base2d", "magnetic2d"])
+def scn(request):
+    return request.getfixturevalue(request.param)
+
+
+def assert_close(new, old):
+    assert new.shape == old.shape
+    assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
+
+
+def sigma_nodes(scn):
+    e = scn.labels.e_nodes
+    return e[scn.op.node_to_dof[e] >= 0]
+
+
+class TestCsrTwins:
+    def test_twins_equal_dense_matrices_exactly(self, scn):
+        op = scn.op
+        assert np.array_equal(op.K_csr.toarray(), op.K)
+        assert np.array_equal(op.M_csr.toarray(), op.M)
+        assert op.K_csr.dtype == op.K.dtype
+
+    def test_magnetic_operator_is_complex(self, magnetic2d):
+        assert not magnetic2d.op.is_real
+
+    def test_eigen_residual_is_kept_and_within_contract(self, scn):
+        op = scn.op
+        R = op.K @ op.eigenvectors - (op.M @ op.eigenvectors) * op.eigenvalues
+        dense = float((np.linalg.norm(R, axis=0) / op.eigenvalues).max())
+        assert 0.0 < op.eigen_residual <= operators.EIGEN_RESIDUAL_TOL
+        assert op.eigen_residual == pytest.approx(dense, rel=1e-3)
+
+    def test_residual_check_runs(self, base2d, monkeypatch):
+        # a zero tolerance leaves no room for roundoff: the check must raise
+        monkeypatch.setattr(operators, "EIGEN_RESIDUAL_TOL", 0.0)
+        with pytest.raises(AssemblyError, match="eigenpair residual"):
+            assemble(base2d.mesh, base2d.fields[0])
+
+    def test_assemble_json_records_the_health_numbers(self, tmp_path):
+        cfg = load_config(bundled_config("perturbed-1d.json"))
+        result = run_suites(cfg, out_dir=tmp_path, suites=["assemble"])
+        assert result.ok
+        report = json.loads((tmp_path / "assemble.json").read_text())["operators"]
+        assert len(report) == 2
+        for entry in report:
+            assert 0.0 < entry["eigen_residual"] <= operators.EIGEN_RESIDUAL_TOL
+            assert entry["spectral_condition"] == pytest.approx(
+                entry["lambda_max"] / entry["lambda_min"], rel=1e-15
+            )
+
+
+@pytest.mark.parametrize("a", [0.25, 0.75])
+class TestDenseEquivalence:
+    def test_power_matrix(self, scn, a):
+        op = scn.op
+        phi = op.eigenvectors
+        old = (phi * op.eigenvalues**a) @ (phi.conj().T @ op.M)
+        assert_close(power_matrix(op, a), old)
+
+    def test_fractional_stiffness(self, scn, a):
+        op = scn.op
+        G = op.M @ power_matrix(op, a)
+        assert_close(fractional_stiffness(op, a), 0.5 * (G + G.conj().T))
+
+    def test_ucp_quotient(self, scn, a):
+        op = scn.op
+        sigma = sigma_nodes(scn)
+        dofs = op.dofs_of_nodes(sigma)
+        Wd = np.linalg.inv(np.linalg.cholesky(op.M)).T
+        stacked = np.vstack([Wd[dofs], (power_matrix(op, a) @ Wd)[dofs]])
+        old = scipy.linalg.svdvals(stacked)
+        rep = ucp_quotient(op, a, sigma)
+        assert rep.shape == stacked.shape
+        assert rep.singular_values.shape == old.shape
+        assert np.abs(rep.singular_values - old).max() <= RTOL * old[0]
+
+    def test_runge_rank(self, scn, a):
+        op = scn.op
+        U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
+        R = (power_matrix(op, a) @ U)[op.region_dofs("E")]
+        old = scipy.linalg.svdvals(R)
+        rep = runge_rank(op, a, scn.labels)
+        assert rep.shape == R.shape
+        assert np.abs(rep.singular_values - old).max() <= RTOL * old[0]
+
+    @pytest.mark.parametrize("flux", ["dual", "nodal"])
+    def test_exterior_data_matrix(self, scn, a, flux):
+        op = scn.op
+        U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
+        full = fractional_stiffness(op, a) if flux == "dual" else power_matrix(op, a)
+        old = (full @ U)[op.region_dofs("WTILDE")]
+        assert_close(exterior_data_matrix(op, a, scn.labels, flux=flux).matrix, old)
