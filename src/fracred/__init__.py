@@ -8,8 +8,6 @@ from .mesh import (
     build_interval_mesh,
     build_rect_mesh,
     label_regions,
-    mesh_from_json,
-    mesh_to_json,
 )
 from .operators import (
     AssemblyError,
@@ -22,36 +20,27 @@ from .operators import (
 )
 from .calculus import (
     CALIBRATION_TOL,
-    PeriodicGrid1D,
     QuadratureError,
     SpectralFunction,
     TimeQuadrature,
     apply_inverse,
     apply_power,
-    bilinear_form,
-    fourier_crosscheck_neglap,
     fractional_stiffness,
     gamma_neg,
-    heat_apply,
-    heat_increment,
     heat_kernel_entry,
     kernel_Ka,
     kernel_gaussian_reference,
     power_matrix,
     power_via_heat_quadrature,
-    sobolev_norm,
 )
 from .dirichlet import (
     CauchyPair,
     ExteriorData,
     ExteriorDataError,
-    ExteriorDataMatrix,
     NonlocalSolution,
     cauchy_gap,
     cauchy_pair,
     dirichlet_energy,
-    exterior_data_matrix,
-    solution_stability,
     solve_exterior_value,
     stability_constant,
 )
@@ -67,12 +56,8 @@ from .reduction import (
 from .gauge import (
     Diffeo,
     DiffeoError,
-    assemble_weighted,
-    conductivity_from_metric,
     gauge_invariance_check,
-    laplace_beltrami_assemble,
     map_mesh,
-    metric_from_conductivity,
     pushforward_conductivity,
     pushforward_magnetic,
     pushforward_operator,

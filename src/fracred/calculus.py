@@ -75,14 +75,6 @@ class TimeQuadrature:
     def t(self) -> np.ndarray:
         return np.exp(np.pi * np.sinh(self.s))
 
-    @property
-    def weights(self) -> np.ndarray:
-        # dt = pi cosh(s) t ds, trapezoid halves the end weights
-        w = np.pi * np.cosh(self.s) * self.t * self.step
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
     def singular_weights(self, power: float) -> np.ndarray:
         """w_q * t_q**(-power), evaluated in log form to dodge overflow."""
         s = self.s
@@ -192,22 +184,6 @@ def fractional_stiffness(op: DiscreteOperator, a: float) -> np.ndarray:
     return op.cached(("fractional_stiffness", a), build)
 
 
-def heat_apply(op: DiscreteOperator, t: float, v: np.ndarray) -> np.ndarray:
-    """e^{-tL} v by spectral calculus; t = 0 returns v."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
-    if t == 0:
-        return np.array(v, copy=True)
-    return SpectralFunction(lambda lam: np.exp(-t * lam)).apply(op, v)
-
-
-def heat_increment(op: DiscreteOperator, t: float, v: np.ndarray) -> np.ndarray:
-    """(e^{-tL} - I) v, evaluated with expm1 so tiny t*lambda keeps precision."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
-    return SpectralFunction(lambda lam: np.expm1(-t * lam)).apply(op, v)
-
-
 def power_via_heat_quadrature(
     op: DiscreteOperator,
     a: float,
@@ -242,17 +218,6 @@ def apply_inverse(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     if not worst <= 1e-10:
         raise AssemblyError(f"inverse solve relative residual {worst:.3e} too large")
     return x
-
-
-def bilinear_form(op: DiscreteOperator, a: float, u: np.ndarray, w: np.ndarray):
-    """B(u, w) = <L^a u, w>_M, linear in u, conjugating w."""
-    return np.vdot(w, op.M_csr @ apply_power(op, a, u))
-
-
-def sobolev_norm(op: DiscreteOperator, a: float, v: np.ndarray) -> float:
-    """Operator-adapted norm (sum_i (1 + lambda_i)^a |<phi_i, v>_M|^2)^(1/2)."""
-    coeff = op.spectral_coefficients(v)
-    return float(np.sqrt(np.sum((1.0 + op.eigenvalues) ** a * np.abs(coeff) ** 2)))
 
 
 def heat_kernel_entry(op: DiscreteOperator, t, x_node: int, z_node: int):
@@ -324,54 +289,3 @@ def kernel_gaussian_reference(a: float, r, dim: int = 1):
         / (math.pi ** (dim / 2.0) * abs(gamma_neg(a)))
     )
     return const * r ** (-dim - 2.0 * a)
-
-
-# ---------------------------------------------------------------------------
-# periodic constant-coefficient crosscheck against the Fourier multiplier
-
-
-@dataclass(frozen=True)
-class PeriodicGrid1D:
-    """Uniform periodic sampling of an interval of the given length."""
-
-    n: int
-    length: float
-
-    @property
-    def h(self) -> float:
-        return self.length / self.n
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.arange(self.n) * self.h
-
-    def mode_numbers(self) -> np.ndarray:
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
-
-
-def periodic_power_discrete_symbol(grid: PeriodicGrid1D, a: float, v: np.ndarray):
-    """Fractional power via the eigenvalues (2 sin(pi k / n) / h)^2."""
-    k = grid.mode_numbers()
-    mu = (2.0 * np.sin(np.pi * k / grid.n) / grid.h) ** 2
-    out = np.fft.ifft(mu**a * np.fft.fft(v))
-    return out.real if np.isrealobj(v) else out
-
-
-def periodic_power_fourier_symbol(grid: PeriodicGrid1D, a: float, v: np.ndarray):
-    """Fractional power via the continuum multiplier |2 pi k / L|^(2a)."""
-    k = grid.mode_numbers()
-    xi2 = (2.0 * np.pi * k / grid.length) ** 2
-    out = np.fft.ifft(xi2**a * np.fft.fft(v))
-    return out.real if np.isrealobj(v) else out
-
-
-def fourier_crosscheck_neglap(grid: PeriodicGrid1D, a: float, v: np.ndarray) -> float:
-    """Max abs deviation between the discrete-symbol and multiplier routes.
-
-    O(h^2) for band-limited data; exact (both routes share the Fourier
-    eigenbasis) on any single mode up to the symbol difference itself.
-    """
-    diff = periodic_power_discrete_symbol(grid, a, v) - periodic_power_fourier_symbol(
-        grid, a, v
-    )
-    return float(np.abs(diff).max())

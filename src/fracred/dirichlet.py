@@ -6,21 +6,18 @@ w supported on Omega-interior dofs, where B(u, w) = <L^a u, w>_M.  With
 G the matrix of B this is the Schur solve G_II u_I = -G_IX f_X.
 
 The measured data are the pair (u|_W, (L^a u)|_Wtilde).  Nodal flux values
-are reported in the strong sense, i.e. entries of L^a u = M^{-1} G u; the
-full data map assembled over a hat basis is offered both in that nodal
-normalization and in the dual pairing (G u)|_Wtilde, which is the one that
-is exactly Hermitian under W = Wtilde.
+are reported in the strong sense, i.e. entries of L^a u = M^{-1} G u.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .calculus import apply_power, fractional_stiffness, power_matrix, sobolev_norm
+from .calculus import apply_power, fractional_stiffness
 from .mesh import RegionLabels
 from .operators import DiscreteOperator, worst_relative
 
@@ -44,7 +41,7 @@ class ExteriorData:
         A dof-length vector, or a dof x k block holding one datum per
         column; entries off ``w_dofs`` must vanish and all must be finite.
     w_dofs : ndarray
-        Sorted dof indices of the W nodes.
+        Strictly increasing dof indices of the W nodes, each a row of ``values``.
     """
 
     values: np.ndarray
@@ -57,6 +54,10 @@ class ExteriorData:
         object.__setattr__(self, "w_dofs", w_dofs)
         if values.ndim not in (1, 2):
             raise ExteriorDataError("exterior datum must be a dof vector or a dof x k block")
+        if w_dofs.ndim != 1 or np.any(np.diff(w_dofs) <= 0):
+            raise ExteriorDataError("W dofs must be a strictly increasing index vector")
+        if w_dofs.size and not 0 <= w_dofs[0] <= w_dofs[-1] < values.shape[0]:
+            raise ExteriorDataError(f"W dofs outside the datum's rows [0, {values.shape[0]})")
         if not np.all(np.isfinite(values)):
             raise ExteriorDataError("exterior datum has non-finite values")
         off_w = np.ones(values.shape[0], dtype=bool)
@@ -187,11 +188,6 @@ def stability_constant(op: DiscreteOperator, a: float) -> float:
     return c
 
 
-def solution_stability(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> float:
-    """Measured ratio ||u||_a / ||f||_a for one solve."""
-    return sobolev_norm(op, a, sol.u) / sobolev_norm(op, a, sol.data.values)
-
-
 def cauchy_pair(
     op: DiscreteOperator, a: float, sol: NonlocalSolution, labels: RegionLabels
 ) -> CauchyPair:
@@ -224,54 +220,4 @@ def cauchy_gap(one: CauchyPair, other: CauchyPair):
     return np.maximum(
         np.abs(one.trace_W - other.trace_W).max(axis=0),
         np.abs(one.flux_Wtilde - other.flux_Wtilde).max(axis=0),
-    )
-
-
-@dataclass(frozen=True)
-class ExteriorDataMatrix:
-    """Discrete partial Cauchy data organized as a W -> Wtilde linear map.
-
-    ``matrix[k, j]`` is the flux response at Wtilde node ``wtilde_nodes[k]``
-    to the unit hat at W node ``w_nodes[j]``.
-    """
-
-    matrix: np.ndarray
-    w_nodes: np.ndarray
-    wtilde_nodes: np.ndarray
-    a: float
-    flux: str = field(default="dual")
-
-
-def exterior_data_matrix(
-    op: DiscreteOperator,
-    a: float,
-    labels: RegionLabels,
-    flux: str = "dual",
-) -> ExteriorDataMatrix:
-    """Column j = flux response to the j-th W nodal hat.
-
-    flux="dual" reports rows of G u (the pairing <L^a u, hat_k>_M), which
-    is Hermitian for W = Wtilde by self-adjointness; flux="nodal" reports
-    strong values of L^a u as cauchy_pair does.  M^{-1} mixes rows across
-    the window boundary, so the nodal variant is not exactly Hermitian.
-    """
-    if flux not in ("dual", "nodal"):
-        raise ValueError(f"unknown flux normalization {flux!r}")
-    op.resolve_labels(labels)
-    w_dofs = op.region_dofs("W")
-    wt_dofs = op.region_dofs("WTILDE")
-    U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
-
-    if flux == "dual":
-        responses = fractional_stiffness(op, a)[wt_dofs] @ U
-    else:
-        responses = power_matrix(op, a)[wt_dofs] @ U
-    if not np.any(responses != 0):
-        raise ArithmeticError("exterior data map vanished; windows decoupled")
-    return ExteriorDataMatrix(
-        matrix=responses,
-        w_nodes=op.free_nodes[w_dofs],
-        wtilde_nodes=op.free_nodes[wt_dofs],
-        a=a,
-        flux=flux,
     )

@@ -17,9 +17,7 @@ products per element.
 
 Exterior Cauchy data is therefore invariant under interior deformations
 that fix the windows, which gauge_invariance_check verifies on a block of
-probes with one solve per operator.  The metric dictionary
-g = (det A)^{1/(n-2)} A^{-1} and its inverse are provided for n >= 3
-together with the Laplace-Beltrami assembly sqrt(det g) g^{jk}.
+probes with one solve per operator.
 """
 
 from __future__ import annotations
@@ -123,19 +121,6 @@ class Diffeo:
         mapped[inside] = mesh.nodes[inside] * scale[:, None]
         return Diffeo.build(mesh, mapped, rho)
 
-    @staticmethod
-    def from_displacement(mesh: Mesh, node_ids, displacements, rho: float) -> "Diffeo":
-        """Deformation given as displacement rows at selected nodes."""
-        mapped = mesh.nodes.copy()
-        ids = np.asarray(node_ids, dtype=int)
-        mapped[ids] = mapped[ids] + np.asarray(displacements, dtype=float)
-        return Diffeo.build(mesh, mapped, rho)
-
-    def identity_elements(self) -> np.ndarray:
-        """Boolean mask of elements on which F is exactly the identity."""
-        moved = np.any(self.mapped_nodes != self.mesh.nodes, axis=1)
-        return ~np.any(moved[self.mesh.elements], axis=1)
-
 
 def map_mesh(mesh: Mesh, F: Diffeo) -> Mesh:
     """Move nodes to F(node), keep connectivity and bounding box."""
@@ -150,15 +135,6 @@ def map_mesh(mesh: Mesh, F: Diffeo) -> Mesh:
     if mapped.element_measures().min() <= 0:
         raise MeshError("mapped mesh has a degenerate element")
     return mapped
-
-
-def _per_element(arr, n_elements: int, dim: int, what: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    if out.shape == (dim, dim):
-        out = np.broadcast_to(out, (n_elements, dim, dim)).copy()
-    if out.shape != (n_elements, dim, dim):
-        raise ValueError(f"bad {what} shape {np.shape(arr)}")
-    return out
 
 
 def pushforward_conductivity(A, DF) -> np.ndarray:
@@ -213,31 +189,6 @@ def pushforward_potential(c, DF) -> np.ndarray:
     return float(c / det[0]) if single else c / det
 
 
-def assemble_weighted(
-    mesh: Mesh,
-    A,
-    weight,
-    b=None,
-    c=None,
-    labels: RegionLabels | None = None,
-    bound: float | None = None,
-) -> DiscreteOperator:
-    """Assemble (K', M') with conductivity A and mass density weight."""
-    ne, d = mesh.element_count, mesh.dim
-    A_full = _per_element(A, ne, d, "conductivity")
-    weight = np.broadcast_to(np.asarray(weight, dtype=float), (ne,)).copy()
-    b_full = np.zeros((ne, d)) if b is None else np.asarray(b, dtype=float).reshape(ne, d).copy()
-    c_full = np.zeros(ne) if c is None else np.broadcast_to(np.asarray(c, dtype=float), (ne,)).copy()
-    coeffs = CoefficientField(
-        A=A_full,
-        b=b_full,
-        c=c_full,
-        bound=float(bound) if bound is not None else observed_ellipticity(A_full),
-        labels=labels,
-    )
-    return assemble(mesh, coeffs, mass_density=weight)
-
-
 def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:
     """Transport a whole operator: mapped mesh, transported coefficients.
 
@@ -253,7 +204,8 @@ def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:
     if op.mass_density is not None:
         w2 = w2 * op.mass_density
     # the transported conductivity carries its own ellipticity constant
-    return assemble_weighted(mesh2, A2, w2, b=b2, c=c2, labels=op.labels)
+    coeffs = CoefficientField(A=A2, b=b2, c=c2, bound=observed_ellipticity(A2), labels=op.labels)
+    return assemble(mesh2, coeffs, mass_density=w2)
 
 
 def gauge_invariance_check(
@@ -279,68 +231,3 @@ def gauge_invariance_check(
     cp1 = cauchy_pair(op_A, a, solve_exterior_value(op_A, a, f), labels)
     cp2 = cauchy_pair(op_FA, a, solve_exterior_value(op_FA, a, f), labels)
     return float(cauchy_gap(cp1, cp2).max())
-
-
-def metric_from_conductivity(A, n: int) -> np.ndarray:
-    """g = (det A)^{1/(n-2)} A^{-1}, defined for dimension n >= 3.
-
-    At n = 2 the exponent 1/(n-2) blows up: two-dimensional conductivities
-    determine the metric only up to a conformal factor, so the conversion
-    is refused there.
-    """
-    _require_dimension(n)
-    A = np.asarray(A, dtype=float)
-    single = A.ndim == 2
-    stack = A[None] if single else A
-    _require_spd(stack, "conductivity")
-    det = np.linalg.det(stack)
-    g = det[:, None, None] ** (1.0 / (n - 2)) * np.linalg.inv(stack)
-    g = 0.5 * (g + np.swapaxes(g, 1, 2))
-    return g[0] if single else g
-
-
-def conductivity_from_metric(g, n: int) -> np.ndarray:
-    """A = (det g)^{1/2} g^{-1}, inverse of metric_from_conductivity."""
-    _require_dimension(n)
-    g = np.asarray(g, dtype=float)
-    single = g.ndim == 2
-    stack = g[None] if single else g
-    _require_spd(stack, "metric")
-    det = np.linalg.det(stack)
-    A = np.sqrt(det)[:, None, None] * np.linalg.inv(stack)
-    A = 0.5 * (A + np.swapaxes(A, 1, 2))
-    return A[0] if single else A
-
-
-def laplace_beltrami_assemble(mesh: Mesh, g) -> DiscreteOperator:
-    """Assemble the weak Laplace-Beltrami form of the per-element metric g.
-
-    Stiffness density sqrt(det g) g^{jk}, mass density sqrt(det g); the
-    result is an ordinary DiscreteOperator in those effective coefficients.
-    """
-    ne, d = mesh.element_count, mesh.dim
-    g_full = _per_element(g, ne, d, "metric")
-    _require_spd(g_full, "metric")
-    det = np.linalg.det(g_full)
-    A_eff = np.sqrt(det)[:, None, None] * np.linalg.inv(g_full)
-    A_eff = 0.5 * (A_eff + np.swapaxes(A_eff, 1, 2))
-    return assemble_weighted(mesh, A_eff, np.sqrt(det))
-
-
-def _require_dimension(n: int) -> None:
-    if n == 2:
-        raise ValueError(
-            "the metric-conductivity dictionary degenerates at n = 2 "
-            "(conformal invariance); use n >= 3"
-        )
-    if n < 2:
-        raise ValueError(f"dimension must be >= 3, got {n}")
-
-
-def _require_spd(stack: np.ndarray, what: str) -> None:
-    sym_dev = np.abs(stack - np.swapaxes(stack, 1, 2)).max()
-    if sym_dev > 1e-12 * max(np.abs(stack).max(), 1.0):
-        raise ValueError(f"{what} not symmetric (deviation {sym_dev:.3e})")
-    eigs = np.linalg.eigvalsh(stack)
-    if eigs.min() <= 0:
-        raise ValueError(f"{what} not positive definite (min eig {eigs.min():.3e})")

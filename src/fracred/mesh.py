@@ -360,52 +360,3 @@ def dump_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def mesh_to_json(mesh: Mesh, labels: RegionLabels | None = None) -> str:
-    """Serialize a mesh (and optionally its region labels) to JSON text."""
-    doc = {
-        "dim": mesh.dim,
-        "box": mesh.box,
-        "nodes": mesh.nodes,
-        "elements": mesh.elements,
-    }
-    if labels is not None:
-        doc["labels"] = {
-            "boxes": {
-                "omega": labels.omega_box,
-                "w": labels.w_box,
-                "wtilde": labels.wtilde_box,
-            },
-            "element_tags": labels.element_tags.tolist(),
-            "node_tags": labels.node_tags.tolist(),
-            "boundary_omega_nodes": labels.boundary_omega_nodes,
-        }
-    return dump_json(doc)
-
-
-def mesh_from_json(text: str):
-    """Inverse of mesh_to_json.
-
-    Returns
-    -------
-    (Mesh, RegionLabels or None)
-        Labels are rebuilt from the stored region boxes (labeling is
-        deterministic in the boxes) and checked against the stored tags.
-    """
-    doc = json.loads(text)
-    dim = int(doc["dim"])
-    mesh = Mesh(
-        dim,
-        np.asarray(doc["nodes"], dtype=float).reshape(-1, dim),
-        np.asarray(doc["elements"], dtype=np.intp),
-        np.asarray(doc["box"], dtype=float).reshape(dim, 2),
-    )
-    labels = None
-    if "labels" in doc:
-        boxes = doc["labels"]["boxes"]
-        labels = label_regions(mesh, boxes["omega"], boxes["w"], boxes["wtilde"])
-        stored = np.asarray(doc["labels"]["element_tags"])
-        if not np.array_equal(stored, labels.element_tags):
-            raise RegionError("stored labels disagree with recomputed labels")
-    return mesh, labels

@@ -266,7 +266,8 @@ def _scatter(mesh: Mesh, local: np.ndarray, dtype) -> np.ndarray:
 
 
 def omega_stiffness(op: DiscreteOperator) -> np.ndarray:
-    """Stiffness assembled over OMEGA elements only (cached)."""
+    """Rows at the Omega interface dofs of the stiffness assembled over OMEGA
+    elements only (cached); columns run over all dofs."""
 
     def build():
         k_loc, _ = local_matrices(op.mesh, op.coeffs)
@@ -274,7 +275,7 @@ def omega_stiffness(op: DiscreteOperator) -> np.ndarray:
         keep[op.resolve_labels().omega_elements] = True
         k_loc = np.where(keep[:, None, None], k_loc, 0.0)
         full = _scatter(op.mesh, k_loc, k_loc.dtype)
-        return full[np.ix_(op.free_nodes, op.free_nodes)]
+        return full[np.ix_(op.free_nodes[op.boundary_omega_dofs()], op.free_nodes)]
 
     return op.cached("omega_stiffness", build)
 

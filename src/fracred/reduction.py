@@ -132,7 +132,7 @@ def boundary_cauchy(
     """
     op.resolve_labels(labels)
     bd_dofs, B = _boundary_mass(op)
-    r = (omega_stiffness(op) @ pair.psi)[bd_dofs]
+    r = omega_stiffness(op) @ pair.psi
     try:
         g = scipy.linalg.cho_factor(B)
     except scipy.linalg.LinAlgError as exc:

@@ -16,26 +16,20 @@ from hypothesis import strategies as st
 
 from fracred.calculus import (
     CALIBRATION_TOL,
-    PeriodicGrid1D,
     QuadratureError,
     SpectralFunction,
     TimeQuadrature,
     apply_inverse,
     apply_power,
-    bilinear_form,
     calibration_rows,
-    fourier_crosscheck_neglap,
     fractional_stiffness,
     gamma_neg,
-    heat_apply,
-    heat_increment,
     heat_kernel_entry,
     kernel_Ka,
     kernel_gaussian_reference,
     min_element_diameter,
     power_matrix,
     power_via_heat_quadrature,
-    sobolev_norm,
 )
 from fracred.mesh import build_interval_mesh
 from fracred.operators import CoefficientField, assemble
@@ -171,7 +165,8 @@ class TestSpectralRoutes:
         op = small_op()
         v = seeded_vectors(op, 1)[0]
         fn = SpectralFunction(lambda lam: np.exp(-0.1 * lam))
-        np.testing.assert_allclose(fn.apply(op, v), heat_apply(op, 0.1, v), rtol=1e-12)
+        want = scipy.linalg.expm(-0.1 * np.linalg.solve(op.M, op.K)) @ v
+        np.testing.assert_allclose(fn.apply(op, v), want, rtol=1e-12)
 
     def test_spectral_function_rejects_nonfinite(self):
         op = small_op()
@@ -187,27 +182,13 @@ class TestHeatSemigroup:
     def test_semigroup_law(self, t, s):
         op = small_op(8)
         v = np.ones(op.n_dofs)
-        one = heat_apply(op, t, heat_apply(op, s, v))
-        two = heat_apply(op, t + s, v)
+
+        def heat(t, v):
+            return SpectralFunction(lambda lam: np.exp(-t * lam)).apply(op, v)
+
+        one = heat(t, heat(s, v))
+        two = heat(t + s, v)
         np.testing.assert_allclose(one, two, rtol=1e-10, atol=1e-300)
-
-    def test_increment_matches_subtraction_at_moderate_t(self):
-        op = small_op()
-        v = seeded_vectors(op, 1)[0]
-        t = 0.05
-        np.testing.assert_allclose(
-            heat_increment(op, t, v), heat_apply(op, t, v) - v, atol=1e-12
-        )
-
-    def test_increment_keeps_precision_at_tiny_t(self):
-        # at t = 1e-14 the literal subtraction cancels to noise; the
-        # spectral expm1 form keeps the leading -t*(M^-1 K v) term
-        op = small_op()
-        v = seeded_vectors(op, 1)[0]
-        t = 1e-14
-        inc = heat_increment(op, t, v)
-        lead = -t * np.linalg.solve(op.M, op.K @ v)
-        np.testing.assert_allclose(inc, lead, rtol=1e-9)
 
     def test_kernel_entry_symmetric(self):
         op = small_op(40, -1.0, 1.0)
@@ -262,58 +243,18 @@ class TestSingularKernel:
 
 
 class TestInnerProducts:
+    """fractional_stiffness is the matrix of the form B(u, w) = <L^a u, w>_M."""
+
     def test_bilinear_form_symmetric(self):
         op = small_op()
         u, w = seeded_vectors(op, 2)
-        assert bilinear_form(op, 0.5, u, w) == pytest.approx(
-            bilinear_form(op, 0.5, w, u), rel=1e-12
-        )
+        G = fractional_stiffness(op, 0.5)
+        assert np.vdot(w, G @ u) == pytest.approx(np.vdot(u, G @ w), rel=1e-12)
 
     def test_bilinear_form_spectral_value(self):
         op = small_op()
         u = seeded_vectors(op, 1)[0]
         coeff = op.spectral_coefficients(u)
         want = float(np.sum(op.eigenvalues**0.5 * np.abs(coeff) ** 2))
-        assert bilinear_form(op, 0.5, u, u) == pytest.approx(want, rel=1e-12)
-
-    def test_sobolev_norm_monotone_in_a(self):
-        op = small_op()
-        u = seeded_vectors(op, 1)[0]
-        norms = [sobolev_norm(op, a, u) for a in (0.0, 0.25, 0.5, 0.75)]
-        # baseline spectrum sits above 1, so the weights grow with a
-        assert all(n1 < n2 for n1, n2 in zip(norms, norms[1:]))
-
-
-class TestPeriodicCrosscheck:
-    def test_discrete_symbol_tracks_fourier_symbol(self):
-        from fracred.calculus import (
-            periodic_power_discrete_symbol,
-            periodic_power_fourier_symbol,
-        )
-
-        grid = PeriodicGrid1D(n=256, length=2 * np.pi)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(256)
-        for a in (0.25, 0.5, 0.75):
-            got = periodic_power_discrete_symbol(grid, a, v)
-            want = periodic_power_fourier_symbol(grid, a, v)
-            # per mode the symbols differ by the factor (sinc(k/n pi))^(2a),
-            # which bottoms out at (2/pi)^(2a) at Nyquist; Parseval turns
-            # that into a sharp l2 bound even for white-noise input
-            const = 1.0 - (2.0 / np.pi) ** (2 * a)
-            assert np.linalg.norm(got - want) < const * np.linalg.norm(want)
-            dev = fourier_crosscheck_neglap(grid, a, v)
-            assert dev < const * np.abs(want).max()
-
-    def test_symbols_equal_on_a_smooth_mode(self):
-        grid = PeriodicGrid1D(n=128, length=2 * np.pi)
-        x = grid.points
-        v = np.cos(3 * x)
-        from fracred.calculus import (
-            periodic_power_discrete_symbol,
-            periodic_power_fourier_symbol,
-        )
-
-        got = periodic_power_discrete_symbol(grid, 0.5, v)
-        want = periodic_power_fourier_symbol(grid, 0.5, v)
-        assert np.abs(got - want).max() < 5e-3 * np.abs(want).max()
+        got = np.vdot(u, fractional_stiffness(op, 0.5) @ u)
+        assert got == pytest.approx(want, rel=1e-12)

@@ -88,3 +88,63 @@ def test_dense_product_check_finds_its_targets(tmp_path, source, hits):
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
     assert len(dense_products(path)) == hits
+
+
+
+ROOT = PACKAGE.parent.parent
+
+
+def referenced_names(path: Path) -> set:
+    """Identifiers that one source file reads as a ``Name`` or an ``Attribute``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unreached_names(modules, references) -> list:
+    """Public top-level functions and classes of ``modules`` that no file in
+    ``references`` refers to; imports, definitions and docstrings do not count."""
+    used = set().union(*map(referenced_names, references))
+    found = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if defines and not node.name.startswith("_") and node.name not in used:
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_public_name_only_tests_reach():
+    """Every public function and class is used by the program, a demo or the
+    benchmark, or is named by the acceptance test."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    references = [
+        *PACKAGE.glob("*.py"),
+        *(ROOT / "demos").glob("*.py"),
+        *(ROOT / "bench").glob("*.py"),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    assert modules
+    assert unreached_names(modules, references) == []
+
+
+@pytest.mark.parametrize(
+    "module, demo, unreached",
+    [
+        ("def orphan():\n    pass\n", "", ["lib.orphan"]),
+        ("def shown():\n    pass\n", "from lib import shown\nshown()\n", []),
+        ("class Shown:\n    pass\n", "import lib\nlib.Shown()\n", []),
+        ('def named():\n    pass\n', '"""Calls named() in prose only."""\n', ["lib.named"]),
+        ("def _private():\n    pass\n", "", []),
+    ],
+    ids=["orphan", "called-in-demo", "attribute-in-demo", "docstring-only", "private"],
+)
+def test_unreached_name_check_finds_its_targets(tmp_path, module, demo, unreached):
+    lib, script = tmp_path / "lib.py", tmp_path / "demo.py"
+    lib.write_text(module)
+    script.write_text(demo)
+    assert unreached_names([lib], [lib, script]) == unreached

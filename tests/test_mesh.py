@@ -1,4 +1,4 @@
-"""Mesh construction, region labeling, and serialization."""
+"""Mesh construction, region labeling, and JSON output."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from fracred.mesh import (
     build_rect_mesh,
     dump_json,
     label_regions,
-    mesh_from_json,
-    mesh_to_json,
 )
 
 
@@ -125,22 +123,6 @@ class TestLabelRegions:
 
 
 class TestSerialization:
-    def test_roundtrip_1d(self):
-        mesh = build_interval_mesh(-2.0, 2.0, 40)
-        labels = label_regions(mesh, (-1, 1), (1.05, 1.8), (-1.95, -1.05))
-        text = mesh_to_json(mesh, labels)
-        mesh2, labels2 = mesh_from_json(text)
-        np.testing.assert_array_equal(mesh.nodes, mesh2.nodes)
-        np.testing.assert_array_equal(mesh.elements, mesh2.elements)
-        assert labels.matches(labels2)
-
-    def test_roundtrip_2d(self):
-        mesh = build_rect_mesh([[-1, 1], [0, 3]], 3, 3)
-        mesh2, labels2 = mesh_from_json(mesh_to_json(mesh))
-        assert labels2 is None
-        np.testing.assert_array_equal(mesh.nodes, mesh2.nodes)
-        assert mesh2.dim == 2
-
     def test_dump_json_full_precision(self):
         x = 1.0 / 3.0
         assert dump_json({"x": x}) == '{"x": 0.33333333333333331}'

@@ -20,7 +20,7 @@ from fracred import operators
 from fracred.calculus import fractional_stiffness, power_matrix
 from fracred.config import load_config
 from fracred.diagnostics import runge_rank, ucp_quotient
-from fracred.dirichlet import ExteriorData, exterior_data_matrix, solve_exterior_value
+from fracred.dirichlet import ExteriorData, solve_exterior_value
 from fracred.operators import AssemblyError, CoefficientField, assemble
 from fracred.runner import run_suites
 
@@ -120,11 +120,3 @@ class TestDenseEquivalence:
         rep = runge_rank(op, a, scn.labels)
         assert rep.shape == R.shape
         assert np.abs(rep.singular_values - old).max() <= RTOL * old[0]
-
-    @pytest.mark.parametrize("flux", ["dual", "nodal"])
-    def test_exterior_data_matrix(self, scn, a, flux):
-        op = scn.op
-        U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
-        full = fractional_stiffness(op, a) if flux == "dual" else power_matrix(op, a)
-        old = (full @ U)[op.region_dofs("WTILDE")]
-        assert_close(exterior_data_matrix(op, a, scn.labels, flux=flux).matrix, old)
