@@ -150,10 +150,6 @@ class SpectralFunction:
         """phi(L) v for a dof vector or for each column of a dof x k block."""
         return op.eigenvectors @ (self.values(op) * op.spectral_coefficients(v).T).T
 
-    def matrix(self, op: DiscreteOperator) -> np.ndarray:
-        phi = op.eigenvectors
-        return (phi * self.values(op)) @ (op.M_csr @ phi).conj().T
-
 
 def apply_power(op: DiscreteOperator, a: float, v: np.ndarray) -> np.ndarray:
     """L^a v by spectral calculus, exponent a in [-1, 1]; a = 0 returns v."""
@@ -164,24 +160,23 @@ def apply_power(op: DiscreteOperator, a: float, v: np.ndarray) -> np.ndarray:
     return SpectralFunction(lambda lam: lam**a).apply(op, v)
 
 
-def power_matrix(op: DiscreteOperator, a: float) -> np.ndarray:
-    """Dense matrix of v -> L^a v (cached on the operator)."""
+def _power_rows(op: DiscreteOperator, a: float, left: np.ndarray) -> np.ndarray:
+    """((left * lambda^a) Phi^H) M for a k x n block ``left`` of eigenbasis rows."""
     if not -1.0 <= a <= 1.0:
         raise ValueError(f"exponent {a} outside [-1, 1]")
-    return op.cached(
-        ("power_matrix", a),
-        lambda: SpectralFunction(lambda lam: lam**a).matrix(op),
-    )
+    return ((left * op.eigenvalues**a) @ op.eigenvectors.conj().T) @ op.M_csr
 
 
-def fractional_stiffness(op: DiscreteOperator, a: float) -> np.ndarray:
-    """Matrix of the form (u, w) -> <L^a u, w>_M, Hermitized (cached)."""
+def power_matrix(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
+    """L^a[rows, :] = ((Phi[rows] lambda^a) Phi^H) M, rows of the matrix of
+    v -> L^a v; formed per call, never cached; rows=None gives all n rows."""
+    return _power_rows(op, a, op.eigenvectors if rows is None else op.eigenvectors[rows])
 
-    def build():
-        G = op.M_csr @ power_matrix(op, a)
-        return 0.5 * (G + G.conj().T)
 
-    return op.cached(("fractional_stiffness", a), build)
+def fractional_stiffness(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
+    """G[rows, :] = (((M[rows] Phi) lambda^a) Phi^H) M, rows of the matrix G = M L^a
+    of (u, w) -> <L^a u, w>_M (Hermitian to roundoff); formed per call, never cached."""
+    return _power_rows(op, a, (op.M_csr if rows is None else op.M_csr[rows]) @ op.eigenvectors)
 
 
 def power_via_heat_quadrature(

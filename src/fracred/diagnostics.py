@@ -109,7 +109,7 @@ def ucp_quotient(
     # x -> rows L^{-T} x has the singular values of its transpose L^{-1} rows^T
     L = op.cached("mass_sphere_whitener", lambda: scipy.linalg.cholesky(op.M, lower=True))
     stacked_t = scipy.linalg.solve_triangular(
-        L, np.vstack([rows, power_matrix(op, a)[dofs]]).T, lower=True
+        L, np.vstack([rows, power_matrix(op, a, dofs)]).T, lower=True
     )
     svals = scipy.linalg.svdvals(stacked_t)
     return SingularValueReport(
@@ -136,7 +136,7 @@ def runge_rank(
     if w_dofs.size == 0 or e_dofs.size == 0:
         raise ValueError("empty W or E window")
     U = solve_exterior_value(op, a, ExteriorData.w_hats(op)).u
-    R = power_matrix(op, a)[e_dofs] @ U
+    R = apply_power(op, a, U)[e_dofs]
     svals = scipy.linalg.svdvals(R)
     report = SingularValueReport(
         singular_values=svals,

@@ -74,10 +74,13 @@ class ExteriorData:
     def from_node_values(
         op: DiscreteOperator, labels: RegionLabels, nodes, values
     ) -> "ExteriorData":
-        """Datum with one row of values (a vector or a k-column block) per W mesh node."""
+        """Datum with one row of values (a vector or a k-column block) per distinct W mesh node."""
         w_dofs = op.region_dofs("W", labels)
-        dofs = op.dofs_of_nodes(np.asarray(nodes, dtype=int))
+        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
         values = np.asarray(values)
+        if values.shape[:1] != nodes.shape or np.unique(nodes).size != nodes.size:
+            raise ExteriorDataError("nodes must be distinct, one per row of values")
+        dofs = op.dofs_of_nodes(nodes)
         full = np.zeros((op.n_dofs,) + values.shape[1:], dtype=np.result_type(values, float))
         full[dofs] = values
         return ExteriorData(full, w_dofs)
@@ -123,25 +126,27 @@ class CauchyPair:
     a: float
 
 
-def _interior_solve(op: DiscreteOperator, a: float, B: np.ndarray):
-    """X = G_II^{-1} B against G_II and its Cholesky factor, cached together.
+def _interior_solve(op: DiscreteOperator, a: float, cols, F=None):
+    """X = -G_II^{-1} G[I, cols] F (F = I when omitted) and its worst column residual.
 
-    Returns X and the worst relative residual over the columns, which must
-    stay within SOLVE_TOL.  A failing factorization flags a non-PD interior
-    block.
+    G_I = G[I, :], the Hermitized G_II = G_I[:, I] and its Cholesky factor are
+    cached together per exponent; a failing factorization flags a non-PD
+    interior block, and a relative residual above SOLVE_TOL raises.
     """
 
     def build():
         interior = op.omega_interior_dofs()
-        G_II = fractional_stiffness(op, a)[np.ix_(interior, interior)]
+        G_I = fractional_stiffness(op, a, interior)
+        G_II = 0.5 * (G_I[:, interior] + G_I[:, interior].conj().T)
         try:
-            return G_II, scipy.linalg.cho_factor(G_II)
+            return G_I, G_II, scipy.linalg.cho_factor(G_II)
         except scipy.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"interior block of L^{a} not positive definite"
             ) from exc
 
-    G_II, factor = op.cached(("gii_cholesky", a), build)
+    G_I, G_II, factor = op.cached(("gii_cholesky", a), build)
+    B = -G_I[:, cols] if F is None else -(G_I[:, cols] @ F)
     X = scipy.linalg.cho_solve(factor, B)
     worst = worst_relative(np.linalg.norm(G_II @ X - B, axis=0), np.linalg.norm(B, axis=0))
     if not worst <= SOLVE_TOL:
@@ -165,25 +170,26 @@ def solve_exterior_value(
         )
     if not np.array_equal(f.w_dofs, op.region_dofs("W")):
         raise ExteriorDataError("datum window is not the operator's W")
-    interior = op.omega_interior_dofs()
-    G = fractional_stiffness(op, a)
-    U = np.array(F, dtype=np.result_type(F, G.dtype))
-    X, residual = _interior_solve(op, a, -(G[np.ix_(interior, f.w_dofs)] @ F[f.w_dofs]))
-    U[interior] = X
+    X, residual = _interior_solve(op, a, f.w_dofs, F[f.w_dofs])
+    U = np.array(F, dtype=np.result_type(F, X))
+    U[op.omega_interior_dofs()] = X
     return NonlocalSolution(u=U, data=f, a=a, residual=residual)
 
 
 def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
-    """B(u, u) = <L^a u, u>_M, real for Hermitian G."""
-    return float(np.vdot(u, fractional_stiffness(op, a) @ u).real)
+    """B(u, u) = <L^a u, u>_M = sum_i lambda_i^a |c_i|^2 over u's spectral coefficients c."""
+    if not -1.0 <= a <= 1.0:
+        raise ValueError(f"exponent {a} outside [-1, 1]")
+    return float(np.sum(op.eigenvalues**a * np.abs(op.spectral_coefficients(u)) ** 2))
 
 
 def stability_constant(op: DiscreteOperator, a: float) -> float:
     """C = 1 + ||G_II^{-1} G_IX||_2, the measured solve amplification."""
     interior = op.omega_interior_dofs()
-    rest = np.setdiff1d(np.arange(op.n_dofs), interior)
-    X, _ = _interior_solve(op, a, fractional_stiffness(op, a)[np.ix_(interior, rest)])
-    c = 1.0 + float(np.linalg.norm(X, 2))
+    X, _ = _interior_solve(op, a, np.setdiff1d(np.arange(op.n_dofs), interior))
+    # ||X||_2^2 is the top eigenvalue of the |I| x |I| Gram matrix X X^H
+    top = scipy.linalg.eigvalsh(X @ X.conj().T, subset_by_index=[interior.size - 1] * 2)[0]
+    c = 1.0 + float(np.sqrt(top))
     logger.info("stability constant at a=%s: %.6g", a, c)
     return c
 

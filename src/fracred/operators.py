@@ -293,9 +293,9 @@ class DiscreteOperator:
     relative eigenpair residual ||K phi - lambda M phi|| / lambda.
 
     The instance is treated as immutable after assembly.  ``_cache`` holds
-    idempotent derived matrices (fractional stiffness, factorizations);
-    entries are write-once values of pure functions of the operator, so
-    concurrent readers are safe.
+    idempotent derived matrices (factorizations; per exponent the interior
+    rows of the fractional stiffness, never a whole L^a or G); entries are
+    write-once pure functions of the operator, so concurrent readers are safe.
     """
 
     mesh: Mesh

@@ -149,10 +149,10 @@ class TestSpectralRoutes:
             apply_power(op, -1.0, v), apply_inverse(op, v), rtol=1e-10
         )
 
-    def test_power_matrix_cached_and_consistent(self):
+    def test_power_matrix_repeatable_and_consistent(self):
         op = small_op()
         P1 = power_matrix(op, 0.5)
-        assert power_matrix(op, 0.5) is P1
+        assert np.array_equal(power_matrix(op, 0.5), P1)
         v = seeded_vectors(op, 1)[0]
         np.testing.assert_allclose(P1 @ v, apply_power(op, 0.5, v), rtol=1e-11)
 

@@ -1,5 +1,6 @@
 """Module layering: no fracred module reaches into another's private names,
-and no product is taken with the dense K or M."""
+no product is taken with the dense K or M, and L^a and G are formed only
+at the rows a caller reads."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,57 @@ def test_dense_product_check_finds_its_targets(tmp_path, source, hits):
     path.write_text(source + "\n")
     assert len(dense_products(path)) == hits
 
+
+#: builders of n x n spectral matrices; the program asks them for rows only
+ROW_BUILDERS = ("power_matrix", "fractional_stiffness")
+
+
+def whole_matrix_calls(path: Path) -> list:
+    """Calls in one source file of a row builder without a ``rows`` argument.
+
+    ``rows`` is the third positional argument or a keyword; an explicit
+    ``rows=None`` asks for the whole matrix and counts as missing.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ROW_BUILDERS:
+            continue
+        rows = node.args[2] if len(node.args) > 2 else next(
+            (kw.value for kw in node.keywords if kw.arg == "rows"), None
+        )
+        if rows is None or (isinstance(rows, ast.Constant) and rows.value is None):
+            found.append(f"{path.name}:{node.lineno} forms the whole {name}")
+    return found
+
+
+def test_program_forms_only_rows_of_spectral_matrices():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    offenders = [hit for path in sources for hit in whole_matrix_calls(path)]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ("P = power_matrix(op, a)", 1),
+        ("G = calculus.fractional_stiffness(op, 0.5)[interior]", 1),
+        ("P = power_matrix(op, a, rows=None)", 1),
+        ("P = power_matrix(op, a, None)", 1),
+        ("P = power_matrix(op, a, dofs)", 0),
+        ("G = fractional_stiffness(op, a, rows=interior)", 0),
+        ("y = apply_power(op, a, u)", 0),
+        ("def power_matrix(op, a, rows=None):\n    pass", 0),
+    ],
+)
+def test_whole_matrix_check_finds_its_targets(tmp_path, source, hits):
+    path = tmp_path / "probe.py"
+    path.write_text(source + "\n")
+    assert len(whole_matrix_calls(path)) == hits
 
 
 ROOT = PACKAGE.parent.parent

@@ -18,9 +18,14 @@ from conftest import bundled_config
 
 from fracred import operators
 from fracred.calculus import fractional_stiffness, power_matrix
-from fracred.config import load_config
+from fracred.config import load_config, parse_config
 from fracred.diagnostics import runge_rank, ucp_quotient
-from fracred.dirichlet import ExteriorData, solve_exterior_value
+from fracred.dirichlet import (
+    ExteriorData,
+    dirichlet_energy,
+    solve_exterior_value,
+    stability_constant,
+)
 from fracred.operators import AssemblyError, CoefficientField, assemble
 from fracred.runner import run_suites
 
@@ -120,3 +125,87 @@ class TestDenseEquivalence:
         rep = runge_rank(op, a, scn.labels)
         assert rep.shape == R.shape
         assert np.abs(rep.singular_values - old).max() <= RTOL * old[0]
+
+
+def row_sets(op):
+    """Interior, E and an unsorted scattered row set."""
+    rng = np.random.default_rng(3)
+    return [op.omega_interior_dofs(), op.region_dofs("E"), rng.permutation(op.n_dofs)[:17]]
+
+
+@pytest.mark.parametrize("a", [0.25, 0.75])
+class TestRows:
+    """Rows of L^a and G against the whole matrices and the old dense formulas."""
+
+    def test_power_matrix_rows(self, scn, a):
+        op = scn.op
+        phi = op.eigenvectors
+        old = (phi * op.eigenvalues**a) @ (phi.conj().T @ op.M)
+        full = power_matrix(op, a)
+        for rows in row_sets(op):
+            assert_close(power_matrix(op, a, rows), full[rows])
+            assert_close(power_matrix(op, a, rows), old[rows])
+
+    def test_fractional_stiffness_rows(self, scn, a):
+        op = scn.op
+        G = op.M @ power_matrix(op, a)
+        old = 0.5 * (G + G.conj().T)
+        full = fractional_stiffness(op, a)
+        for rows in row_sets(op):
+            assert_close(fractional_stiffness(op, a, rows), full[rows])
+            assert_close(fractional_stiffness(op, a, rows), old[rows])
+
+    def test_dirichlet_energy_is_the_form_of_g(self, scn, a):
+        op = scn.op
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal(op.n_dofs)
+        if not op.is_real:
+            u = u + 1j * rng.standard_normal(op.n_dofs)
+        want = np.vdot(u, fractional_stiffness(op, a) @ u).real
+        assert dirichlet_energy(op, a, u) == pytest.approx(want, rel=RTOL)
+
+
+class TestRowsOnly:
+    def test_no_exponent_cache_entry_is_n_by_n(self, scn):
+        op = assemble(scn.mesh, scn.op.coeffs)
+        for a in (0.25, 0.5, 0.75):
+            solve_exterior_value(op, a, ExteriorData.w_hats(op))
+            stability_constant(op, a)
+            runge_rank(op, a, scn.labels)
+            ucp_quotient(op, a, sigma_nodes(scn))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+
+        n = op.n_dofs
+        per_exponent = [
+            value for key, value in op._cache.items()
+            if isinstance(key, tuple) and any(isinstance(k, float) for k in key)
+        ]
+        assert len(per_exponent) == 3
+        shapes = [x.shape for value in per_exponent for x in arrays(value)]
+        assert (op.omega_interior_dofs().size, n) in shapes
+        assert (n, n) not in shapes
+
+    def test_two_operator_rect_ladder_run(self, tmp_path):
+        # the probes-2d geometry with a second operator: every suite, 841 dofs
+        cfg = parse_config({
+            "mesh": {"kind": "rect", "box": [[-2.0, 2.0], [-2.0, 2.0]], "nx": 30, "ny": 30},
+            "regions": {
+                "omega": [[-1.0, 1.0], [-1.0, 1.0]],
+                "w": [[1.4, 1.75], [-0.6, 0.6]],
+                "wtilde": [[-1.75, -1.4], [-0.6, 0.6]],
+            },
+            "operators": [{}, {"c": 5.0}],
+            "a": [0.25, 0.5, 0.75],
+            "quad": {"s_max": 4.0, "n": 200},
+            "diffeo": {"rho": 0.8, "factor": 0.8},
+            "seed": 42,
+        })
+        result = run_suites(cfg, out_dir=tmp_path)
+        assert result.failures == []
+        assert result.ok and result.skipped == []
