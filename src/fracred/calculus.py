@@ -164,7 +164,7 @@ def _power_rows(op: DiscreteOperator, a: float, left: np.ndarray) -> np.ndarray:
     """((left * lambda^a) Phi^H) M for a k x n block ``left`` of eigenbasis rows."""
     if not -1.0 <= a <= 1.0:
         raise ValueError(f"exponent {a} outside [-1, 1]")
-    return ((left * op.eigenvalues**a) @ op.eigenvectors.conj().T) @ op.M_csr
+    return ((left * op.eigenvalues**a) @ op.eigenvectors.conj().T) @ op.M
 
 
 def power_matrix(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
@@ -176,7 +176,7 @@ def power_matrix(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
 def fractional_stiffness(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
     """G[rows, :] = (((M[rows] Phi) lambda^a) Phi^H) M, rows of the matrix G = M L^a
     of (u, w) -> <L^a u, w>_M (Hermitian to roundoff); formed per call, never cached."""
-    return _power_rows(op, a, (op.M_csr if rows is None else op.M_csr[rows]) @ op.eigenvectors)
+    return _power_rows(op, a, (op.M if rows is None else op.M[rows]) @ op.eigenvectors)
 
 
 def power_via_heat_quadrature(
@@ -205,11 +205,11 @@ def apply_inverse(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     v may be a dof x k block; every column's relative residual is checked.
     """
     factor = op.cached(
-        "stiffness_cholesky", lambda: scipy.linalg.cho_factor(op.K)
+        "stiffness_cholesky", lambda: scipy.linalg.cho_factor(op.K.toarray(order="F"), overwrite_a=True)
     )
-    rhs = op.M_csr @ v
+    rhs = op.M @ v
     x = scipy.linalg.cho_solve(factor, rhs)
-    worst = worst_relative(np.linalg.norm(op.K_csr @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
+    worst = worst_relative(np.linalg.norm(op.K @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
     if not worst <= 1e-10:
         raise AssemblyError(f"inverse solve relative residual {worst:.3e} too large")
     return x

@@ -107,7 +107,10 @@ def ucp_quotient(
     rows[np.arange(dofs.size), dofs] = 1.0
     # v = L^{-T} x (M = L L^T) maps the unit sphere onto the M-sphere; the map
     # x -> rows L^{-T} x has the singular values of its transpose L^{-1} rows^T
-    L = op.cached("mass_sphere_whitener", lambda: scipy.linalg.cholesky(op.M, lower=True))
+    L = op.cached(
+        "mass_sphere_whitener",
+        lambda: scipy.linalg.cholesky(op.M.toarray(order="F"), lower=True, overwrite_a=True),
+    )
     stacked_t = scipy.linalg.solve_triangular(
         L, np.vstack([rows, power_matrix(op, a, dofs)]).T, lower=True
     )

@@ -17,8 +17,8 @@ identity rather than an approximation.
 The stiffness matrix is Hermitian, real whenever b vanishes identically, and
 the generalized eigendecomposition K Phi = M Phi diag(lambda) with
 Phi^H M Phi = I is computed densely at assembly time.  Desk scale only
-(a few thousand degrees of freedom): the eigendecomposition and every
-factorization stay dense, and K and M are also held as CSR for products.
+(a few thousand degrees of freedom): K and M are held only as CSR, and each
+dense eigendecomposition or factorization consumes a fresh dense copy.
 """
 
 from __future__ import annotations
@@ -254,27 +254,31 @@ def local_matrices(mesh: Mesh, coeffs: CoefficientField, mass_density=None):
     return k_loc, m_loc
 
 
-def _scatter(mesh: Mesh, local: np.ndarray, dtype) -> np.ndarray:
-    n = mesh.node_count
-    nb = mesh.dim + 1
-    full = np.zeros((n, n), dtype=dtype)
-    el = mesh.elements
-    for i in range(nb):
-        for j in range(nb):
-            np.add.at(full, (el[:, i], el[:, j]), local[:, i, j])
+def _sparse_sum(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
+    """Node-by-node CSR sum of the element matrices, zero sums dropped.
+
+    Each entry adds its terms in (local row, local column, element) order,
+    the order of a dense ``np.add.at`` scatter, so the two agree bit for bit.
+    """
+    n, el = mesh.node_count, mesh.elements.T
+    # the (i, j, e) term lands at node row el[i, e] and node column el[j, e]
+    keys, slot = np.unique((el[:, None] * n + el[None]).ravel(), return_inverse=True)
+    data = np.zeros(keys.size, dtype=local.dtype)
+    np.add.at(data, slot, local.transpose(1, 2, 0).ravel())
+    full = scipy.sparse.csr_array((data, (keys // n, keys % n)), shape=(n, n))
+    full.eliminate_zeros()
     return full
 
 
-def omega_stiffness(op: DiscreteOperator) -> np.ndarray:
+def omega_stiffness(op: DiscreteOperator) -> scipy.sparse.csr_array:
     """Rows at the Omega interface dofs of the stiffness assembled over OMEGA
-    elements only (cached); columns run over all dofs."""
+    elements only (cached, CSR); columns run over all dofs."""
 
     def build():
         k_loc, _ = local_matrices(op.mesh, op.coeffs)
         keep = np.zeros(op.mesh.element_count, dtype=bool)
         keep[op.resolve_labels().omega_elements] = True
-        k_loc = np.where(keep[:, None, None], k_loc, 0.0)
-        full = _scatter(op.mesh, k_loc, k_loc.dtype)
+        full = _sparse_sum(op.mesh, np.where(keep[:, None, None], k_loc, 0.0))
         return full[np.ix_(op.free_nodes[op.boundary_omega_dofs()], op.free_nodes)]
 
     return op.cached("omega_stiffness", build)
@@ -288,9 +292,9 @@ class DiscreteOperator:
     eliminated); ``free_nodes`` maps degree-of-freedom index to mesh node
     index and ``node_to_dof`` inverts it with -1 on constrained nodes.
 
-    ``K_csr`` and ``M_csr`` equal ``K`` and ``M`` entry for entry; every
-    product with K or M goes through them.  ``eigen_residual`` is the worst
-    relative eigenpair residual ||K phi - lambda M phi|| / lambda.
+    ``K`` and ``M`` are CSR; the dense eigendecomposition and factorizations
+    each take a fresh dense copy and overwrite it.  ``eigen_residual`` is the
+    worst relative eigenpair residual ||K phi - lambda M phi|| / lambda.
 
     The instance is treated as immutable after assembly.  ``_cache`` holds
     idempotent derived matrices (factorizations; per exponent the interior
@@ -300,10 +304,8 @@ class DiscreteOperator:
 
     mesh: Mesh
     coeffs: CoefficientField
-    K: np.ndarray
-    M: np.ndarray
-    K_csr: scipy.sparse.csr_array
-    M_csr: scipy.sparse.csr_array
+    K: scipy.sparse.csr_array
+    M: scipy.sparse.csr_array
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigen_residual: float
@@ -365,11 +367,11 @@ class DiscreteOperator:
 
     def mass_norm(self, v):
         """M-norm of a dof vector, or of each column of a dof x k block."""
-        return np.sqrt(np.maximum(np.sum(v.conj() * (self.M_csr @ v), axis=0).real, 0.0))
+        return np.sqrt(np.maximum(np.sum(v.conj() * (self.M @ v), axis=0).real, 0.0))
 
     def spectral_coefficients(self, v) -> np.ndarray:
         """Coordinates of v in the M-orthonormal eigenbasis."""
-        return self.eigenvectors.conj().T @ (self.M_csr @ v)
+        return self.eigenvectors.conj().T @ (self.M @ v)
 
     def cached(self, key, compute):
         if key not in self._cache:
@@ -404,28 +406,27 @@ def assemble(
     """
     coeffs.validate(mesh)
     k_loc, m_loc = local_matrices(mesh, coeffs, mass_density)
-    K_full = _scatter(mesh, k_loc, k_loc.dtype)
-    M_full = _scatter(mesh, m_loc, float)
-
     boundary = mesh.boundary_nodes()
     free = np.setdiff1d(np.arange(mesh.node_count), boundary)
     node_to_dof = np.full(mesh.node_count, -1, dtype=np.intp)
     node_to_dof[free] = np.arange(free.size)
-    K = K_full[np.ix_(free, free)]
-    M = M_full[np.ix_(free, free)]
+    K = _sparse_sum(mesh, k_loc)[np.ix_(free, free)]
+    M = _sparse_sum(mesh, m_loc)[np.ix_(free, free)]
 
-    herm_dev = np.abs(K - K.conj().T).max()
-    if herm_dev >= HERMITIAN_TOL * np.abs(K).max():
+    herm_dev = abs(K - K.conj().T).max()
+    if herm_dev >= HERMITIAN_TOL * abs(K).max():
         raise AssemblyError(f"stiffness not Hermitian: deviation {herm_dev:.3e}")
 
-    vals, vecs = scipy.linalg.eigh(K, M)
+    # Fortran-ordered copies are handed to LAPACK as they are and overwritten
+    vals, vecs = scipy.linalg.eigh(
+        K.toarray(order="F"), M.toarray(order="F"), overwrite_a=True, overwrite_b=True
+    )
     if vals[0] <= 0:
         raise PositivityError(float(vals[0]))
 
     # residual check: K phi_i = lambda_i M phi_i to 1e-10 lambda_i, with the
     # M-orthonormal column scaling the eigensolver already imposes
-    K_csr, M_csr = scipy.sparse.csr_array(K), scipy.sparse.csr_array(M)
-    R = K_csr @ vecs - (M_csr @ vecs) * vals
+    R = K @ vecs - (M @ vecs) * vals
     residual = float((np.linalg.norm(R, axis=0) / vals).max())
     if residual > EIGEN_RESIDUAL_TOL:
         raise AssemblyError(f"eigenpair residual {residual:.3e} too large")
@@ -436,8 +437,6 @@ def assemble(
         coeffs=coeffs,
         K=K,
         M=M,
-        K_csr=K_csr,
-        M_csr=M_csr,
         eigenvalues=vals,
         eigenvectors=vecs,
         eigen_residual=residual,

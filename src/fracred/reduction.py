@@ -59,12 +59,12 @@ def lift(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> LiftedPair:
     phi = apply_inverse(op, u)
     psi = apply_power(op, a, phi)
 
-    Mu = op.M_csr @ u
-    r_phi = worst_relative(np.linalg.norm(op.K_csr @ phi - Mu, axis=0), np.linalg.norm(Mu, axis=0))
+    Mu = op.M @ u
+    r_phi = worst_relative(np.linalg.norm(op.K @ phi - Mu, axis=0), np.linalg.norm(Mu, axis=0))
     direct = apply_power(op, a - 1.0, u)
     r_psi = worst_relative(np.linalg.norm(psi - direct, axis=0), np.linalg.norm(psi, axis=0))
     interior = op.omega_interior_dofs()
-    r_int = worst_relative(np.abs((op.K_csr @ psi)[interior]).max(axis=0), op.mass_norm(u))
+    r_int = worst_relative(np.abs((op.K @ psi)[interior]).max(axis=0), op.mass_norm(u))
 
     residuals = {"phi": r_phi, "psi": r_psi, "interior": r_int}
     if not (r_phi <= LIFT_TOL_PHI and r_psi <= LIFT_TOL_PSI and r_int <= LIFT_TOL_INTERIOR):

@@ -1,6 +1,6 @@
 """Module layering: no fracred module reaches into another's private names,
-no product is taken with the dense K or M, and L^a and G are formed only
-at the rows a caller reads."""
+K and M are copied to dense only where a LAPACK factorization overwrites
+the copy, and L^a and G are formed only at the rows a caller reads."""
 
 import ast
 from pathlib import Path
@@ -32,63 +32,80 @@ def test_no_cross_module_private_imports():
     assert offenders == []
 
 
-#: dense operator matrices; products go through their CSR twins K_csr, M_csr
-DENSE_MATRICES = ("K", "M")
+#: LAPACK factorizations of K or M, with the arguments each may overwrite
+FACTORIZATIONS = {"eigh": ("a", "b"), "cho_factor": ("a",), "cholesky": ("a",)}
 
 
-def dense_operand(node):
-    """Name of the dense .K/.M attribute an ``@`` operand is built from, or None.
-
-    Follows attribute access, method calls and indexing down to the base, so
-    ``op.M @ v``, ``op.M.T @ v``, ``op.K.conj() @ v`` and ``op.K[rows] @ v``
-    are all found; passing ``op.M`` to a function (eigh, cholesky) is not a
-    product and is not followed.
-    """
+def operator_matrix(node):
+    """``K`` or ``M`` when the expression is built from ``op.K``, ``M``,
+    ``op.M[rows]``, ``op.K.conj()`` and the like, else None."""
     while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
-        if isinstance(node, ast.Attribute) and node.attr in DENSE_MATRICES:
+        if isinstance(node, ast.Attribute) and node.attr in ("K", "M"):
             return node.attr
         node = node.func if isinstance(node, ast.Call) else node.value
-    return None
+    return node.id if isinstance(node, ast.Name) and node.id in ("K", "M") else None
 
 
-def dense_products(path: Path) -> list:
-    """``@`` and ``@=`` in one source file with a dense .K or .M operand."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-            operands = (node.left, node.right)
-        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
-            operands = (node.target, node.value)
-        else:
+def dense_copies(path: Path) -> list:
+    """``.toarray()`` of K or M in one source file other than a Fortran-ordered
+    copy (``order="F"``) passed as an argument that a LAPACK factorization
+    overwrites (``overwrite_a``/``overwrite_b=True``); LAPACK copies any
+    other array before it factors it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    consumed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
             continue
-        for name in filter(None, map(dense_operand, operands)):
-            found.append(f"{path.name}:{node.lineno} multiplies by dense .{name}")
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        overwritten = {
+            kw.arg for kw in node.keywords
+            if isinstance(kw.value, ast.Constant) and kw.value.value is True
+        }
+        for arg, slot in zip(node.args, FACTORIZATIONS.get(name, ())):
+            if f"overwrite_{slot}" in overwritten:
+                consumed.add(arg)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "toarray":
+            name = operator_matrix(node.func.value)
+            fortran = any(
+                kw.arg == "order" and isinstance(kw.value, ast.Constant) and kw.value.value == "F"
+                for kw in node.keywords
+            )
+            if name and not (fortran and node in consumed):
+                found.append(f"{path.name}:{node.lineno} keeps a dense copy of .{name}")
     return found
 
 
-def test_no_products_with_dense_k_or_m():
+def test_k_and_m_are_densified_only_for_lapack():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
-    offenders = [hit for path in sources for hit in dense_products(path)]
+    offenders = [hit for path in sources for hit in dense_copies(path)]
     assert offenders == []
 
 
 @pytest.mark.parametrize(
     "source, hits",
     [
-        ("x = op.M @ v", 1),
-        ("x = v.conj().T @ op.K.T", 1),
-        ("x = op.K[rows] @ (op.M.conj() @ v)", 2),
-        ("x @= op.M", 1),
-        ("x = op.M_csr @ v + op.K_csr @ w", 0),
-        ("L = scipy.linalg.cholesky(op.M, lower=True) @ v", 0),
-        ("d = op.K - moved.K", 0),
+        ("f = scipy.linalg.cho_factor(op.K.toarray(order='F'), overwrite_a=True)", 0),
+        ("L = cholesky(op.M.toarray(order='F'), lower=True, overwrite_a=True)", 0),
+        ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), "
+         "overwrite_a=True, overwrite_b=True)", 0),
+        ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), overwrite_a=True)", 1),
+        ("w, v = eigh(K.toarray(), M.toarray(), overwrite_a=True, overwrite_b=True)", 2),
+        ("f = cho_factor(op.K.toarray(order='F'), overwrite_a=False)", 1),
+        ("L = scipy.linalg.cholesky(op.M.toarray(order='F'), lower=True)", 1),
+        ("D = op.M.toarray()", 1),
+        ("x = np.linalg.solve(op.M.toarray(), v)", 1),
+        ("B = op.K[rows].conj().toarray()", 1),
+        ("R = omega_stiffness(op).toarray()", 0),
+        ("y = op.M @ v", 0),
     ],
 )
-def test_dense_product_check_finds_its_targets(tmp_path, source, hits):
+def test_dense_copy_check_finds_its_targets(tmp_path, source, hits):
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
-    assert len(dense_products(path)) == hits
+    assert len(dense_copies(path)) == hits
 
 
 #: builders of n x n spectral matrices; the program asks them for rows only

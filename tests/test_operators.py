@@ -29,11 +29,11 @@ class TestHandComputedInterval:
 
     def test_stiffness(self):
         # 1/h + 1/h with h = 1/2
-        np.testing.assert_allclose(self.op.K, [[4.0]])
+        np.testing.assert_allclose(self.op.K.toarray(), [[4.0]])
 
     def test_mass(self):
         # int of the hat squared over both cells: 2 h / 3
-        np.testing.assert_allclose(self.op.M, [[1.0 / 3.0]])
+        np.testing.assert_allclose(self.op.M.toarray(), [[1.0 / 3.0]])
 
     def test_eigenvalue(self):
         np.testing.assert_allclose(self.op.eigenvalues, [12.0])
@@ -86,8 +86,8 @@ class TestAssemblyInvariants:
         field = CoefficientField.build(mesh)
         op1 = assemble(mesh, field)
         op2 = assemble(mesh, field, mass_density=np.full(16, 2.0))
-        np.testing.assert_allclose(op2.M, 2.0 * op1.M)
-        np.testing.assert_allclose(op2.K, op1.K)
+        np.testing.assert_allclose(op2.M.toarray(), 2.0 * op1.M.toarray())
+        np.testing.assert_allclose(op2.K.toarray(), op1.K.toarray())
 
     @given(scale=st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
@@ -95,7 +95,7 @@ class TestAssemblyInvariants:
         mesh = build_interval_mesh(0.0, 1.0, 8)
         op1 = assemble(mesh, CoefficientField.build(mesh))
         op2 = assemble(mesh, CoefficientField.build(mesh, A=scale))
-        np.testing.assert_allclose(op2.K, scale * op1.K, rtol=1e-13)
+        np.testing.assert_allclose(op2.K.toarray(), scale * op1.K.toarray(), rtol=1e-13)
 
 
 class TestMagneticAndPotential:
@@ -103,13 +103,13 @@ class TestMagneticAndPotential:
         mesh = build_interval_mesh(-1.0, 1.0, 24)
         op = assemble(mesh, CoefficientField.build(mesh, b=[0.7]))
         assert np.iscomplexobj(op.K)
-        np.testing.assert_allclose(op.K, op.K.conj().T, atol=1e-14)
+        np.testing.assert_allclose(op.K.toarray(), op.K.toarray().conj().T, atol=1e-14)
         assert np.all(np.isreal(op.eigenvalues))
 
     def test_magnetic_2d(self):
         mesh = build_rect_mesh([[-1, 1], [-1, 1]], 6, 6)
         op = assemble(mesh, CoefficientField.build(mesh, b=[0.3, -0.5]))
-        np.testing.assert_allclose(op.K, op.K.conj().T, atol=1e-14)
+        np.testing.assert_allclose(op.K.toarray(), op.K.toarray().conj().T, atol=1e-14)
         assert op.eigenvalues[0] > 0
 
     def test_potential_shifts_spectrum(self):

@@ -1,13 +1,16 @@
-"""Products with K and M go through the CSR twins and match the dense formulas.
+"""K and M are assembled as CSR, and products with them match the dense formulas.
 
-Each function below once formed dense n x n products; the reference here is
-that old formula.  Sparse sums run in another order than dense GEMMs, so
-results agree to roundoff, not bit for bit: matrices to 1e-12 relative to
-their largest entry, singular values to 1e-12 of the largest (Weyl: a
-perturbation E moves every singular value by at most ||E||_2).
+The CSR assembly is checked against the dense node-by-node scatter it
+replaced.  Each spectral function below once formed dense n x n products;
+the reference here is that old formula.  Sparse sums run in another order
+than dense GEMMs, so results agree to roundoff, not bit for bit: matrices
+to 1e-12 relative to their largest entry, singular values to 1e-12 of the
+largest (Weyl: a perturbation E moves every singular value by at most
+||E||_2).
 """
 
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +29,14 @@ from fracred.dirichlet import (
     solve_exterior_value,
     stability_constant,
 )
-from fracred.operators import AssemblyError, CoefficientField, assemble
+from fracred.gauge import Diffeo, pushforward_operator
+from fracred.operators import (
+    AssemblyError,
+    CoefficientField,
+    assemble,
+    local_matrices,
+    omega_stiffness,
+)
 from fracred.runner import run_suites
 
 RTOL = 1e-12
@@ -41,9 +51,37 @@ def magnetic2d(base2d) -> SimpleNamespace:
     )
 
 
+@pytest.fixture(scope="module")
+def moved2d(base2d) -> SimpleNamespace:
+    """base2d transported by a radial shrink: a per-element weighted mass."""
+    op = pushforward_operator(base2d.op, Diffeo.radial_shrink(base2d.mesh, 0.8, 0.8))
+    return SimpleNamespace(mesh=op.mesh, labels=op.labels, op=op)
+
+
 @pytest.fixture(params=["base2d", "magnetic2d"])
 def scn(request):
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(params=["base1d", "base2d", "magnetic2d", "moved2d"])
+def assembled(request):
+    return request.getfixturevalue(request.param).op
+
+
+#: rect 30x30 on the baseline-2d geometry, 841 dofs, two operators
+RECT30 = {
+    "mesh": {"kind": "rect", "box": [[-2.0, 2.0], [-2.0, 2.0]], "nx": 30, "ny": 30},
+    "regions": {
+        "omega": [[-1.0, 1.0], [-1.0, 1.0]],
+        "w": [[1.4, 1.75], [-0.6, 0.6]],
+        "wtilde": [[-1.75, -1.4], [-0.6, 0.6]],
+    },
+    "operators": [{}, {"c": 5.0}],
+    "a": [0.25, 0.5, 0.75],
+    "quad": {"s_max": 4.0, "n": 200},
+    "diffeo": {"rho": 0.8, "factor": 0.8},
+    "seed": 42,
+}
 
 
 def assert_close(new, old):
@@ -56,19 +94,99 @@ def sigma_nodes(scn):
     return e[scn.op.node_to_dof[e] >= 0]
 
 
-class TestCsrTwins:
-    def test_twins_equal_dense_matrices_exactly(self, scn):
-        op = scn.op
-        assert np.array_equal(op.K_csr.toarray(), op.K)
-        assert np.array_equal(op.M_csr.toarray(), op.M)
-        assert op.K_csr.dtype == op.K.dtype
+def scatter(mesh, local):
+    """The dense node-by-node scatter of element matrices that assembly
+    used before CSR; the reference for the CSR sums."""
+    full = np.zeros((mesh.node_count,) * 2, dtype=local.dtype)
+    for i in range(mesh.dim + 1):
+        for j in range(mesh.dim + 1):
+            np.add.at(full, (mesh.elements[:, i], mesh.elements[:, j]), local[:, i, j])
+    return full
+
+
+def assert_sums_match(csr, mesh, local, rows, cols):
+    """CSR entries against the dense scatter of the same element terms.
+
+    Each entry is a recursive sum of its k terms; in any order the computed
+    sum lies within gamma_{k-1} sum|terms| of the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 4.4), so
+    two orders differ by at most 2 gamma_{k-1} sum|terms|.  A complex sum
+    meets it part by part, and |re| + |im| terms add up to at most sum|terms|
+    in modulus (Minkowski).  Returns the largest entry difference.
+    """
+    ix = np.ix_(rows, cols)
+    k = scatter(mesh, np.ones(local.shape))[ix]
+    magnitude = scatter(mesh, np.abs(local))[ix]
+    ku = np.maximum(k - 1, 0) * np.finfo(float).eps / 2
+    diff = np.abs(csr.toarray() - scatter(mesh, local)[ix])
+    assert csr.shape == (len(rows), len(cols))
+    assert np.all(diff <= 2 * ku / (1 - ku) * magnitude)
+    return diff.max()
+
+
+def omega_terms(op):
+    """Stiffness element matrices with every element off OMEGA zeroed."""
+    k_loc, _ = local_matrices(op.mesh, op.coeffs)
+    keep = np.zeros(op.mesh.element_count, dtype=bool)
+    keep[op.labels.omega_elements] = True
+    return np.where(keep[:, None, None], k_loc, 0.0)
+
+
+class TestCsrAssembly:
+    def test_k_and_m_match_the_dense_scatter(self, assembled):
+        op = assembled
+        k_loc, m_loc = local_matrices(op.mesh, op.coeffs, op.mass_density)
+        free = op.free_nodes
+        assert op.K.dtype == k_loc.dtype and op.M.dtype == float
+        # the CSR sums run in the scatter's order, so they agree bit for bit
+        assert assert_sums_match(op.K, op.mesh, k_loc, free, free) == 0.0
+        assert assert_sums_match(op.M, op.mesh, m_loc, free, free) == 0.0
+
+    def test_omega_rows_match_the_dense_scatter(self, assembled):
+        op = assembled
+        rows = op.free_nodes[op.boundary_omega_dofs()]
+        got = omega_stiffness(op)
+        assert assert_sums_match(got, op.mesh, omega_terms(op), rows, op.free_nodes) == 0.0
+
+    def test_hermitian_check_runs(self, base2d, monkeypatch):
+        # skew one off-diagonal term of an element away from the box boundary
+        mesh = base2d.mesh
+        inner = ~np.isin(mesh.elements, mesh.boundary_nodes()).any(axis=1)
+        e = np.flatnonzero(inner)[0]
+        original = operators.local_matrices
+
+        def skewed(*args, **kwargs):
+            k_loc, m_loc = original(*args, **kwargs)
+            k_loc[e, 0, 1] += 1e-6 * np.abs(k_loc).max()
+            return k_loc, m_loc
+
+        monkeypatch.setattr(operators, "local_matrices", skewed)
+        with pytest.raises(AssemblyError, match="stiffness not Hermitian"):
+            assemble(mesh, base2d.fields[0])
+
+    def test_assembly_holds_no_dense_k_or_m(self):
+        # the eigenvectors are the one n x n array left; the peak is the two
+        # dense copies LAPACK overwrites plus its 2 n^2 workspace
+        cfg = parse_config(RECT30)
+        mesh = cfg.build_mesh()
+        field = cfg.build_fields(mesh, cfg.build_labels(mesh))[0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op = assemble(mesh, field)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        unit = 8.0 * op.n_dofs**2
+        assert (held - before) / unit <= 1.2
+        assert (peak - before) / unit <= 4.5
 
     def test_magnetic_operator_is_complex(self, magnetic2d):
         assert not magnetic2d.op.is_real
 
     def test_eigen_residual_is_kept_and_within_contract(self, scn):
         op = scn.op
-        R = op.K @ op.eigenvectors - (op.M @ op.eigenvectors) * op.eigenvalues
+        R = op.K.toarray() @ op.eigenvectors - (op.M.toarray() @ op.eigenvectors) * op.eigenvalues
         dense = float((np.linalg.norm(R, axis=0) / op.eigenvalues).max())
         assert 0.0 < op.eigen_residual <= operators.EIGEN_RESIDUAL_TOL
         assert op.eigen_residual == pytest.approx(dense, rel=1e-3)
@@ -97,19 +215,19 @@ class TestDenseEquivalence:
     def test_power_matrix(self, scn, a):
         op = scn.op
         phi = op.eigenvectors
-        old = (phi * op.eigenvalues**a) @ (phi.conj().T @ op.M)
+        old = (phi * op.eigenvalues**a) @ (phi.conj().T @ op.M.toarray())
         assert_close(power_matrix(op, a), old)
 
     def test_fractional_stiffness(self, scn, a):
         op = scn.op
-        G = op.M @ power_matrix(op, a)
+        G = op.M.toarray() @ power_matrix(op, a)
         assert_close(fractional_stiffness(op, a), 0.5 * (G + G.conj().T))
 
     def test_ucp_quotient(self, scn, a):
         op = scn.op
         sigma = sigma_nodes(scn)
         dofs = op.dofs_of_nodes(sigma)
-        Wd = np.linalg.inv(np.linalg.cholesky(op.M)).T
+        Wd = np.linalg.inv(np.linalg.cholesky(op.M.toarray())).T
         stacked = np.vstack([Wd[dofs], (power_matrix(op, a) @ Wd)[dofs]])
         old = scipy.linalg.svdvals(stacked)
         rep = ucp_quotient(op, a, sigma)
@@ -140,7 +258,7 @@ class TestRows:
     def test_power_matrix_rows(self, scn, a):
         op = scn.op
         phi = op.eigenvectors
-        old = (phi * op.eigenvalues**a) @ (phi.conj().T @ op.M)
+        old = (phi * op.eigenvalues**a) @ (phi.conj().T @ op.M.toarray())
         full = power_matrix(op, a)
         for rows in row_sets(op):
             assert_close(power_matrix(op, a, rows), full[rows])
@@ -148,7 +266,7 @@ class TestRows:
 
     def test_fractional_stiffness_rows(self, scn, a):
         op = scn.op
-        G = op.M @ power_matrix(op, a)
+        G = op.M.toarray() @ power_matrix(op, a)
         old = 0.5 * (G + G.conj().T)
         full = fractional_stiffness(op, a)
         for rows in row_sets(op):
@@ -193,19 +311,7 @@ class TestRowsOnly:
 
     def test_two_operator_rect_ladder_run(self, tmp_path):
         # the probes-2d geometry with a second operator: every suite, 841 dofs
-        cfg = parse_config({
-            "mesh": {"kind": "rect", "box": [[-2.0, 2.0], [-2.0, 2.0]], "nx": 30, "ny": 30},
-            "regions": {
-                "omega": [[-1.0, 1.0], [-1.0, 1.0]],
-                "w": [[1.4, 1.75], [-0.6, 0.6]],
-                "wtilde": [[-1.75, -1.4], [-0.6, 0.6]],
-            },
-            "operators": [{}, {"c": 5.0}],
-            "a": [0.25, 0.5, 0.75],
-            "quad": {"s_max": 4.0, "n": 200},
-            "diffeo": {"rho": 0.8, "factor": 0.8},
-            "seed": 42,
-        })
+        cfg = parse_config(RECT30)
         result = run_suites(cfg, out_dir=tmp_path)
         assert result.failures == []
         assert result.ok and result.skipped == []
