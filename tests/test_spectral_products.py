@@ -132,7 +132,10 @@ def omega_terms(op):
     return np.where(keep[:, None, None], k_loc, 0.0)
 
 
-class TestCsrAssembly:
+class TestCsrTwins:
+    """The CSR K and M against their dense twins: the element scatter, the
+    dense eigen residual and the copies LAPACK factors."""
+
     def test_k_and_m_match_the_dense_scatter(self, assembled):
         op = assembled
         k_loc, m_loc = local_matrices(op.mesh, op.coeffs, op.mass_density)
