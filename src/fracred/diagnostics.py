@@ -5,7 +5,10 @@ finite-dimensional quantities:
 
 * ucp_quotient: singular values of v -> (v|_Sigma, (L^a v)|_Sigma) over
   the unit M-sphere; a positive smallest value is the discrete shadow of
-  unique continuation (vanishing data forces the zero vector).
+  unique continuation (vanishing data forces the zero vector).  Since
+  Phi^H M Phi = I, v = Phi c maps the unit sphere onto the M-sphere, and
+  v|_Sigma = Phi_Sigma c, (L^a v)|_Sigma = Phi_Sigma Lambda^a c: the map is
+  read from the |Sigma| eigenbasis rows alone.
 * runge_rank: singular values of the exterior-control map f on W ->
   (L^a u_f)|_E; full row rank mirrors the Runge density claim.
 * heat_bound_check: ratio of the discrete heat kernel to the free
@@ -31,7 +34,6 @@ from .calculus import (
     gamma_neg,
     heat_kernel_entry,
     min_element_diameter,
-    power_matrix,
     power_via_heat_quadrature,
 )
 from .dirichlet import ExteriorData, solve_exterior_value
@@ -91,33 +93,31 @@ def ucp_quotient(
     """Singular values of v -> (v|_Sigma, (L^a v)|_Sigma), v on the M-sphere.
 
     A strictly positive smallest singular value certifies that no nonzero
-    vector has vanishing value and flux data on Sigma.  Sigma should live
-    outside OMEGA; overlap is tolerated (the quotient is still well defined,
-    e.g. for the full-restriction sanity check) but logged.
+    vector has vanishing value and flux data on Sigma.  The eigenvectors
+    are M-orthonormal (Phi^H M Phi = I), so v = Phi c maps the unit sphere
+    onto the M-sphere; there v|_Sigma = Phi_Sigma c and (L^a v)|_Sigma =
+    Phi_Sigma Lambda^a c, so the map is c -> [Phi_Sigma; Phi_Sigma Lambda^a] c.
+    Sigma nodes must be distinct, or a repeated row fakes a tiny smallest
+    value.  Sigma should live outside OMEGA; overlap is tolerated (the
+    quotient is still well defined, e.g. for the full-restriction sanity
+    check) but logged.
     """
+    if not -1.0 <= a <= 1.0:
+        raise ValueError(f"exponent {a} outside [-1, 1]")
     sigma = np.atleast_1d(np.asarray(sigma_nodes, dtype=int))
     if sigma.size == 0:
         raise ValueError("empty Sigma")
+    if np.unique(sigma).size != sigma.size:
+        raise ValueError("Sigma nodes must be distinct")
     labels = op.labels
     if labels is not None and np.any(labels.node_tags[sigma] == OMEGA):
         logger.warning("ucp_quotient: Sigma meets OMEGA (%d nodes)",
                        int(np.sum(labels.node_tags[sigma] == OMEGA)))
-    dofs = op.dofs_of_nodes(sigma)
-    rows = np.zeros((dofs.size, op.n_dofs))
-    rows[np.arange(dofs.size), dofs] = 1.0
-    # v = L^{-T} x (M = L L^T) maps the unit sphere onto the M-sphere; the map
-    # x -> rows L^{-T} x has the singular values of its transpose L^{-1} rows^T
-    L = op.cached(
-        "mass_sphere_whitener",
-        lambda: scipy.linalg.cholesky(op.M.toarray(order="F"), lower=True, overwrite_a=True),
-    )
-    stacked_t = scipy.linalg.solve_triangular(
-        L, np.vstack([rows, power_matrix(op, a, dofs)]).T, lower=True
-    )
-    svals = scipy.linalg.svdvals(stacked_t)
+    phi = op.eigenvectors[op.dofs_of_nodes(sigma)]
+    stacked = np.vstack([phi, phi * op.eigenvalues**a])
     return SingularValueReport(
-        singular_values=svals,
-        shape=stacked_t.T.shape,
+        singular_values=scipy.linalg.svdvals(stacked),
+        shape=stacked.shape,
         tag=f"ucp a={a} |Sigma|={sigma.size}",
     )
 

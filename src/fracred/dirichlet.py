@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .calculus import apply_power, fractional_stiffness
+from .calculus import fractional_stiffness, power_matrix
 from .mesh import RegionLabels
 from .operators import DiscreteOperator, worst_relative
 
@@ -197,18 +197,18 @@ def stability_constant(op: DiscreteOperator, a: float) -> float:
 def cauchy_pair(
     op: DiscreteOperator, a: float, sol: NonlocalSolution, labels: RegionLabels
 ) -> CauchyPair:
-    """Extract (u|_W, (L^a u)|_Wtilde), flux in the strong nodal sense."""
+    """Extract (u|_W, (L^a u)|_Wtilde), flux in the strong nodal sense; the
+    flux is formed from the |Wtilde| rows of L^a alone."""
     op.resolve_labels(labels)
     if sol.a != a:
         raise ValueError(f"solution was computed at a={sol.a}, not {a}")
     w_dofs = op.region_dofs("W")
     wt_dofs = op.region_dofs("WTILDE")
-    flux = apply_power(op, a, sol.u)
     pair = CauchyPair(
         w_nodes=op.free_nodes[w_dofs],
         trace_W=sol.u[w_dofs],
         wtilde_nodes=op.free_nodes[wt_dofs],
-        flux_Wtilde=flux[wt_dofs],
+        flux_Wtilde=power_matrix(op, a, wt_dofs) @ sol.u,
         a=a,
     )
     if not (np.all(np.isfinite(pair.trace_W)) and np.all(np.isfinite(pair.flux_Wtilde))):

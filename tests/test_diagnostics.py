@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestUcpQuotient:
             assert reports[2].dominates(reports[1])
 
     def test_full_restriction_floor(self, base1d):
-        # with Sigma = all free nodes the value rows alone are the whitener,
+        # with Sigma = all free nodes the value rows are all of Phi,
         # so smin is at least min(1, lambda_min^a); measured ~5.7 here
         rep = ucp_quotient(base1d.op, 0.5, base1d.op.free_nodes)
         assert rep.smallest >= min(1.0, base1d.op.lambda_min**0.5)
@@ -95,6 +96,27 @@ class TestUcpQuotient:
         boundary_node = int(np.flatnonzero(base1d.op.node_to_dof < 0)[0])
         with pytest.raises(ValueError):
             ucp_quotient(base1d.op, 0.5, [boundary_node])
+
+    def test_repeated_sigma_node_rejected(self, base1d):
+        # a repeated row is a rank drop, not a unique-continuation failure:
+        # [w0, w0, w1] gave smin ~1e-16, which still passed smin > 0
+        w0, w1 = self.sigma_chain(base1d)[-1][:2]
+        with pytest.raises(ValueError, match="Sigma nodes must be distinct"):
+            ucp_quotient(base1d.op, 0.5, [w0, w0, w1])
+
+    def test_holds_no_n_by_n_array(self, base2d):
+        # the quotient reads |Sigma| eigenbasis rows and caches nothing
+        op = assemble(base2d.mesh, base2d.op.coeffs)
+        sigma = self.sigma_chain(base2d)[-1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for a in (0.25, 0.5, 0.75):
+                ucp_quotient(op, a, sigma)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.05 * 8.0 * op.n_dofs**2
 
 
 class TestRungeRank:

@@ -1,6 +1,7 @@
 """Module layering: no fracred module reaches into another's private names,
-K and M are copied to dense only where a LAPACK factorization overwrites
-the copy, and L^a and G are formed only at the rows a caller reads."""
+K is copied to dense only where a LAPACK factorization overwrites the copy
+and M only as the mass of the generalized ``eigh``, and L^a and G are
+formed only at the rows a caller reads."""
 
 import ast
 from pathlib import Path
@@ -32,8 +33,13 @@ def test_no_cross_module_private_imports():
     assert offenders == []
 
 
-#: LAPACK factorizations of K or M, with the arguments each may overwrite
-FACTORIZATIONS = {"eigh": ("a", "b"), "cho_factor": ("a",), "cholesky": ("a",)}
+#: LAPACK factorizations of K or M: each argument slot a factorization may
+#: overwrite, with the one matrix a dense copy in that slot may come from
+FACTORIZATIONS = {
+    "eigh": (("a", "K"), ("b", "M")),
+    "cho_factor": (("a", "K"),),
+    "cholesky": (("a", "K"),),
+}
 
 
 def operator_matrix(node):
@@ -48,11 +54,12 @@ def operator_matrix(node):
 
 def dense_copies(path: Path) -> list:
     """``.toarray()`` of K or M in one source file other than a Fortran-ordered
-    copy (``order="F"``) passed as an argument that a LAPACK factorization
-    overwrites (``overwrite_a``/``overwrite_b=True``); LAPACK copies any
-    other array before it factors it."""
+    copy (``order="F"``) passed in a slot that a LAPACK factorization
+    overwrites (``overwrite_a``/``overwrite_b=True``) and that takes that
+    matrix (M only as ``eigh``'s ``b``); LAPACK copies any other array
+    before it factors it."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    consumed = set()
+    consumed = {}  # argument node -> the matrix its slot may take
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -61,9 +68,9 @@ def dense_copies(path: Path) -> list:
             kw.arg for kw in node.keywords
             if isinstance(kw.value, ast.Constant) and kw.value.value is True
         }
-        for arg, slot in zip(node.args, FACTORIZATIONS.get(name, ())):
+        for arg, (slot, matrix) in zip(node.args, FACTORIZATIONS.get(name, ())):
             if f"overwrite_{slot}" in overwritten:
-                consumed.add(arg)
+                consumed[arg] = matrix
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "toarray":
@@ -72,7 +79,7 @@ def dense_copies(path: Path) -> list:
                 kw.arg == "order" and isinstance(kw.value, ast.Constant) and kw.value.value == "F"
                 for kw in node.keywords
             )
-            if name and not (fortran and node in consumed):
+            if name and not (fortran and consumed.get(node) == name):
                 found.append(f"{path.name}:{node.lineno} keeps a dense copy of .{name}")
     return found
 
@@ -88,7 +95,10 @@ def test_k_and_m_are_densified_only_for_lapack():
     "source, hits",
     [
         ("f = scipy.linalg.cho_factor(op.K.toarray(order='F'), overwrite_a=True)", 0),
-        ("L = cholesky(op.M.toarray(order='F'), lower=True, overwrite_a=True)", 0),
+        ("L = cholesky(op.M.toarray(order='F'), lower=True, overwrite_a=True)", 1),
+        ("f = cho_factor(op.M.toarray(order='F'), overwrite_a=True)", 1),
+        ("w, v = eigh(M.toarray(order='F'), K.toarray(order='F'), "
+         "overwrite_a=True, overwrite_b=True)", 2),
         ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), "
          "overwrite_a=True, overwrite_b=True)", 0),
         ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), overwrite_a=True)", 1),

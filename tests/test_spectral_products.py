@@ -20,11 +20,12 @@ import scipy.linalg
 from conftest import bundled_config
 
 from fracred import operators
-from fracred.calculus import fractional_stiffness, power_matrix
+from fracred.calculus import apply_power, fractional_stiffness, power_matrix
 from fracred.config import load_config, parse_config
 from fracred.diagnostics import runge_rank, ucp_quotient
 from fracred.dirichlet import (
     ExteriorData,
+    cauchy_pair,
     dirichlet_energy,
     solve_exterior_value,
     stability_constant,
@@ -275,6 +276,17 @@ class TestRows:
         for rows in row_sets(op):
             assert_close(fractional_stiffness(op, a, rows), full[rows])
             assert_close(fractional_stiffness(op, a, rows), old[rows])
+
+    def test_cauchy_flux_rows(self, assembled, a):
+        op = assembled
+        sol = solve_exterior_value(op, a, ExteriorData.w_hats(op))
+        got = cauchy_pair(op, a, sol, op.labels).flux_Wtilde
+        # the W-tilde flux is a near-cancelling sum (about 1e-4 here), so the
+        # roundoff scale is the flux where it is largest, at the W hats
+        full = apply_power(op, a, sol.u)
+        want = full[op.region_dofs("WTILDE")]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= RTOL * np.abs(full).max()
 
     def test_dirichlet_energy_is_the_form_of_g(self, scn, a):
         op = scn.op
