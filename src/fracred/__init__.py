@@ -19,7 +19,6 @@ from .operators import (
     ellipticity_check,
 )
 from .calculus import (
-    CALIBRATION_TOL,
     QuadratureError,
     SpectralFunction,
     TimeQuadrature,

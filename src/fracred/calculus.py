@@ -27,10 +27,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .operators import AssemblyError, DiscreteOperator, worst_relative
-
-#: default relative tolerance demanded of the scalar calibration
-CALIBRATION_TOL = 1e-8
+from .operators import AssemblyError, DiscreteOperator, check, worst_relative
 
 
 class QuadratureError(ValueError):
@@ -107,21 +104,11 @@ class TimeQuadrature:
         exact = lam**a
         return float(np.abs((self.scalar_power(lam, a) - exact) / exact).max())
 
-    def ensure_calibrated(
-        self, lambda_min: float, lambda_max: float, a: float, tol: float = CALIBRATION_TOL
-    ) -> float:
-        """Check calibration over a geometric sample of [lambda_min, lambda_max].
-
-        Raises QuadratureError when the worst relative error exceeds tol.
-        """
+    def ensure_calibrated(self, lambda_min: float, lambda_max: float, a: float) -> float:
+        """Worst relative error over a geometric sample of [lambda_min, lambda_max];
+        QuadratureError when it breaks the "calibration error" contract."""
         lam = np.geomspace(lambda_min, lambda_max, 9)
-        err = self.calibration_error(lam, a)
-        if err > tol:
-            raise QuadratureError(
-                f"quadrature (s_max={self.s_max}, n={self.n}) uncalibrated for "
-                f"[{lambda_min:.3e}, {lambda_max:.3e}] at a={a}: error {err:.3e}"
-            )
-        return err
+        return check("calibration error", self.calibration_error(lam, a), QuadratureError, a)
 
 
 def calibration_rows(quad: TimeQuadrature, lambdas, a: float):
@@ -184,7 +171,6 @@ def power_via_heat_quadrature(
     a: float,
     v: np.ndarray,
     quad: TimeQuadrature,
-    tol: float = CALIBRATION_TOL,
 ) -> np.ndarray:
     """L^a v through the heat-semigroup integral on the given node set.
 
@@ -195,7 +181,7 @@ def power_via_heat_quadrature(
     """
     if not 0 < a < 1:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
-    quad.ensure_calibrated(op.lambda_min, op.lambda_max, a, tol)
+    quad.ensure_calibrated(op.lambda_min, op.lambda_max, a)
     return SpectralFunction(lambda lam: quad.scalar_power(lam, a)).apply(op, v)
 
 
@@ -210,8 +196,7 @@ def apply_inverse(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     rhs = op.M @ v
     x = scipy.linalg.cho_solve(factor, rhs)
     worst = worst_relative(np.linalg.norm(op.K @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
-    if not worst <= 1e-10:
-        raise AssemblyError(f"inverse solve relative residual {worst:.3e} too large")
+    check("inverse solve residual", worst, AssemblyError)
     return x
 
 

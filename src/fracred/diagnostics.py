@@ -38,12 +38,9 @@ from .calculus import (
 )
 from .dirichlet import ExteriorData, solve_exterior_value
 from .mesh import OMEGA, RegionLabels
-from .operators import DiscreteOperator, check_shared_exterior
+from .operators import CONTRACTS, DiscreteOperator, check, check_shared_exterior
 
 logger = logging.getLogger(__name__)
-
-#: relative singular-value threshold for rank decisions
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,14 @@ class SingularValueReport:
         return float(self.singular_values[0])
 
     @property
+    def row_condition(self) -> float:
+        """sigma_1 / sigma_rows; infinite when fewer values than rows or a zero."""
+        rows, sv = self.shape[0], self.singular_values
+        return float(sv[0] / sv[rows - 1]) if sv.size >= rows and sv[rows - 1] > 0 else math.inf
+
+    @property
     def full_row_rank(self) -> bool:
-        rows = self.shape[0]
-        sv = self.singular_values
-        return sv.size >= rows and sv[rows - 1] > RANK_TOL * sv[0]
+        return self.row_condition <= CONTRACTS["Runge row condition"]
 
     def dominates(self, other: "SingularValueReport") -> bool:
         """Every shared-index singular value at least matches ``other``'s.
@@ -242,8 +243,8 @@ def heatflow_rigidity_probe(
     U_i is the heat flow of the exterior datum under op_i, so the sum is
     |Gamma(-a)| times the gap of the heat-quadrature routes to L_i^a f.  It
     must equal |Gamma(-a)| times the spectral flux gap |(L1^a - L2^a) f|
-    at the same nodes, verified here to 1e-8 relative; identical operators
-    give zero.
+    at the same nodes, verified here to the "rigidity disagreement" contract
+    (relative); identical operators give zero.
     """
     check_shared_exterior(op1, op2)
     sigma = np.atleast_1d(np.asarray(sigma_nodes, dtype=int))
@@ -263,10 +264,5 @@ def heatflow_rigidity_probe(
         flux.append(apply_power(op, a, f.values)[dofs])
     value = abs(gamma_neg(a)) * float(np.abs(heat[0] - heat[1]).max())
     spectral = abs(gamma_neg(a)) * float(np.abs(flux[0] - flux[1]).max())
-    scale = max(value, spectral, 1e-30)
-    if abs(value - spectral) > 1e-8 * scale:
-        raise ArithmeticError(
-            f"rigidity probe {value:.6e} disagrees with spectral gap "
-            f"{spectral:.6e}"
-        )
+    check("rigidity disagreement", abs(value - spectral) / max(value, spectral, 1e-30), ArithmeticError, a)
     return value

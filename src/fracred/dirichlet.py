@@ -19,12 +19,9 @@ import scipy.linalg
 
 from .calculus import fractional_stiffness, power_matrix
 from .mesh import RegionLabels
-from .operators import DiscreteOperator, worst_relative
+from .operators import DiscreteOperator, check, worst_relative
 
 logger = logging.getLogger(__name__)
-
-#: relative residual accepted from the interior Schur solve
-SOLVE_TOL = 1e-10
 
 
 class ExteriorDataError(ValueError):
@@ -131,7 +128,7 @@ def _interior_solve(op: DiscreteOperator, a: float, cols, F=None):
 
     G_I = G[I, :], the Hermitized G_II = G_I[:, I] and its Cholesky factor are
     cached together per exponent; a failing factorization flags a non-PD
-    interior block, and a relative residual above SOLVE_TOL raises.
+    interior block, and a residual breaking its contract raises.
     """
 
     def build():
@@ -149,9 +146,7 @@ def _interior_solve(op: DiscreteOperator, a: float, cols, F=None):
     B = -G_I[:, cols] if F is None else -(G_I[:, cols] @ F)
     X = scipy.linalg.cho_solve(factor, B)
     worst = worst_relative(np.linalg.norm(G_II @ X - B, axis=0), np.linalg.norm(B, axis=0))
-    if not worst <= SOLVE_TOL:
-        raise ArithmeticError(f"interior solve residual {worst:.3e} too large")
-    return X, worst
+    return X, check("interior solve residual", worst, ArithmeticError, a)
 
 
 def solve_exterior_value(

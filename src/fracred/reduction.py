@@ -27,12 +27,7 @@ import scipy.linalg
 from .calculus import QuadratureError, TimeQuadrature, apply_inverse, apply_power
 from .dirichlet import ExteriorData, NonlocalSolution, cauchy_gap, cauchy_pair, solve_exterior_value
 from .mesh import RegionLabels
-from .operators import DiscreteOperator, check_shared_exterior, omega_stiffness, worst_relative
-
-#: invariant tolerances for the lifted pair
-LIFT_TOL_PHI = 1e-10
-LIFT_TOL_PSI = 1e-9
-LIFT_TOL_INTERIOR = 1e-9
+from .operators import DiscreteOperator, check, check_shared_exterior, omega_stiffness, worst_relative
 
 
 @dataclass(frozen=True)
@@ -61,14 +56,14 @@ def lift(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> LiftedPair:
 
     Mu = op.M @ u
     r_phi = worst_relative(np.linalg.norm(op.K @ phi - Mu, axis=0), np.linalg.norm(Mu, axis=0))
+    check("lift phi residual", r_phi, ArithmeticError, a)
     direct = apply_power(op, a - 1.0, u)
     r_psi = worst_relative(np.linalg.norm(psi - direct, axis=0), np.linalg.norm(psi, axis=0))
+    check("lift psi residual", r_psi, ArithmeticError, a)
     interior = op.omega_interior_dofs()
     r_int = worst_relative(np.abs((op.K @ psi)[interior]).max(axis=0), op.mass_norm(u))
-
+    check("lift interior residual", r_int, ArithmeticError, a)
     residuals = {"phi": r_phi, "psi": r_psi, "interior": r_int}
-    if not (r_phi <= LIFT_TOL_PHI and r_psi <= LIFT_TOL_PSI and r_int <= LIFT_TOL_INTERIOR):
-        raise ArithmeticError(f"lift residuals out of contract: {residuals}")
     return LiftedPair(phi=phi, psi=psi, source=sol, residuals=residuals)
 
 
@@ -101,24 +96,20 @@ def _boundary_mass(op: DiscreteOperator):
     counting measure (identity); in 2D it is the P1 edge mass ell/6 *
     [[2, 1], [1, 2]] summed over interface edges.
     """
-
-    def build():
-        bd_dofs = op.boundary_omega_dofs()
-        if op.mesh.dim == 1:
-            return bd_dofs, np.eye(bd_dofs.size)
-        pos = {int(d): k for k, d in enumerate(bd_dofs)}
-        B = np.zeros((bd_dofs.size, bd_dofs.size))
-        for n0, n1 in _boundary_edges(op.mesh, op.labels):
-            ell = float(np.linalg.norm(op.mesh.nodes[n1] - op.mesh.nodes[n0]))
-            i = pos[int(op.node_to_dof[n0])]
-            j = pos[int(op.node_to_dof[n1])]
-            B[i, i] += ell / 3.0
-            B[j, j] += ell / 3.0
-            B[i, j] += ell / 6.0
-            B[j, i] += ell / 6.0
-        return bd_dofs, B
-
-    return op.cached("omega_boundary_mass", build)
+    bd_dofs = op.boundary_omega_dofs()
+    if op.mesh.dim == 1:
+        return bd_dofs, np.eye(bd_dofs.size)
+    pos = {int(d): k for k, d in enumerate(bd_dofs)}
+    B = np.zeros((bd_dofs.size, bd_dofs.size))
+    for n0, n1 in _boundary_edges(op.mesh, op.labels):
+        ell = float(np.linalg.norm(op.mesh.nodes[n1] - op.mesh.nodes[n0]))
+        i = pos[int(op.node_to_dof[n0])]
+        j = pos[int(op.node_to_dof[n1])]
+        B[i, i] += ell / 3.0
+        B[j, j] += ell / 3.0
+        B[i, j] += ell / 6.0
+        B[j, i] += ell / 6.0
+    return bd_dofs, B
 
 
 def boundary_cauchy(
@@ -128,20 +119,23 @@ def boundary_cauchy(
 
     The co-normal values g solve B g = r where r collects the Omega-side
     stiffness rows at interface dofs, r_j = (K_Omega Psi)_j, the standard
-    variational flux lifting; B is the interface mass.
+    variational flux lifting; B is the interface mass, whose Cholesky factor
+    is cached with the interface dofs.
     """
     op.resolve_labels(labels)
-    bd_dofs, B = _boundary_mass(op)
-    r = omega_stiffness(op) @ pair.psi
-    try:
-        g = scipy.linalg.cho_factor(B)
-    except scipy.linalg.LinAlgError as exc:
-        raise ArithmeticError("degenerate interface mass matrix") from exc
-    conormal = scipy.linalg.cho_solve(g, r)
+
+    def build():
+        bd_dofs, B = _boundary_mass(op)
+        try:
+            return bd_dofs, scipy.linalg.cho_factor(B)
+        except scipy.linalg.LinAlgError as exc:
+            raise ArithmeticError("degenerate interface mass matrix") from exc
+
+    bd_dofs, factor = op.cached("omega_boundary_mass_cholesky", build)
     return BoundaryCauchyData(
         nodes=op.free_nodes[bd_dofs],
         trace=pair.psi[bd_dofs],
-        conormal=conormal,
+        conormal=scipy.linalg.cho_solve(factor, omega_stiffness(op) @ pair.psi),
     )
 
 

@@ -25,7 +25,7 @@ from .diagnostics import heat_bound_check, heatflow_rigidity_probe, is_plain_lap
 from .dirichlet import ExteriorData, solve_exterior_value, stability_constant
 from .gauge import gauge_invariance_check, pushforward_operator
 from .mesh import dump_json
-from .operators import AssemblyError, PositivityError, assemble
+from .operators import AssemblyError, PositivityError, assemble, check
 from .reduction import theorem1_probe
 
 
@@ -144,16 +144,14 @@ def _suite_direct(ctx: RunContext) -> None:
         block = np.column_stack([np.zeros(w_nodes.size), f, g, alpha * f + beta * g])
         data = ExteriorData.from_node_values(op, labels, w_nodes, block)
         U = solve_exterior_value(op, a, data).u
-        if np.any(U[:, 0] != 0):
-            raise ContractError(f"zero datum gave a nonzero solution at a={a}")
+        check("zero datum response", float(np.abs(U[:, 0]).max()), ContractError, a)
 
         u_f, u_combo = U[:, 1], U[:, 3]
         u_sep = alpha * u_f + beta * U[:, 2]
         lin = float(
             np.linalg.norm(u_combo - u_sep) / max(np.linalg.norm(u_combo), 1e-300)
         )
-        if lin > 1e-12:
-            raise ContractError(f"solve not linear at a={a}: residual {lin:.3e}")
+        check("linearity residual", lin, ContractError, a)
 
         c_stab = stability_constant(op, a)
         interior = op.omega_interior_dofs(labels)
@@ -173,10 +171,8 @@ def _suite_reduce(ctx: RunContext) -> None:
     doc = {"per_a": {}}
     for a in ctx.cfg.exponents:
         self_probe = theorem1_probe(op, op, a, probes, labels)
-        if self_probe["exterior_gap"] > 1e-10 or self_probe["boundary_gap"] > 1e-10:
-            raise ContractError(
-                f"identical operators disagree at a={a}: {self_probe['exterior_gap']:.3e}"
-            )
+        check("self exterior gap", self_probe["exterior_gap"], ContractError, a)
+        check("self boundary gap", self_probe["boundary_gap"], ContractError, a)
         entry = {
             "lift_residuals": self_probe["lift_residuals"],
             "self_exterior_gap": self_probe["exterior_gap"],
@@ -200,16 +196,13 @@ def _suite_gauge(ctx: RunContext) -> None:
     op = ctx.operator(0)
     moved = pushforward_operator(op, ctx.diffeo)
     km_dev = max(float(abs(op.K - moved.K).max()), float(abs(op.M - moved.M).max()))
-    if km_dev > 1e-12:
-        raise ContractError(f"transported matrices differ by {km_dev:.3e}")
+    check("transport deviation", km_dev, ContractError)
     coeff_diff = float(np.abs(op.coeffs.A - moved.coeffs.A).max())
     probes = [ExteriorData.w_hats(op)]
     per_a = {}
     for a in ctx.cfg.exponents:
         dev = gauge_invariance_check(op, moved, a, ctx.labels, probes)
-        if dev > 1e-10:
-            raise ContractError(f"exterior data moved by {dev:.3e} at a={a}")
-        per_a[str(a)] = dev
+        per_a[str(a)] = check("gauge deviation", dev, ContractError, a)
     ctx.outputs["gauge_check.json"] = dump_json(
         {
             "rho": ctx.cfg.diffeo_spec["rho"],
@@ -251,8 +244,8 @@ def _suite_diagnostics(ctx: RunContext) -> None:
             "smax": rr.largest,
             "full_row_rank": rr.full_row_rank,
         }
-        if labels.e_nodes.size <= labels.w_nodes.size and not rr.full_row_rank:
-            raise ContractError(f"flux response map rank-deficient at a={a}")
+        if labels.e_nodes.size <= labels.w_nodes.size:
+            check("Runge row condition", rr.row_condition, ContractError, a)
         for idx, sv in enumerate(rr.singular_values):
             sval_rows.append((rr.tag, idx, sv))
 
@@ -311,6 +304,15 @@ _SUITE_FNS = {
 }
 
 
+def _failure(suite: str, exc: Exception) -> dict:
+    """Manifest entry of a failed suite; a broken contract adds its record,
+    with a non-finite value written as text (JSON has no NaN)."""
+    record = dict(getattr(exc, "contract", {}))
+    if "value" in record and not np.isfinite(record["value"]):
+        record["value"] = str(record["value"])
+    return {"suite": suite, "kind": type(exc).__name__, "message": str(exc), **record}
+
+
 def list_suites() -> str:
     """One line per suite, in execution order."""
     return "\n".join(f"{name}: {SUITE_DESCRIPTIONS[name]}" for name in SUITE_NAMES)
@@ -345,14 +347,10 @@ def run_suites(
         try:
             _SUITE_FNS[name](ctx)
         except (PositivityError, AssemblyError) as exc:
-            failures.append(
-                {"suite": name, "kind": type(exc).__name__, "message": str(exc)}
-            )
+            failures.append(_failure(name, exc))
             abort = True
         except (ContractError, ArithmeticError, ValueError, RuntimeError) as exc:
-            failures.append(
-                {"suite": name, "kind": type(exc).__name__, "message": str(exc)}
-            )
+            failures.append(_failure(name, exc))
 
     target = Path(out_dir if out_dir is not None else cfg.out_dir)
     target.mkdir(parents=True, exist_ok=True)

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracred.calculus import (
-    CALIBRATION_TOL,
     QuadratureError,
     SpectralFunction,
     TimeQuadrature,
@@ -32,7 +31,7 @@ from fracred.calculus import (
     power_via_heat_quadrature,
 )
 from fracred.mesh import build_interval_mesh
-from fracred.operators import CoefficientField, assemble
+from fracred.operators import CONTRACTS, CoefficientField, assemble
 
 
 def small_op(n=24, lo=0.0, hi=1.0, **kw):
@@ -72,7 +71,7 @@ class TestScalarQuadrature:
     def test_calibration_over_wide_range(self, quad):
         lam = np.geomspace(1e-2, 1e5, 30)
         for a in (0.25, 0.5, 0.75):
-            assert quad.calibration_error(lam, a) < CALIBRATION_TOL
+            assert quad.calibration_error(lam, a) < CONTRACTS["calibration error"]
 
     def test_calibration_rows_match_scalar_calls(self, quad):
         # the table is evaluated in one array call; every row must equal the
@@ -88,6 +87,14 @@ class TestScalarQuadrature:
         bad = TimeQuadrature(s_max=4.0, n=12)
         with pytest.raises(QuadratureError):
             bad.ensure_calibrated(0.5, 5e3, 0.5)
+
+    def test_ensure_calibrated_rejects_nan_error(self):
+        # s_max = 10 overflows t = exp(pi sinh s), so the error is NaN
+        overflowing = TimeQuadrature(s_max=10.0, n=400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(overflowing.calibration_error([1.0, 100.0], 0.5))
+            with pytest.raises(QuadratureError):
+                overflowing.ensure_calibrated(1.0, 100.0, 0.5)
 
     def test_parameter_validation(self):
         with pytest.raises(QuadratureError):

@@ -1,14 +1,17 @@
 """Module layering: no fracred module reaches into another's private names,
 K is copied to dense only where a LAPACK factorization overwrites the copy
-and M only as the mass of the generalized ``eigh``, and L^a and G are
-formed only at the rows a caller reads."""
+and M only as the mass of the generalized ``eigh``, L^a and G are formed
+only at the rows a caller reads, and every tolerance bound lives in the
+contract table."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import fracred
+from fracred.operators import CONTRACTS
 
 PACKAGE = Path(fracred.__file__).parent
 
@@ -227,3 +230,59 @@ def test_unreached_name_check_finds_its_targets(tmp_path, module, demo, unreache
     lib.write_text(module)
     script.write_text(demo)
     assert unreached_names([lib], [lib, script]) == unreached
+
+
+#: a module-level name that reads as a tolerance constant
+TOLERANCE_NAME = re.compile(r"[A-Z0-9_]*_TOL(_[A-Z0-9_]*)?")
+
+
+def contract_uses(path: Path) -> tuple:
+    """(checked, constants) of one source file: the contract name of each
+    ``check(...)`` call (None unless it is a string literal) and the
+    ``*_TOL`` constants assigned at module level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    checked = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check":
+            name = node.args[0] if node.args else None
+            literal = isinstance(name, ast.Constant) and isinstance(name.value, str)
+            checked.append(name.value if literal else None)
+    constants = [
+        target.id
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and TOLERANCE_NAME.fullmatch(target.id)
+    ]
+    return checked, constants
+
+
+def test_every_bound_lives_in_the_contract_table():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    checked, constants = [], []
+    for path in sources:
+        names, tolerances = contract_uses(path)
+        checked += names
+        constants += tolerances
+    assert sorted(set(checked), key=str) == sorted(CONTRACTS)
+    assert constants == []
+
+
+@pytest.mark.parametrize(
+    "source, checked, constants",
+    [
+        ('r = check("eigenpair residual", r, AssemblyError)', ["eigenpair residual"], []),
+        ('operators.check("gauge deviation", d, ContractError, a)', ["gauge deviation"], []),
+        ("check(name, r, AssemblyError)", [None], []),
+        ('check(f"lift {key} residual", r, ArithmeticError, a)', [None], []),
+        ("check_shared_exterior(op1, op2)", [], []),
+        ("SOLVE_TOL = 1e-10", [], ["SOLVE_TOL"]),
+        ("LIFT_TOL_PHI: float = 1e-10", [], ["LIFT_TOL_PHI"]),
+        ("RTOL = 1e-6", [], []),
+        ("def f():\n    LOCAL_TOL = 1e-3", [], []),
+    ],
+)
+def test_contract_use_check_finds_its_targets(tmp_path, source, checked, constants):
+    path = tmp_path / "probe.py"
+    path.write_text(source + "\n")
+    assert contract_uses(path) == (checked, constants)

@@ -165,7 +165,7 @@ class TestCsrTwins:
             return k_loc, m_loc
 
         monkeypatch.setattr(operators, "local_matrices", skewed)
-        with pytest.raises(AssemblyError, match="stiffness not Hermitian"):
+        with pytest.raises(AssemblyError, match="stiffness Hermitian deviation"):
             assemble(mesh, base2d.fields[0])
 
     def test_assembly_holds_no_dense_k_or_m(self):
@@ -192,12 +192,12 @@ class TestCsrTwins:
         op = scn.op
         R = op.K.toarray() @ op.eigenvectors - (op.M.toarray() @ op.eigenvectors) * op.eigenvalues
         dense = float((np.linalg.norm(R, axis=0) / op.eigenvalues).max())
-        assert 0.0 < op.eigen_residual <= operators.EIGEN_RESIDUAL_TOL
+        assert 0.0 < op.eigen_residual <= operators.CONTRACTS["eigenpair residual"]
         assert op.eigen_residual == pytest.approx(dense, rel=1e-3)
 
     def test_residual_check_runs(self, base2d, monkeypatch):
         # a zero tolerance leaves no room for roundoff: the check must raise
-        monkeypatch.setattr(operators, "EIGEN_RESIDUAL_TOL", 0.0)
+        monkeypatch.setitem(operators.CONTRACTS, "eigenpair residual", 0.0)
         with pytest.raises(AssemblyError, match="eigenpair residual"):
             assemble(base2d.mesh, base2d.fields[0])
 
@@ -208,7 +208,7 @@ class TestCsrTwins:
         report = json.loads((tmp_path / "assemble.json").read_text())["operators"]
         assert len(report) == 2
         for entry in report:
-            assert 0.0 < entry["eigen_residual"] <= operators.EIGEN_RESIDUAL_TOL
+            assert 0.0 < entry["eigen_residual"] <= operators.CONTRACTS["eigenpair residual"]
             assert entry["spectral_condition"] == pytest.approx(
                 entry["lambda_max"] / entry["lambda_min"], rel=1e-15
             )
