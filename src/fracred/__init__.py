@@ -20,10 +20,10 @@ from .operators import (
 )
 from .calculus import (
     QuadratureError,
-    SpectralFunction,
     TimeQuadrature,
     apply_inverse,
     apply_power,
+    apply_spectral,
     fractional_stiffness,
     gamma_neg,
     heat_kernel_entry,
@@ -31,6 +31,7 @@ from .calculus import (
     kernel_gaussian_reference,
     power_matrix,
     power_via_heat_quadrature,
+    spectral_power,
 )
 from .dirichlet import (
     CauchyPair,
@@ -57,11 +58,7 @@ from .gauge import (
     DiffeoError,
     gauge_invariance_check,
     map_mesh,
-    pushforward_conductivity,
-    pushforward_magnetic,
     pushforward_operator,
-    pushforward_potential,
-    pushforward_weight,
 )
 from .diagnostics import (
     HeatRatioReport,

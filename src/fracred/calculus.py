@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -39,6 +38,10 @@ def gamma_neg(a: float) -> float:
     if not 0 < a < 1:
         raise ValueError(f"exponent must lie in (0, 1), got {a}")
     return -math.gamma(1.0 - a) / a
+
+
+#: largest s_max whose end node t = exp(pi sinh s_max) is a finite double (about 6.113)
+_S_MAX_LIMIT = math.asinh(math.log(np.finfo(float).max) / math.pi)
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,11 @@ class TimeQuadrature:
     def __post_init__(self):
         if self.n < 2 or self.s_max <= 0:
             raise QuadratureError(f"bad quadrature parameters {self}")
+        if self.s_max > _S_MAX_LIMIT:
+            raise QuadratureError(
+                f"s_max = {self.s_max} overflows the end node exp(pi sinh s_max); "
+                f"it must not exceed {_S_MAX_LIMIT:.4f}"
+            )
 
     @property
     def step(self) -> float:
@@ -120,38 +128,31 @@ def calibration_rows(quad: TimeQuadrature, lambdas, a: float):
     return list(zip(lam.tolist(), exact.tolist(), approx.tolist(), rel.tolist()))
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
-    """Scalar map lambda -> phi(lambda) applied through the eigenpairs."""
+def spectral_power(op: DiscreteOperator, a: float) -> np.ndarray:
+    """lambda^a at each eigenvalue of op; the one range check, a in [-1, 1],
+    of every spectral route to L^a."""
+    if not -1.0 <= a <= 1.0:
+        raise ValueError(f"exponent {a} outside [-1, 1]")
+    return op.eigenvalues**a
 
-    fn: Callable[[np.ndarray], np.ndarray]
 
-    def values(self, op: DiscreteOperator) -> np.ndarray:
-        """phi at each eigenvalue of op; ValueError if any value is not finite."""
-        values = self.fn(op.eigenvalues)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spectral function not finite on the spectrum")
-        return values
-
-    def apply(self, op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
-        """phi(L) v for a dof vector or for each column of a dof x k block."""
-        return op.eigenvectors @ (self.values(op) * op.spectral_coefficients(v).T).T
+def apply_spectral(op: DiscreteOperator, values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phi(L) v = Phi (values * Phi^H M v) for the values of phi at the eigenvalues,
+    v a dof vector or a dof x k block; ValueError if a value is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("spectral function not finite on the spectrum")
+    return op.eigenvectors @ (values * op.spectral_coefficients(v).T).T
 
 
 def apply_power(op: DiscreteOperator, a: float, v: np.ndarray) -> np.ndarray:
     """L^a v by spectral calculus, exponent a in [-1, 1]; a = 0 returns v."""
-    if not -1.0 <= a <= 1.0:
-        raise ValueError(f"exponent {a} outside [-1, 1]")
-    if a == 0:
-        return np.array(v, copy=True)
-    return SpectralFunction(lambda lam: lam**a).apply(op, v)
+    values = spectral_power(op, a)
+    return np.array(v, copy=True) if a == 0 else apply_spectral(op, values, v)
 
 
 def _power_rows(op: DiscreteOperator, a: float, left: np.ndarray) -> np.ndarray:
     """((left * lambda^a) Phi^H) M for a k x n block ``left`` of eigenbasis rows."""
-    if not -1.0 <= a <= 1.0:
-        raise ValueError(f"exponent {a} outside [-1, 1]")
-    return ((left * op.eigenvalues**a) @ op.eigenvectors.conj().T) @ op.M
+    return ((left * spectral_power(op, a)) @ op.eigenvectors.conj().T) @ op.M
 
 
 def power_matrix(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
@@ -177,12 +178,11 @@ def power_via_heat_quadrature(
     The sum (1/Gamma(-a)) sum_q w_q (e^{-t_q L} - I) v / t_q^{1+a} is
     accumulated in the eigenbasis: the per-mode factor is exactly the
     scalar quadrature applied to each eigenvalue.  The scalar calibration
-    is checked for the operator's spectral range first.
+    is checked for the operator's spectral range first; it rejects an
+    exponent outside (0, 1) through gamma_neg.
     """
-    if not 0 < a < 1:
-        raise ValueError(f"exponent must lie in (0, 1), got {a}")
     quad.ensure_calibrated(op.lambda_min, op.lambda_max, a)
-    return SpectralFunction(lambda lam: quad.scalar_power(lam, a)).apply(op, v)
+    return apply_spectral(op, quad.scalar_power(op.eigenvalues, a), v)
 
 
 def apply_inverse(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
@@ -231,8 +231,7 @@ def kernel_Ka(
     (default: squared minimal element diameter) restricts to the window
     where the discrete semigroup tracks the continuum kernel.
     """
-    if not 0 < a < 1:
-        raise ValueError(f"exponent must lie in (0, 1), got {a}")
+    gamma = abs(gamma_neg(a))
     if x_node == z_node:
         raise ValueError("coincident nodes: the kernel diverges on the diagonal")
     if t_floor is None:
@@ -242,7 +241,7 @@ def kernel_Ka(
         raise QuadratureError("t_floor leaves no quadrature nodes")
     wt = quad.singular_weights(1.0 + a)[keep]
     p = heat_kernel_entry(op, quad.t[keep], x_node, z_node)
-    value = (wt @ p) / abs(gamma_neg(a))
+    value = (wt @ p) / gamma
     return float(value.real) if op.is_real else complex(value)
 
 

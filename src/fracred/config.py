@@ -28,7 +28,7 @@ from .mesh import (
     label_regions,
 )
 from .operators import CoefficientError, CoefficientField
-from .calculus import TimeQuadrature
+from .calculus import QuadratureError, TimeQuadrature
 
 
 class ConfigError(ValueError):
@@ -282,9 +282,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     specs = tuple(OperatorSpec.parse(op, dim) for op in raw["operators"])
 
     quad_raw = raw.get("quad", {})
-    quad = TimeQuadrature(
-        s_max=float(quad_raw.get("s_max", 4.0)), n=int(quad_raw.get("n", 200))
-    )
+    try:
+        quad = TimeQuadrature(
+            s_max=float(quad_raw.get("s_max", 4.0)), n=int(quad_raw.get("n", 200))
+        )
+    except QuadratureError as exc:
+        raise ConfigError(f"quadrature rejected: {exc}") from exc
 
     diffeo = raw.get("diffeo")
     if diffeo is not None:

@@ -35,6 +35,7 @@ from .calculus import (
     heat_kernel_entry,
     min_element_diameter,
     power_via_heat_quadrature,
+    spectral_power,
 )
 from .dirichlet import ExteriorData, solve_exterior_value
 from .mesh import OMEGA, RegionLabels
@@ -103,8 +104,7 @@ def ucp_quotient(
     quotient is still well defined, e.g. for the full-restriction sanity
     check) but logged.
     """
-    if not -1.0 <= a <= 1.0:
-        raise ValueError(f"exponent {a} outside [-1, 1]")
+    lam_a = spectral_power(op, a)
     sigma = np.atleast_1d(np.asarray(sigma_nodes, dtype=int))
     if sigma.size == 0:
         raise ValueError("empty Sigma")
@@ -115,7 +115,7 @@ def ucp_quotient(
         logger.warning("ucp_quotient: Sigma meets OMEGA (%d nodes)",
                        int(np.sum(labels.node_tags[sigma] == OMEGA)))
     phi = op.eigenvectors[op.dofs_of_nodes(sigma)]
-    stacked = np.vstack([phi, phi * op.eigenvalues**a])
+    stacked = np.vstack([phi, phi * lam_a])
     return SingularValueReport(
         singular_values=scipy.linalg.svdvals(stacked),
         shape=stacked.shape,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .calculus import fractional_stiffness, power_matrix
+from .calculus import fractional_stiffness, power_matrix, spectral_power
 from .mesh import RegionLabels
 from .operators import DiscreteOperator, check, worst_relative
 
@@ -173,9 +173,7 @@ def solve_exterior_value(
 
 def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
     """B(u, u) = <L^a u, u>_M = sum_i lambda_i^a |c_i|^2 over u's spectral coefficients c."""
-    if not -1.0 <= a <= 1.0:
-        raise ValueError(f"exponent {a} outside [-1, 1]")
-    return float(np.sum(op.eigenvalues**a * np.abs(op.spectral_coefficients(u)) ** 2))
+    return float(np.sum(spectral_power(op, a) * np.abs(op.spectral_coefficients(u)) ** 2))
 
 
 def stability_constant(op: DiscreteOperator, a: float) -> float:

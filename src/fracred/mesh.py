@@ -26,9 +26,6 @@ WTILDE = "WTILDE"
 E = "E"
 OTHER_EXTERIOR = "OTHER_EXTERIOR"
 
-#: node/element tag vocabulary, in priority order for single-tag reporting
-REGION_TAGS = (OMEGA, W, WTILDE, E, OTHER_EXTERIOR)
-
 
 class MeshError(ValueError):
     """Degenerate or inconsistent mesh construction input."""
@@ -180,22 +177,16 @@ class RegionLabels:
     """Element and node membership for the scenario regions.
 
     Per-region index sets may overlap only between W and WTILDE; the
-    element_tags / node_tags arrays resolve overlaps by the priority order
-    OMEGA > W > WTILDE > E > OTHER_EXTERIOR and are what serialization and
-    block tiling use.  boundary_omega_nodes collects nodes shared by an
-    OMEGA element and a non-OMEGA element; omega_interior_nodes is the
-    OMEGA node set with those removed.
+    element_tags / node_tags arrays give one tag per element and node,
+    resolving overlaps by the priority order OMEGA > W > WTILDE > E >
+    OTHER_EXTERIOR, and are what ``matches`` compares.  boundary_omega_nodes
+    collects nodes shared by an OMEGA element and a non-OMEGA element;
+    omega_interior_nodes is the OMEGA node set with those removed.
     """
 
-    omega_box: np.ndarray
-    w_box: np.ndarray
-    wtilde_box: np.ndarray
     element_tags: np.ndarray
     node_tags: np.ndarray
     omega_elements: np.ndarray
-    w_elements: np.ndarray
-    wtilde_elements: np.ndarray
-    e_elements: np.ndarray
     omega_nodes: np.ndarray
     w_nodes: np.ndarray
     wtilde_nodes: np.ndarray
@@ -310,15 +301,9 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
         raise RegionError("omega region too thin to have interior and boundary")
 
     return RegionLabels(
-        omega_box=omega_box,
-        w_box=w_box,
-        wtilde_box=wtilde_box,
         element_tags=element_tags,
         node_tags=node_tags,
         omega_elements=omega_elements,
-        w_elements=w_elements,
-        wtilde_elements=wtilde_elements,
-        e_elements=e_elements,
         omega_nodes=omega_nodes,
         w_nodes=w_nodes,
         wtilde_nodes=wtilde_nodes,

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from fracred.calculus import (
     QuadratureError,
-    SpectralFunction,
     TimeQuadrature,
     apply_inverse,
     apply_power,
+    apply_spectral,
     calibration_rows,
     fractional_stiffness,
     gamma_neg,
@@ -30,8 +30,11 @@ from fracred.calculus import (
     power_matrix,
     power_via_heat_quadrature,
 )
+from fracred.diagnostics import ucp_quotient
+from fracred.dirichlet import dirichlet_energy
 from fracred.mesh import build_interval_mesh
 from fracred.operators import CONTRACTS, CoefficientField, assemble
+from fracred.reduction import moment_functional
 
 
 def small_op(n=24, lo=0.0, hi=1.0, **kw):
@@ -52,6 +55,38 @@ class TestGammaConstant:
     def test_is_negative_on_the_open_interval(self):
         for a in np.linspace(0.05, 0.95, 19):
             assert gamma_neg(a) < 0
+
+
+#: entry point -> call at exponent a on a small interval operator
+EXPONENT_ENTRY_POINTS = {
+    "apply_power": lambda op, a: apply_power(op, a, np.ones(op.n_dofs)),
+    "power_matrix": lambda op, a: power_matrix(op, a, [0]),
+    "fractional_stiffness": lambda op, a: fractional_stiffness(op, a, [0]),
+    "dirichlet_energy": lambda op, a: dirichlet_energy(op, a, np.ones(op.n_dofs)),
+    "ucp_quotient": lambda op, a: ucp_quotient(op, a, op.free_nodes[:2]),
+    "power_via_heat_quadrature": lambda op, a: power_via_heat_quadrature(
+        op, a, np.ones(op.n_dofs), TimeQuadrature()
+    ),
+    "kernel_Ka": lambda op, a: kernel_Ka(op, a, op.free_nodes[0], op.free_nodes[5], TimeQuadrature()),
+    "moment_functional": lambda op, a: moment_functional(
+        op, a, np.ones(op.n_dofs), 1, TimeQuadrature(), op.free_nodes[:1]
+    ),
+    "gamma_neg": lambda op, a: gamma_neg(a),
+}
+
+#: entry points that need a in (0, 1); the others take a in [-1, 1]
+OPEN_RANGE = ("power_via_heat_quadrature", "kernel_Ka", "moment_functional", "gamma_neg")
+
+
+@pytest.mark.parametrize(
+    "name, a",
+    [(name, a) for name in EXPONENT_ENTRY_POINTS for a in (-1.5, 1.5)]
+    + [(name, a) for name in OPEN_RANGE for a in (0.0, 1.0)],
+)
+def test_exponent_entry_points_reject_out_of_range(name, a):
+    with pytest.raises(ValueError, match="exponent") as info:
+        EXPONENT_ENTRY_POINTS[name](small_op(8), a)
+    assert type(info.value) is ValueError
 
 
 class TestScalarQuadrature:
@@ -88,19 +123,23 @@ class TestScalarQuadrature:
         with pytest.raises(QuadratureError):
             bad.ensure_calibrated(0.5, 5e3, 0.5)
 
-    def test_ensure_calibrated_rejects_nan_error(self):
-        # s_max = 10 overflows t = exp(pi sinh s), so the error is NaN
-        overflowing = TimeQuadrature(s_max=10.0, n=400)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(overflowing.calibration_error([1.0, 100.0], 0.5))
-            with pytest.raises(QuadratureError):
-                overflowing.ensure_calibrated(1.0, 100.0, 0.5)
+    def test_ensure_calibrated_rejects_nan_error(self, monkeypatch):
+        # a NaN error must break the contract, not slip past a `value > bound` test
+        monkeypatch.setattr(TimeQuadrature, "calibration_error", lambda self, lam, a: float("nan"))
+        with pytest.raises(QuadratureError):
+            TimeQuadrature().ensure_calibrated(1.0, 100.0, 0.5)
 
     def test_parameter_validation(self):
         with pytest.raises(QuadratureError):
             TimeQuadrature(s_max=-1.0)
         with pytest.raises(QuadratureError):
             TimeQuadrature(n=1)
+
+    def test_s_max_whose_end_node_overflows_is_rejected(self):
+        # t = exp(pi sinh s) leaves the doubles for s above about 6.113
+        with pytest.raises(QuadratureError, match="overflows"):
+            TimeQuadrature(6.2)
+        assert np.all(np.isfinite(TimeQuadrature(6.1).t))
 
     @given(a=st.floats(0.2, 0.8), lam=st.floats(0.1, 1e4))
     @settings(max_examples=40, deadline=None)
@@ -171,16 +210,17 @@ class TestSpectralRoutes:
     def test_spectral_function_heat(self):
         op = small_op()
         v = seeded_vectors(op, 1)[0]
-        fn = SpectralFunction(lambda lam: np.exp(-0.1 * lam))
         want = scipy.linalg.expm(-0.1 * np.linalg.solve(op.M.toarray(), op.K.toarray())) @ v
-        np.testing.assert_allclose(fn.apply(op, v), want, rtol=1e-12)
+        np.testing.assert_allclose(apply_spectral(op, np.exp(-0.1 * op.eigenvalues), v), want, rtol=1e-12)
 
     def test_spectral_function_rejects_nonfinite(self):
         op = small_op()
         v = seeded_vectors(op, 1)[0]
-        fn = SpectralFunction(lambda lam: 1.0 / (lam - lam[0]))
-        with np.errstate(divide="ignore"), pytest.raises(ValueError):
-            fn.apply(op, v)
+        lam = op.eigenvalues
+        with np.errstate(divide="ignore"):
+            values = 1.0 / (lam - lam[0])
+        with pytest.raises(ValueError, match="not finite"):
+            apply_spectral(op, values, v)
 
 
 class TestHeatSemigroup:
@@ -191,7 +231,7 @@ class TestHeatSemigroup:
         v = np.ones(op.n_dofs)
 
         def heat(t, v):
-            return SpectralFunction(lambda lam: np.exp(-t * lam)).apply(op, v)
+            return apply_spectral(op, np.exp(-t * op.eigenvalues), v)
 
         one = heat(t, heat(s, v))
         two = heat(t + s, v)

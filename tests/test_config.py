@@ -161,6 +161,12 @@ class TestDefaults:
         del raw["quad"]
         reject(raw, match="schema violation")
 
+    def test_overflowing_s_max_rejected(self):
+        # the end node t = exp(pi sinh 10) is not a finite double
+        raw = valid_raw()
+        raw["quad"] = {"s_max": 10, "n": 400}
+        reject(raw, match="quadrature rejected")
+
     def test_out_dir_and_quad_defaults(self):
         # an empty quad object is allowed and falls back to the defaults
         raw = valid_raw()

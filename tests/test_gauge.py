@@ -12,11 +12,7 @@ from fracred.gauge import (
     DiffeoError,
     gauge_invariance_check,
     map_mesh,
-    pushforward_conductivity,
-    pushforward_magnetic,
     pushforward_operator,
-    pushforward_potential,
-    pushforward_weight,
 )
 from fracred.operators import CoefficientField, assemble
 
@@ -75,24 +71,12 @@ class TestPushforwardFormulas:
         moved = np.any(moved_nodes[base1d.mesh.elements], axis=1)
         assert np.abs(F.DF[moved] - np.eye(1)).max() > 0.05
 
-    def test_conductivity_transport_single_element(self):
-        DF = np.array([[2.0, 0.0], [0.0, 1.0]])
-        A = np.eye(2)
-        out = pushforward_conductivity(A, DF)
-        # DF^T A DF / det = diag(4, 1) / 2
-        np.testing.assert_allclose(out, np.diag([2.0, 0.5]))
-        assert pushforward_weight(DF) == pytest.approx(0.5)
-        np.testing.assert_allclose(
-            pushforward_magnetic(np.array([1.0, 1.0]), DF), [1.0, 0.5]
-        )
-        assert pushforward_potential(3.0, DF) == pytest.approx(1.5)
-
-    def test_transport_rejects_flipped_jacobian(self):
-        DF = np.diag([-1.0, 1.0])
-        with pytest.raises(DiffeoError):
-            pushforward_conductivity(np.eye(2), DF)
-        with pytest.raises(DiffeoError):
-            pushforward_weight(DF)
+    def test_transport_rejects_flipped_jacobian(self, base1d):
+        # the transport divides by F.det, so a directly built Diffeo must
+        # meet the same det > 0 condition as Diffeo.build
+        F = Diffeo.radial_shrink(base1d.mesh, 0.8, 0.8)
+        with pytest.raises(DiffeoError, match="inverts"):
+            Diffeo(mesh=F.mesh, mapped_nodes=F.mapped_nodes, DF=F.DF, det=-F.det, rho=F.rho)
 
 
 class TestOperatorTransport:
@@ -111,14 +95,16 @@ class TestOperatorTransport:
         assert np.abs(op2.M - base2d.op.M).max() < 1e-12
         assert np.abs(op2.coeffs.A - base2d.op.coeffs.A).max() > 0.1
 
-    def test_lower_order_terms_transported_exactly(self, base1d):
-        field = CoefficientField.build(
-            base1d.mesh, labels=base1d.labels, b=np.array([0.4]), c=2.0
-        )
-        op = assemble(base1d.mesh, field)
-        F = Diffeo.radial_shrink(base1d.mesh, 0.8, 0.8)
+    @pytest.mark.parametrize("scenario", ["base1d", "base2d"])
+    def test_lower_order_terms_transported_exactly(self, scenario, request):
+        scn = request.getfixturevalue(scenario)
+        b = np.full(scn.mesh.dim, 0.4)
+        field = CoefficientField.build(scn.mesh, labels=scn.labels, b=b, c=2.0)
+        op = assemble(scn.mesh, field)
+        F = Diffeo.radial_shrink(scn.mesh, 0.8, 0.8)
         op2 = pushforward_operator(op, F)
         assert np.abs(op2.K - op.K).max() < 1e-12
+        assert np.abs(op2.coeffs.c - op.coeffs.c).max() > 0.1
         assert np.iscomplexobj(op.K) and np.iscomplexobj(op2.K)
 
     @given(factor=st.floats(0.5, 0.999))

@@ -78,7 +78,7 @@ class TestLabelRegions:
         # omega stays buffered from both windows
         assert not np.intersect1d(labels.omega_nodes, labels.w_nodes).size
         assert not np.intersect1d(labels.omega_nodes, labels.wtilde_nodes).size
-        assert labels.e_elements.size > 0
+        assert labels.e_nodes.size > 0
 
     def test_windows_may_coincide(self):
         mesh = build_interval_mesh(-2.0, 2.0, 80)
