@@ -40,7 +40,7 @@ def main():
     a = 0.5
 
     w_nodes = labels.w_nodes
-    datum = ExteriorData.hat(op, labels, int(w_nodes[len(w_nodes) // 2]))
+    datum = ExteriorData.hat(op, int(w_nodes[len(w_nodes) // 2]))
     sol = solve_exterior_value(op, a, datum)
     print(f"dofs = {op.n_dofs}, window W carries {datum.w_dofs.size} of them")
     print(f"solution sup-norm {np.abs(sol.u).max():.4f}, "

@@ -69,7 +69,7 @@ def main():
     print("\n== heatflow_rigidity_probe ==")
     pert = assemble(mesh, CoefficientField.build(mesh, labels, c=5.0))
     quad = TimeQuadrature(s_max=4.0, n=200)
-    datum = ExteriorData.hat(op, labels, int(labels.w_nodes[0]))
+    datum = ExteriorData.hat(op, int(labels.w_nodes[0]))
     sigma = free[:5]
     same = heatflow_rigidity_probe(op, op, 0.5, datum, quad, sigma)
     diff = heatflow_rigidity_probe(op, pert, 0.5, datum, quad, sigma)

@@ -16,7 +16,6 @@ from .operators import (
     DiscreteOperator,
     PositivityError,
     assemble,
-    ellipticity_check,
 )
 from .calculus import (
     QuadratureError,

@@ -221,10 +221,6 @@ class ExperimentConfig:
     out_dir: str
     seed: int
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.mesh_spec["kind"] == "interval" else 2
-
     def build_mesh(self) -> Mesh:
         spec = self.mesh_spec
         try:

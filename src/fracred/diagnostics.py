@@ -158,10 +158,7 @@ class HeatRatioReport:
     """Discrete-to-Gaussian heat kernel ratios at node pairs."""
 
     t: float
-    pairs: np.ndarray
     separations: np.ndarray
-    discrete: np.ndarray
-    gaussian: np.ndarray
     ratios: np.ndarray
     edge_distances: np.ndarray
     t_in_window: bool
@@ -220,10 +217,7 @@ def heat_bound_check(
     edge = np.minimum((ends - box[:, 0]).min(axis=(1, 2)), (box[:, 1] - ends).min(axis=(1, 2)))
     return HeatRatioReport(
         t=float(t),
-        pairs=pairs,
         separations=sep,
-        discrete=disc,
-        gaussian=gauss,
         ratios=disc / gauss,
         edge_distances=edge,
         t_in_window=in_window,

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .calculus import fractional_stiffness, power_matrix, spectral_power
-from .mesh import RegionLabels
 from .operators import DiscreteOperator, check, worst_relative
 
 logger = logging.getLogger(__name__)
@@ -63,16 +62,14 @@ class ExteriorData:
             raise ExteriorDataError("exterior datum has support outside W")
 
     @staticmethod
-    def hat(op: DiscreteOperator, labels: RegionLabels, node: int) -> "ExteriorData":
+    def hat(op: DiscreteOperator, node: int) -> "ExteriorData":
         """Unit nodal hat at the given mesh node (must lie in W)."""
-        return ExteriorData.from_node_values(op, labels, [node], [1.0])
+        return ExteriorData.from_node_values(op, [node], [1.0])
 
     @staticmethod
-    def from_node_values(
-        op: DiscreteOperator, labels: RegionLabels, nodes, values
-    ) -> "ExteriorData":
+    def from_node_values(op: DiscreteOperator, nodes, values) -> "ExteriorData":
         """Datum with one row of values (a vector or a k-column block) per distinct W mesh node."""
-        w_dofs = op.region_dofs("W", labels)
+        w_dofs = op.region_dofs("W")
         nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
         values = np.asarray(values)
         if values.shape[:1] != nodes.shape or np.unique(nodes).size != nodes.size:
@@ -107,7 +104,6 @@ class NonlocalSolution:
     """Solution (shaped like its datum's values) with the worst column's residual."""
 
     u: np.ndarray
-    data: ExteriorData
     a: float
     residual: float
 
@@ -168,7 +164,7 @@ def solve_exterior_value(
     X, residual = _interior_solve(op, a, f.w_dofs, F[f.w_dofs])
     U = np.array(F, dtype=np.result_type(F, X))
     U[op.omega_interior_dofs()] = X
-    return NonlocalSolution(u=U, data=f, a=a, residual=residual)
+    return NonlocalSolution(u=U, a=a, residual=residual)
 
 
 def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
@@ -187,12 +183,9 @@ def stability_constant(op: DiscreteOperator, a: float) -> float:
     return c
 
 
-def cauchy_pair(
-    op: DiscreteOperator, a: float, sol: NonlocalSolution, labels: RegionLabels
-) -> CauchyPair:
+def cauchy_pair(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> CauchyPair:
     """Extract (u|_W, (L^a u)|_Wtilde), flux in the strong nodal sense; the
     flux is formed from the |Wtilde| rows of L^a alone."""
-    op.resolve_labels(labels)
     if sol.a != a:
         raise ValueError(f"solution was computed at a={sol.a}, not {a}")
     w_dofs = op.region_dofs("W")

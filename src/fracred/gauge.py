@@ -28,12 +28,7 @@ import numpy as np
 
 from .dirichlet import ExteriorData, cauchy_gap, cauchy_pair, solve_exterior_value
 from .mesh import Mesh, MeshError, RegionLabels
-from .operators import (
-    CoefficientField,
-    DiscreteOperator,
-    assemble,
-    observed_ellipticity,
-)
+from .operators import CoefficientField, DiscreteOperator, assemble
 
 
 class DiffeoError(ValueError):
@@ -55,15 +50,12 @@ class Diffeo:
         Exactly the identity on elements whose nodes all stay put.
     det : ndarray, shape (n_elements,)
         det DF per element, positive.
-    rho : float
-        All nodes at distance >= rho from the origin are fixed.
     """
 
     mesh: Mesh
     mapped_nodes: np.ndarray
     DF: np.ndarray
     det: np.ndarray
-    rho: float
 
     def __post_init__(self):
         self.mapped_nodes.setflags(write=False)
@@ -74,7 +66,8 @@ class Diffeo:
 
     @staticmethod
     def build(mesh: Mesh, mapped_nodes, rho: float) -> "Diffeo":
-        """Validate nodal target positions and derive per-element Jacobians."""
+        """Validate nodal target positions (every node at distance >= rho from
+        the origin stays put) and derive per-element Jacobians."""
         mapped = np.array(mapped_nodes, dtype=float)
         if mapped.shape != mesh.nodes.shape:
             raise DiffeoError("mapped node array does not match the mesh")
@@ -97,7 +90,7 @@ class Diffeo:
         DF[untouched] = np.eye(d)
         det = np.linalg.det(DF)
         det[untouched] = 1.0
-        return Diffeo(mesh=mesh, mapped_nodes=mapped, DF=DF, det=det, rho=float(rho))
+        return Diffeo(mesh=mesh, mapped_nodes=mapped, DF=DF, det=det)
 
     @staticmethod
     def radial_shrink(mesh: Mesh, rho: float, factor: float) -> "Diffeo":
@@ -153,9 +146,7 @@ def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:
     c2 = op.coeffs.c / det
     if op.mass_density is not None:
         w2 = w2 * op.mass_density
-    # the transported conductivity carries its own ellipticity constant
-    coeffs = CoefficientField(A=A2, b=b2, c=c2, bound=observed_ellipticity(A2), labels=op.labels)
-    return assemble(mesh2, coeffs, mass_density=w2)
+    return assemble(mesh2, CoefficientField(A=A2, b=b2, c=c2, labels=op.labels), mass_density=w2)
 
 
 def gauge_invariance_check(
@@ -168,8 +159,9 @@ def gauge_invariance_check(
     """Max Cauchy-data deviation between an operator and its transport.
 
     The probes are solved as one block per operator.  Verifies first that
-    the deformation fixed every W, Wtilde, and E node (coordinates equal
-    exactly) and that connectivity is shared.
+    both operators carry ``labels``, that the deformation fixed every W,
+    Wtilde, and E node (coordinates equal exactly) and that connectivity is
+    shared.
     """
     labels = op_A.resolve_labels(labels)
     if not np.array_equal(op_A.mesh.elements, op_FA.mesh.elements):
@@ -177,7 +169,8 @@ def gauge_invariance_check(
     fixed = np.concatenate([labels.w_nodes, labels.wtilde_nodes, labels.e_nodes])
     if not np.array_equal(op_A.mesh.nodes[fixed], op_FA.mesh.nodes[fixed]):
         raise DiffeoError("deformation moved window or E nodes")
+    op_FA.resolve_labels(labels)
     f = ExteriorData.stack(probes)
-    cp1 = cauchy_pair(op_A, a, solve_exterior_value(op_A, a, f), labels)
-    cp2 = cauchy_pair(op_FA, a, solve_exterior_value(op_FA, a, f), labels)
+    cp1 = cauchy_pair(op_A, a, solve_exterior_value(op_A, a, f))
+    cp2 = cauchy_pair(op_FA, a, solve_exterior_value(op_FA, a, f))
     return float(cauchy_gap(cp1, cp2).max())

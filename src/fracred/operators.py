@@ -52,7 +52,7 @@ class AssemblyError(RuntimeError):
 
 @dataclass
 class CoefficientField:
-    """Per-element coefficients (A, b, c) with a declared ellipticity bound.
+    """Per-element coefficients (A, b, c) and their ellipticity bound.
 
     Attributes
     ----------
@@ -62,9 +62,6 @@ class CoefficientField:
         Real magnetic-type coefficient per element.
     c : ndarray, shape (n_elements,)
         Real potential per element.
-    bound : float
-        Declared ellipticity constant: both the largest eigenvalue of A and
-        of A^{-1} must stay at or below this value on every element.
     labels : RegionLabels or None
         When present, coefficient support rules are enforced: A is the
         identity and b, c vanish on every element not tagged OMEGA.
@@ -73,8 +70,12 @@ class CoefficientField:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    bound: float
     labels: RegionLabels | None = None
+
+    @property
+    def bound(self) -> float:
+        """Ellipticity constant: the largest of ||A||_2 and ||A^{-1}||_2 over the elements."""
+        return observed_ellipticity(self.A)
 
     @classmethod
     def build(
@@ -84,7 +85,6 @@ class CoefficientField:
         A=None,
         b=None,
         c=None,
-        bound: float | None = None,
     ) -> "CoefficientField":
         """Broadcast scalar or single-matrix inputs to per-element arrays.
 
@@ -92,7 +92,8 @@ class CoefficientField:
         (n_elements, dim, dim) stack; b a (dim,) vector or stack; c a scalar
         or per-element array.  When labels are given, b and c inputs are
         applied on OMEGA elements only and A defaults to the identity off
-        OMEGA unless a full stack overrides it.
+        OMEGA unless a full stack overrides it.  An asymmetric or indefinite
+        A raises CoefficientError here, before any assembly.
         """
         ne, d = mesh.element_count, mesh.dim
         eye = np.broadcast_to(np.eye(d), (ne, d, d)).copy()
@@ -125,9 +126,8 @@ class CoefficientField:
             c_arr = np.asarray(c, dtype=float)
             target = labels.omega_elements if labels is not None else slice(None)
             c_full[target] = c_arr
-        if bound is None:
-            bound = observed_ellipticity(A_full)
-        return cls(A=A_full, b=b_full, c=c_full, bound=float(bound), labels=labels)
+        observed_ellipticity(A_full)
+        return cls(A=A_full, b=b_full, c=c_full, labels=labels)
 
     def validate(self, mesh: Mesh) -> None:
         ne, d = mesh.element_count, mesh.dim
@@ -137,7 +137,7 @@ class CoefficientField:
             )
         if self.b.shape != (ne, d) or self.c.shape != (ne,):
             raise CoefficientError("b or c shape does not match mesh")
-        ellipticity_check(self)
+        observed_ellipticity(self.A)
         if self.labels is not None:
             outside = np.setdiff1d(np.arange(ne), self.labels.omega_elements)
             eye = np.eye(d)
@@ -161,7 +161,6 @@ CONTRACTS = {
     "stiffness Hermitian deviation": 1e-12,  # max|K - K^H| / max|K|: assembly roundoff only
     "eigenpair residual": 1e-10,  # max ||K phi - lambda M phi|| / lambda from the dense eigh
     "calibration error": 1e-8,  # scalar quadrature against lambda^a over the spectrum
-    "inverse solve residual": 1e-10,  # ||K x - M v|| / ||M v|| of the stiffness Cholesky
     "interior solve residual": 1e-10,  # relative residual of the Schur solve G_II X = B
     "lift phi residual": 1e-10,  # ||K Phi - M u|| / ||M u||
     "lift psi residual": 1e-9,  # L^a Phi against the direct L^(a-1) u, relative
@@ -204,21 +203,6 @@ def observed_ellipticity(A: np.ndarray) -> float:
             f"A not positive definite (min eigenvalue {eigs.min():.3e})"
         )
     return float(max(eigs.max(), (1.0 / eigs).max()))
-
-
-def ellipticity_check(coeffs: CoefficientField) -> float:
-    """Largest of ||A||_2 and ||A^{-1}||_2 over all elements.
-
-    Raises CoefficientError when A is asymmetric, not positive definite, or
-    the observed constant exceeds the declared bound.
-    """
-    observed = observed_ellipticity(coeffs.A)
-    if observed > coeffs.bound * (1 + 1e-12):
-        raise CoefficientError(
-            f"observed ellipticity {observed:.6e} exceeds declared "
-            f"bound {coeffs.bound:.6e}"
-        )
-    return observed
 
 
 def _reference_gradients(dim: int) -> np.ndarray:
@@ -394,8 +378,8 @@ class DiscreteOperator:
     def omega_interior_dofs(self, labels: RegionLabels | None = None) -> np.ndarray:
         return self.dofs_of_nodes(self.resolve_labels(labels).omega_interior_nodes)
 
-    def boundary_omega_dofs(self, labels: RegionLabels | None = None) -> np.ndarray:
-        return self.dofs_of_nodes(self.resolve_labels(labels).boundary_omega_nodes)
+    def boundary_omega_dofs(self) -> np.ndarray:
+        return self.dofs_of_nodes(self.resolve_labels().boundary_omega_nodes)
 
     def mass_norm(self, v):
         """M-norm of a dof vector, or of each column of a dof x k block."""
@@ -422,7 +406,7 @@ def assemble(
     ----------
     mesh : Mesh
     coeffs : CoefficientField
-        Validated before any numerics (symmetry, ellipticity bound, and,
+        Validated before any numerics (symmetry, positive definite A, and,
         when labels are attached, coefficient support rules).
     mass_density : array_like, optional
         Positive per-element density for the mass matrix (weighted inner

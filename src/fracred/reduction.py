@@ -32,22 +32,20 @@ from .operators import DiscreteOperator, check, check_shared_exterior, omega_sti
 
 @dataclass(frozen=True)
 class LiftedPair:
-    """Phi = L^{-1} u and Psi = L^{a-1} u with their verified residuals.
+    """Psi = L^{a-1} u with the verified residuals of the lift.
 
-    phi and psi have the shape of u.  residuals keys, each the worst column
-    measured against its own scale: "phi" (relative ||K Phi - M u||), "psi"
-    (relative gap of L^a Phi to Psi), "interior" (max weak residual of
+    psi has the shape of u.  residuals keys, each the worst column measured
+    against its own scale: "phi" (relative ||K Phi - M u|| of Phi = L^{-1} u),
+    "psi" (relative gap of L^a Phi to Psi), "interior" (max weak residual of
     L Psi on Omega-interior dofs, relative to the M-norm of u).
     """
 
-    phi: np.ndarray
     psi: np.ndarray
-    source: NonlocalSolution
     residuals: dict
 
 
 def lift(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> LiftedPair:
-    """Build (Phi, Psi) from a nonlocal solution and verify the identities.
+    """Form Psi from a nonlocal solution, Phi for its cross-checks, and verify the identities.
 
     Psi is formed spectrally from u, not as L^a Phi: the Cholesky backward
     error of order eps ||K|| in Phi would reach the interior residual K Psi
@@ -57,12 +55,9 @@ def lift(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> LiftedPair:
     if sol.a != a:
         raise ValueError(f"solution was computed at a={sol.a}, not {a}")
     u = sol.u
-    phi = apply_inverse(op, u)
-    psi = apply_power(op, a - 1.0, u)
-
-    Mu = op.M @ u
-    r_phi = worst_relative(np.linalg.norm(op.K @ phi - Mu, axis=0), np.linalg.norm(Mu, axis=0))
+    phi, r_phi = apply_inverse(op, u)
     check("lift phi residual", r_phi, ArithmeticError, a)
+    psi = apply_power(op, a - 1.0, u)
     via_phi = apply_power(op, a, phi)
     r_psi = worst_relative(np.linalg.norm(via_phi - psi, axis=0), np.linalg.norm(psi, axis=0))
     check("lift psi residual", r_psi, ArithmeticError, a)
@@ -70,7 +65,7 @@ def lift(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> LiftedPair:
     r_int = worst_relative(np.abs((op.K @ psi)[interior]).max(axis=0), op.mass_norm(u))
     check("lift interior residual", r_int, ArithmeticError, a)
     residuals = {"phi": r_phi, "psi": r_psi, "interior": r_int}
-    return LiftedPair(phi=phi, psi=psi, source=sol, residuals=residuals)
+    return LiftedPair(psi=psi, residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -118,9 +113,7 @@ def _boundary_mass(op: DiscreteOperator):
     return bd_dofs, B
 
 
-def boundary_cauchy(
-    op: DiscreteOperator, pair: LiftedPair, labels: RegionLabels
-) -> BoundaryCauchyData:
+def boundary_cauchy(op: DiscreteOperator, pair: LiftedPair) -> BoundaryCauchyData:
     """Boundary Cauchy data of Psi: trace and variational co-normal flux.
 
     The co-normal values g solve B g = r where r collects the Omega-side
@@ -128,7 +121,6 @@ def boundary_cauchy(
     variational flux lifting; B is the interface mass, whose Cholesky factor
     is cached with the interface dofs.
     """
-    op.resolve_labels(labels)
 
     def build():
         bd_dofs, B = _boundary_mass(op)
@@ -170,16 +162,18 @@ def theorem1_probe(
     Returns {"exterior_gap", "boundary_gap", "per_probe", "lift_residuals"}
     where the gaps are maxima over the probes and lift_residuals holds the
     worst value per key over the lifted operators.  Requires both operators
-    to share the mesh and all non-OMEGA element coefficients.
+    to carry ``labels`` and to share the mesh and all non-OMEGA element
+    coefficients.
     """
     op1.resolve_labels(labels)
     check_shared_exterior(op1, op2)
+    op2.resolve_labels(labels)
     f = ExteriorData.stack(probes)
 
     def evaluate(op):
         sol = solve_exterior_value(op, a, f)
         pair = lift(op, a, sol)
-        return cauchy_pair(op, a, sol, labels), boundary_cauchy(op, pair, labels), pair.residuals
+        return cauchy_pair(op, a, sol), boundary_cauchy(op, pair), pair.residuals
 
     ext1, bd1, res1 = evaluate(op1)
     ext2, bd2, res2 = (ext1, bd1, res1) if op2 is op1 else evaluate(op2)

@@ -47,7 +47,6 @@ class ContractError(RuntimeError):
 class RunResult:
     ok: bool
     failures: list
-    skipped: list
     outputs: list
     out_dir: Path
 
@@ -75,8 +74,6 @@ class RunContext:
 
 def _csv(rows: list, header: str) -> str:
     def cell(v):
-        if isinstance(v, (bool, np.bool_)):
-            return "true" if v else "false"
         if isinstance(v, (int, np.integer)):
             return str(int(v))
         if isinstance(v, str):
@@ -142,8 +139,8 @@ def _suite_direct(ctx: RunContext) -> None:
         alpha, beta = 0.7, -1.3
         # one block solve, columns: zero datum, f, g, alpha f + beta g
         block = np.column_stack([np.zeros(w_nodes.size), f, g, alpha * f + beta * g])
-        data = ExteriorData.from_node_values(op, labels, w_nodes, block)
-        U = solve_exterior_value(op, a, data).u
+        sol = solve_exterior_value(op, a, ExteriorData.from_node_values(op, w_nodes, block))
+        U = sol.u
         check("zero datum response", float(np.abs(U[:, 0]).max()), ContractError, a)
 
         u_f, u_combo = U[:, 1], U[:, 3]
@@ -154,12 +151,13 @@ def _suite_direct(ctx: RunContext) -> None:
         check("linearity residual", lin, ContractError, a)
 
         c_stab = stability_constant(op, a)
-        interior = op.omega_interior_dofs(labels)
+        interior = op.omega_interior_dofs()
         res = float(np.abs((op.M @ apply_power(op, a, u_f))[interior]).max())
         per_a[str(a)] = {
             "linearity_residual": lin,
             "stability_constant": c_stab,
             "interior_weak_residual": res,
+            "solve_residual": sol.residual,
         }
     ctx.outputs["direct.json"] = dump_json({"per_a": per_a}) + "\n"
 
@@ -281,7 +279,7 @@ def _suite_diagnostics(ctx: RunContext) -> None:
 
     if len(ctx.fields) == 2:
         other = ctx.operator(1)
-        f = ExteriorData.hat(op, labels, op.free_nodes[op.region_dofs("W")[0]])
+        f = ExteriorData.hat(op, op.free_nodes[op.region_dofs("W")[0]])
         sigma = wt[: min(5, wt.size)]
         per_a = {}
         for a in ctx.cfg.exponents:
@@ -368,10 +366,4 @@ def run_suites(
     }
     (target / "manifest.json").write_text(dump_json(manifest) + "\n")
     written.append("manifest.json")
-    return RunResult(
-        ok=not failures,
-        failures=failures,
-        skipped=skipped,
-        outputs=written,
-        out_dir=target,
-    )
+    return RunResult(ok=not failures, failures=failures, outputs=written, out_dir=target)

@@ -83,7 +83,6 @@ def hat_probes(scn, nodes=None):
     """Unit exterior data at each free W node (or the given subset)."""
     from fracred.dirichlet import ExteriorData
 
-    labels = scn.labels
-    pick = labels.w_nodes if nodes is None else np.asarray(nodes)
+    pick = scn.labels.w_nodes if nodes is None else np.asarray(nodes)
     free = pick[scn.op.node_to_dof[pick] >= 0]
-    return [ExteriorData.hat(scn.op, labels, n) for n in free]
+    return [ExteriorData.hat(scn.op, n) for n in free]

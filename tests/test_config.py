@@ -37,7 +37,7 @@ def reject(raw, match=None):
 class TestSchema:
     def test_valid_baseline_parses(self):
         cfg = parse_config(valid_raw())
-        assert cfg.dim == 1
+        assert cfg.mesh_spec["kind"] == "interval"
         assert cfg.exponents == (0.25, 0.5, 0.75)
         assert cfg.seed == 42
 
@@ -223,7 +223,7 @@ class TestBuilders:
 class TestLoadConfig:
     def test_bundled_baseline_loads(self):
         cfg = load_config(bundled_config("baseline-1d.json"))
-        assert cfg.dim == 1
+        assert cfg.mesh_spec["kind"] == "interval"
         assert cfg.exponents == (0.25, 0.5, 0.75)
         assert cfg.diffeo_spec is not None
 

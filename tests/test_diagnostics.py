@@ -167,7 +167,7 @@ class TestHeatBound:
         (i, j), *_ = self.center_pairs(heat1d)
         r1 = heat_bound_check(heat1d.op, 0.01, [(i, j)])
         r2 = heat_bound_check(heat1d.op, 0.01, [(j, i)])
-        assert r1.discrete[0] == pytest.approx(r2.discrete[0], rel=1e-12)
+        assert r1.ratios[0] == pytest.approx(r2.ratios[0], rel=1e-12)
         assert r1.separations[0] == r2.separations[0]
 
     def test_window_flag_reflects_time_scale(self, heat1d):

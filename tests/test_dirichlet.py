@@ -20,8 +20,10 @@ from fracred.dirichlet import (
     stability_constant,
 )
 from fracred.diagnostics import runge_rank
+from fracred.gauge import gauge_invariance_check
 from fracred.mesh import build_interval_mesh, label_regions
 from fracred.operators import CoefficientField, assemble
+from fracred.reduction import theorem1_probe
 
 from conftest import hat_probes
 
@@ -38,7 +40,7 @@ def seeded_datum(scn, seed):
 class TestExteriorData:
     def test_hat_is_unit_at_node(self, base1d):
         node = int(base1d.labels.node_set("W")[0])
-        f = ExteriorData.hat(base1d.op, base1d.labels, node)
+        f = ExteriorData.hat(base1d.op, node)
         dof = base1d.op.dofs_of_nodes(node)[0]
         assert f.values[dof] == 1.0
         assert np.count_nonzero(f.values) == 1
@@ -46,19 +48,19 @@ class TestExteriorData:
     def test_hat_rejects_non_w_node(self, base1d):
         omega_node = int(base1d.labels.node_set("OMEGA")[0])
         with pytest.raises(ExteriorDataError):
-            ExteriorData.hat(base1d.op, base1d.labels, omega_node)
+            ExteriorData.hat(base1d.op, omega_node)
 
     def test_repeated_node_rejected(self, base1d):
         # a repeat would keep only the last of its values
         node = int(base1d.labels.w_nodes[0])
         with pytest.raises(ExteriorDataError, match="distinct"):
-            ExteriorData.from_node_values(base1d.op, base1d.labels, [node, node], [1.0, 2.0])
+            ExteriorData.from_node_values(base1d.op, [node, node], [1.0, 2.0])
 
     def test_node_value_count_mismatch_rejected(self, base1d):
         # one value would otherwise be broadcast to every node
         nodes = base1d.labels.w_nodes[:2]
         with pytest.raises(ExteriorDataError, match="one per row"):
-            ExteriorData.from_node_values(base1d.op, base1d.labels, nodes, [1.0])
+            ExteriorData.from_node_values(base1d.op, nodes, [1.0])
 
     def test_support_outside_w_rejected(self, base1d):
         w_dofs = base1d.op.region_dofs("W", base1d.labels)
@@ -119,7 +121,7 @@ class TestExteriorData:
 
     def test_from_node_values_places_entries(self, base1d):
         nodes = base1d.labels.node_set("W")[:3]
-        f = ExteriorData.from_node_values(base1d.op, base1d.labels, nodes, [1.0, -2.0, 0.5])
+        f = ExteriorData.from_node_values(base1d.op, nodes, [1.0, -2.0, 0.5])
         dofs = base1d.op.dofs_of_nodes(nodes)
         np.testing.assert_array_equal(f.values[dofs], [1.0, -2.0, 0.5])
 
@@ -127,8 +129,8 @@ class TestExteriorData:
         op, labels = base1d.op, base1d.labels
         nodes = labels.w_nodes
         block = np.random.default_rng(3).standard_normal((nodes.size, 3))
-        f = ExteriorData.from_node_values(op, labels, nodes, block)
-        singles = [ExteriorData.from_node_values(op, labels, nodes, col) for col in block.T]
+        f = ExteriorData.from_node_values(op, nodes, block)
+        singles = [ExteriorData.from_node_values(op, nodes, col) for col in block.T]
         stacked = ExteriorData.stack(singles)
         assert f.values.shape == (op.n_dofs, 3)
         np.testing.assert_array_equal(f.values, stacked.values)
@@ -246,8 +248,8 @@ class TestStability:
 
         c = stability_constant(op, 0.5)
         for seed in range(5):
-            sol = solve_exterior_value(op, 0.5, seeded_datum(base1d, 20 + seed))
-            ratio = norm(sol.u) / norm(sol.data.values)
+            f = seeded_datum(base1d, 20 + seed)
+            ratio = norm(solve_exterior_value(op, 0.5, f).u) / norm(f.values)
             assert 0.0 < ratio < c
 
 
@@ -255,7 +257,7 @@ class TestCauchyData:
     def test_pair_extracts_window_values(self, base1d):
         f = seeded_datum(base1d, 30)
         sol = solve_exterior_value(base1d.op, 0.5, f)
-        pair = cauchy_pair(base1d.op, 0.5, sol, base1d.labels)
+        pair = cauchy_pair(base1d.op, 0.5, sol)
         w_dofs = base1d.op.region_dofs("W", base1d.labels)
         np.testing.assert_array_equal(pair.trace_W, f.values[w_dofs])
         assert pair.wtilde_nodes.size == base1d.op.region_dofs("WTILDE", base1d.labels).size
@@ -264,18 +266,18 @@ class TestCauchyData:
     def test_pair_rejects_mismatched_exponent(self, base1d):
         sol = solve_exterior_value(base1d.op, 0.25, seeded_datum(base1d, 31))
         with pytest.raises(ValueError):
-            cauchy_pair(base1d.op, 0.5, sol, base1d.labels)
+            cauchy_pair(base1d.op, 0.5, sol)
 
-    def test_pair_rejects_foreign_labels(self, base1d):
-        mesh = build_interval_mesh(-2.0, 2.0, 40)
-        foreign = label_regions(mesh, (-1.0, 1.0), (1.05, 1.8), (-1.95, -1.05))
+    def test_pair_requires_a_labeled_operator(self, base1d):
+        # the windows are read from the operator's own labels
+        unlabeled = assemble(base1d.mesh, CoefficientField.build(base1d.mesh))
         sol = solve_exterior_value(base1d.op, 0.5, seeded_datum(base1d, 32))
-        with pytest.raises(ValueError):
-            cauchy_pair(base1d.op, 0.5, sol, foreign)
+        with pytest.raises(ValueError, match="without region labels"):
+            cauchy_pair(unlabeled, 0.5, sol)
 
     def test_gap_vanishes_on_identical_pairs(self, base1d):
         sol = solve_exterior_value(base1d.op, 0.5, seeded_datum(base1d, 33))
-        pair = cauchy_pair(base1d.op, 0.5, sol, base1d.labels)
+        pair = cauchy_pair(base1d.op, 0.5, sol)
         assert cauchy_gap(pair, pair) == 0.0
 
     def test_gap_detects_perturbed_operator(self, perturbed1d):
@@ -285,15 +287,15 @@ class TestCauchyData:
         )
         sol1 = solve_exterior_value(perturbed1d.op1, 0.5, f1)
         sol2 = solve_exterior_value(perturbed1d.op2, 0.5, f1)
-        p1 = cauchy_pair(perturbed1d.op1, 0.5, sol1, labels)
-        p2 = cauchy_pair(perturbed1d.op2, 0.5, sol2, labels)
+        p1 = cauchy_pair(perturbed1d.op1, 0.5, sol1)
+        p2 = cauchy_pair(perturbed1d.op2, 0.5, sol2)
         assert cauchy_gap(p1, p2) > 1e-6
 
     def test_gap_rejects_different_windows(self, base1d, fine1d):
         s1 = solve_exterior_value(base1d.op, 0.5, seeded_datum(base1d, 35))
-        p1 = cauchy_pair(base1d.op, 0.5, s1, base1d.labels)
+        p1 = cauchy_pair(base1d.op, 0.5, s1)
         s2 = solve_exterior_value(fine1d.op, 0.5, seeded_datum(fine1d, 35))
-        p2 = cauchy_pair(fine1d.op, 0.5, s2, fine1d.labels)
+        p2 = cauchy_pair(fine1d.op, 0.5, s2)
         with pytest.raises(ValueError):
             cauchy_gap(p1, p2)
 
@@ -303,10 +305,10 @@ class TestExteriorDataMatrix:
 
     def test_nodal_columns_match_cauchy_pairs(self, base1d):
         block = solve_exterior_value(base1d.op, 0.5, ExteriorData.w_hats(base1d.op))
-        matrix = cauchy_pair(base1d.op, 0.5, block, base1d.labels).flux_Wtilde
+        matrix = cauchy_pair(base1d.op, 0.5, block).flux_Wtilde
         for j, f in enumerate(hat_probes(base1d)[:4]):
             sol = solve_exterior_value(base1d.op, 0.5, f)
-            pair = cauchy_pair(base1d.op, 0.5, sol, base1d.labels)
+            pair = cauchy_pair(base1d.op, 0.5, sol)
             np.testing.assert_allclose(
                 matrix[:, j], pair.flux_Wtilde, rtol=1e-12, atol=1e-13
             )
@@ -375,17 +377,20 @@ class TestLabelBinding:
         from types import SimpleNamespace
 
         op = assemble(mesh, CoefficientField.build(mesh, labels=own))
-        return SimpleNamespace(mesh=mesh, op=op, own=own, moved=moved)
+        other = assemble(mesh, CoefficientField.build(mesh, labels=moved))
+        return SimpleNamespace(mesh=mesh, op=op, other=other, own=own, moved=moved)
 
     def test_shifted_omega_refused_after_warm_cache(self, shifted):
-        op, own, moved = shifted.op, shifted.own, shifted.moved
+        op, other, own, moved = shifted.op, shifted.other, shifted.own, shifted.moved
         runge_rank(op, 0.5, own)
-        node = int(np.intersect1d(own.w_nodes, moved.w_nodes)[0])
-        sol = solve_exterior_value(op, 0.5, ExteriorData.hat(op, own, node))
+        probes = [ExteriorData.w_hats(op)]
         calls = [
             lambda: runge_rank(op, 0.5, moved),
-            lambda: cauchy_pair(op, 0.5, sol, moved),
-            lambda: ExteriorData.hat(op, moved, node),
+            lambda: op.region_dofs("W", moved),
+            lambda: op.omega_interior_dofs(moved),
+            # a two-operator probe checks the labels against both operators
+            lambda: theorem1_probe(op, other, 0.5, probes, own),
+            lambda: gauge_invariance_check(op, other, 0.5, own, probes),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="labels"):

@@ -76,7 +76,7 @@ class TestPushforwardFormulas:
         # meet the same det > 0 condition as Diffeo.build
         F = Diffeo.radial_shrink(base1d.mesh, 0.8, 0.8)
         with pytest.raises(DiffeoError, match="inverts"):
-            Diffeo(mesh=F.mesh, mapped_nodes=F.mapped_nodes, DF=F.DF, det=-F.det, rho=F.rho)
+            Diffeo(mesh=F.mesh, mapped_nodes=F.mapped_nodes, DF=F.DF, det=-F.det)
 
 
 class TestOperatorTransport:

@@ -200,18 +200,22 @@ def unreached_names(modules, references) -> list:
     return found
 
 
-def test_no_public_name_only_tests_reach():
-    """Every public function and class is used by the program, a demo or the
-    benchmark, or is named by the acceptance test."""
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    references = [
+def program_references() -> list:
+    """The program, the demos, the benchmark and the acceptance test."""
+    return [
         *PACKAGE.glob("*.py"),
         *(ROOT / "demos").glob("*.py"),
         *(ROOT / "bench").glob("*.py"),
         ROOT / "tests" / "test_acceptance.py",
     ]
+
+
+def test_no_public_name_only_tests_reach():
+    """Every public function and class is used by the program, a demo or the
+    benchmark, or is named by the acceptance test."""
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
-    assert unreached_names(modules, references) == []
+    assert unreached_names(modules, program_references()) == []
 
 
 @pytest.mark.parametrize(
@@ -230,6 +234,70 @@ def test_unreached_name_check_finds_its_targets(tmp_path, module, demo, unreache
     lib.write_text(module)
     script.write_text(demo)
     assert unreached_names([lib], [lib, script]) == unreached
+
+
+def dataclass_fields(path: Path) -> list:
+    """(class, field) of every field of the top-level dataclasses in one source file."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            found += [
+                (node.name, stmt.target.id) for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return found
+
+
+def read_attributes(path: Path) -> set:
+    """Attribute names one source file reads, as in ``pair.psi``; an
+    assignment, a constructor keyword or a docstring does not count."""
+    return {
+        node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(modules, references) -> list:
+    """Dataclass fields of ``modules`` whose name no file in ``references``
+    reads as an attribute (of any object: the check goes by name)."""
+    read = set().union(*map(read_attributes, references))
+    return [
+        f"{path.stem}.{cls}.{name}"
+        for path in modules for cls, name in dataclass_fields(path) if name not in read
+    ]
+
+
+def test_no_field_only_tests_read():
+    """Every dataclass field is read by the program, a demo or the benchmark,
+    or by the acceptance test."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert any(dataclass_fields(path) for path in modules)
+    assert unread_fields(modules, program_references()) == []
+
+
+@pytest.mark.parametrize(
+    "module, demo, unread",
+    [
+        ("@dataclass\nclass Box:\n    width: float\n", "", ["lib.Box.width"]),
+        ("@dataclass\nclass Box:\n    width: float\n", "print(box.width)\n", []),
+        ("@dataclasses.dataclass(frozen=True)\nclass Box:\n    width: float = 1.0\n", "", ["lib.Box.width"]),
+        ("@dataclass\nclass Box:\n    width: float\n", "Box(width=2.0)\n", ["lib.Box.width"]),
+        ("@dataclass\nclass Box:\n    width: float\n", "box.width = 2.0\n", ["lib.Box.width"]),
+        ("@dataclass\nclass Box:\n    width: float\n", '"""Reads box.width in prose only."""\n', ["lib.Box.width"]),
+        ("class Plain:\n    width: float\n", "", []),
+        ("@dataclass\nclass Box:\n    @property\n    def width(self):\n        return 1.0\n", "", []),
+    ],
+    ids=["unread", "read-in-demo", "frozen-with-default", "constructor-only", "assigned-only",
+         "docstring-only", "not-a-dataclass", "property"],
+)
+def test_unread_field_check_finds_its_targets(tmp_path, module, demo, unread):
+    lib, script = tmp_path / "lib.py", tmp_path / "demo.py"
+    lib.write_text(module)
+    script.write_text(demo)
+    assert unread_fields([lib], [lib, script]) == unread
 
 
 #: a module-level name that reads as a tolerance constant

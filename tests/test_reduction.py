@@ -11,6 +11,7 @@ from conftest import bundled_config, hat_probes
 from fracred.calculus import (
     QuadratureError,
     TimeQuadrature,
+    apply_inverse,
     apply_power,
     gamma_neg,
 )
@@ -59,8 +60,10 @@ class TestLift:
         sol = first_probe_solution(base1d)
         pair = lift(base1d.op, 0.5, sol)
         op = base1d.op
-        res = np.linalg.norm(op.K @ pair.phi - op.M @ sol.u)
+        phi, residual = apply_inverse(op, sol.u)
+        res = np.linalg.norm(op.K @ phi - op.M @ sol.u)
         assert res < 1e-10 * np.linalg.norm(op.M @ sol.u)
+        assert pair.residuals["phi"] == residual
 
     def test_psi_is_the_shifted_power(self, base1d):
         sol = first_probe_solution(base1d)
@@ -108,15 +111,14 @@ class TestBlockEquivalence:
         op, a = scn.op, 0.5
         sol = solve_exterior_value(op, a, ExteriorData.stack(columns))
         pair = lift(op, a, sol)
-        cp = cauchy_pair(op, a, sol, scn.labels)
-        bc = boundary_cauchy(op, pair, scn.labels)
+        cp = cauchy_pair(op, a, sol)
+        bc = boundary_cauchy(op, pair)
         for j, f in enumerate(columns):
             sol_j = solve_exterior_value(op, a, f)
             pair_j = lift(op, a, sol_j)
-            cp_j = cauchy_pair(op, a, sol_j, scn.labels)
-            bc_j = boundary_cauchy(op, pair_j, scn.labels)
+            cp_j = cauchy_pair(op, a, sol_j)
+            bc_j = boundary_cauchy(op, pair_j)
             for got, want in [
-                (pair.phi[:, j], pair_j.phi),
                 (pair.psi[:, j], pair_j.psi),
                 (cp.trace_W[:, j], cp_j.trace_W),
                 (cp.flux_Wtilde[:, j], cp_j.flux_Wtilde),
@@ -145,9 +147,8 @@ class TestBoundaryCauchy:
         # normal derivative: -1 at the left interface point, +1 at the right
         op = base1d.op
         x = base1d.mesh.nodes[op.free_nodes].ravel()
-        sol = first_probe_solution(base1d)
-        fake = LiftedPair(phi=np.zeros_like(x), psi=x, source=sol, residuals={})
-        bc = boundary_cauchy(op, fake, base1d.labels)
+        fake = LiftedPair(psi=x, residuals={})
+        bc = boundary_cauchy(op, fake)
         order = np.argsort(base1d.mesh.nodes[bc.nodes].ravel())
         np.testing.assert_allclose(bc.conormal[order], [-1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(
@@ -157,9 +158,8 @@ class TestBoundaryCauchy:
     def test_constant_psi_has_zero_conormal(self, base1d):
         op = base1d.op
         ones = np.ones(op.n_dofs)
-        sol = first_probe_solution(base1d)
-        fake = LiftedPair(phi=ones, psi=ones, source=sol, residuals={})
-        bc = boundary_cauchy(op, fake, base1d.labels)
+        fake = LiftedPair(psi=ones, residuals={})
+        bc = boundary_cauchy(op, fake)
         assert np.abs(bc.conormal).max() < 1e-12
         assert np.all(bc.trace == 1.0)
 
@@ -167,9 +167,8 @@ class TestBoundaryCauchy:
         # away from the corners the lifted flux approximates n_x = +-1
         op = base2d.op
         x = base2d.mesh.nodes[op.free_nodes][:, 0]
-        sol = first_probe_solution(base2d)
-        fake = LiftedPair(phi=np.zeros_like(x), psi=x, source=sol, residuals={})
-        bc = boundary_cauchy(op, fake, base2d.labels)
+        fake = LiftedPair(psi=x, residuals={})
+        bc = boundary_cauchy(op, fake)
         pts = base2d.mesh.nodes[bc.nodes]
         right = (np.abs(pts[:, 0] - 1.0) < 1e-9) & (np.abs(pts[:, 1]) <= 0.5)
         left = (np.abs(pts[:, 0] + 1.0) < 1e-9) & (np.abs(pts[:, 1]) <= 0.5)
@@ -210,17 +209,16 @@ class TestBoundaryCauchy:
 
         op = base2d.op
         x = base2d.mesh.nodes[op.free_nodes][:, 0]
-        sol = first_probe_solution(base2d)
-        fake = LiftedPair(phi=np.zeros_like(x), psi=x, source=sol, residuals={})
-        bc = boundary_cauchy(op, fake, base2d.labels)
+        fake = LiftedPair(psi=x, residuals={})
+        bc = boundary_cauchy(op, fake)
         _, B = _boundary_mass(op)
         assert abs((B @ bc.conormal).sum()) < 1e-12
 
     def test_gap_rejects_different_node_sets(self, base1d, base2d):
         s1 = first_probe_solution(base1d)
-        b1 = boundary_cauchy(base1d.op, lift(base1d.op, 0.5, s1), base1d.labels)
+        b1 = boundary_cauchy(base1d.op, lift(base1d.op, 0.5, s1))
         s2 = first_probe_solution(base2d)
-        b2 = boundary_cauchy(base2d.op, lift(base2d.op, 0.5, s2), base2d.labels)
+        b2 = boundary_cauchy(base2d.op, lift(base2d.op, 0.5, s2))
         with pytest.raises(ValueError):
             boundary_gap(b1, b2)
 
