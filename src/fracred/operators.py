@@ -17,8 +17,9 @@ identity rather than an approximation.
 The stiffness matrix is Hermitian, real whenever b vanishes identically, and
 the generalized eigendecomposition K Phi = M Phi diag(lambda) with
 Phi^H M Phi = I is computed densely at assembly time.  Desk scale only
-(a few thousand degrees of freedom): K and M are held only as CSR, and each
-dense eigendecomposition or factorization consumes a fresh dense copy.
+(a few thousand degrees of freedom): K and M are held only as CSR, and the
+dense eigendecomposition is the one place that densifies them; it consumes
+a fresh dense copy of each.
 """
 
 from __future__ import annotations
@@ -308,14 +309,16 @@ class DiscreteOperator:
     eliminated); ``free_nodes`` maps degree-of-freedom index to mesh node
     index and ``node_to_dof`` inverts it with -1 on constrained nodes.
 
-    ``K`` and ``M`` are CSR; the dense eigendecomposition and factorizations
-    each take a fresh dense copy and overwrite it.  ``eigen_residual`` is the
-    worst relative eigenpair residual ||K phi - lambda M phi|| / lambda.
+    ``K`` and ``M`` are CSR; the dense eigendecomposition takes a fresh dense
+    copy of each and overwrites it.  ``eigen_residual`` is the worst relative
+    eigenpair residual ||K phi - lambda M phi|| / lambda.
 
     The instance is treated as immutable after assembly.  ``_cache`` holds
-    idempotent derived matrices (factorizations; per exponent the interior
-    rows of the fractional stiffness, never a whole L^a or G); entries are
-    write-once pure functions of the operator, so concurrent readers are safe.
+    idempotent derived matrices (per exponent the interior rows of the
+    fractional stiffness with their Cholesky factor, the interface-mass
+    factor and the Omega stiffness rows; no factor of K, and never a whole
+    L^a or G); entries are write-once pure functions of the operator, so
+    concurrent readers are safe.
     """
 
     mesh: Mesh

@@ -227,7 +227,6 @@ def _heat_pairs(ctx: RunContext, op) -> list:
 
 def _suite_diagnostics(ctx: RunContext) -> None:
     op = ctx.operator(0)
-    labels = ctx.labels
     doc = {"per_a": {}}
     sval_rows = []
 
@@ -235,14 +234,14 @@ def _suite_diagnostics(ctx: RunContext) -> None:
     chain = [wt[: max(1, wt.size // 3)], wt[: max(2, (2 * wt.size) // 3)], wt]
     for a in ctx.cfg.exponents:
         entry = {}
-        rr = runge_rank(op, a, labels)
+        rr = runge_rank(op, a, ctx.labels)
         entry["runge"] = {
             "shape": list(rr.shape),
             "smin": rr.smallest,
             "smax": rr.largest,
             "full_row_rank": rr.full_row_rank,
         }
-        if labels.e_nodes.size <= labels.w_nodes.size:
+        if rr.shape[0] <= rr.shape[1]:
             check("Runge row condition", rr.row_condition, ContractError, a)
         for idx, sv in enumerate(rr.singular_values):
             sval_rows.append((rr.tag, idx, sv))
@@ -268,7 +267,10 @@ def _suite_diagnostics(ctx: RunContext) -> None:
         h = float(np.sqrt(2.0 * op.mesh.element_measures().min())
                   if op.mesh.dim == 2 else op.mesh.element_measures().min())
         span = float(np.min(op.mesh.box[:, 1] - op.mesh.box[:, 0]))
-        t = h * span / 2.0  # geometric mean of the window ends
+        # heat_bound_check's window is [4 d^2, (span/4)^2], d the smallest element
+        # diameter: t is its geometric mean in 1-D (d = h) and 1/sqrt(2) of that
+        # mean in 2-D, where h is the triangle leg and d the hypotenuse
+        t = h * span / 2.0
         report = heat_bound_check(op, t, _heat_pairs(ctx, op))
         doc["heat_ratios"] = {
             "t": report.t,

@@ -32,13 +32,18 @@ from fracred.calculus import (
 )
 from fracred.diagnostics import ucp_quotient
 from fracred.dirichlet import dirichlet_energy
-from fracred.mesh import build_interval_mesh
+from fracred.mesh import build_interval_mesh, build_rect_mesh
 from fracred.operators import CONTRACTS, CoefficientField, assemble
 from fracred.reduction import moment_functional
 
 
 def small_op(n=24, lo=0.0, hi=1.0, **kw):
     mesh = build_interval_mesh(lo, hi, n)
+    return assemble(mesh, CoefficientField.build(mesh, **kw))
+
+
+def small_rect_op(nx=6, ny=5, **kw):
+    mesh = build_rect_mesh([[0, 1], [0, 1]], nx, ny)
     return assemble(mesh, CoefficientField.build(mesh, **kw))
 
 
@@ -188,8 +193,14 @@ class TestSpectralRoutes:
         v = seeded_vectors(op, 1)[0]
         np.testing.assert_allclose(apply_power(op, 0.0, v), v)
 
-    def test_negative_power_inverts(self):
-        op = small_op()
+    @pytest.mark.parametrize(
+        "build, kw",
+        [(small_op, {}), (small_op, {"b": [0.4]}), (small_rect_op, {"b": [0.3, -0.2]})],
+        ids=["interval", "magnetic-interval", "magnetic-rect"],
+    )
+    def test_negative_power_inverts(self, build, kw):
+        # the banded K factor on real and complex Hermitian bands, 1-D and 2-D
+        op = build(**kw)
         v = seeded_vectors(op, 1)[0]
         np.testing.assert_allclose(
             apply_power(op, -1.0, v), apply_inverse(op, v)[0], rtol=1e-10

@@ -9,6 +9,7 @@ and a failed run must copy that record into its manifest.
 import json
 
 import pytest
+import scipy.linalg
 
 from conftest import bundled_config
 
@@ -16,7 +17,7 @@ from fracred.calculus import QuadratureError, TimeQuadrature
 from fracred.config import load_config, parse_config
 from fracred.diagnostics import heatflow_rigidity_probe
 from fracred.dirichlet import ExteriorData, solve_exterior_value
-from fracred.operators import CONTRACTS, AssemblyError, DiscreteOperator, assemble
+from fracred.operators import CONTRACTS, AssemblyError, assemble
 from fracred.reduction import lift
 from fracred.runner import ContractError, run_suites
 
@@ -127,16 +128,24 @@ def test_interval_400_failures_name_their_bounds(tmp_path):
         assert failure["value"] > failure["bound"]
 
 
+def test_square_runge_map_is_certified(tmp_path, monkeypatch):
+    # at 40 cells with W = [1.2, 1.5], E has 5 nodes but 4 free dofs (one is
+    # on the box boundary) and W has 4: the 4 x 4 map has no more rows than
+    # columns, so its row condition is checked
+    raw = bundled_raw()
+    raw["mesh"]["n_cells"] = 40
+    raw["regions"]["w"] = [1.2, 1.5]
+    monkeypatch.setitem(CONTRACTS, "Runge row condition", -1.0)
+    result = run_suites(parse_config(raw), out_dir=tmp_path, suites=["diagnostics"])
+    [failure] = result.failures
+    assert (failure["suite"], failure["name"], failure["a"]) == ("diagnostics", "Runge row condition", 0.25)
+
+
 def test_failed_phi_solve_skips_no_suite(tmp_path, monkeypatch):
-    # a Cholesky factor of K off by 1e-6 breaks the Phi residual, whatever
-    # bounds it: the lift fails at its exponent, gauge and diagnostics still run
-    cached = DiscreteOperator.cached
-
-    def sloppy(op, key, compute):
-        value = cached(op, key, compute)
-        return (value[0] * (1 + 1e-6), value[1]) if key == "stiffness_cholesky" else value
-
-    monkeypatch.setattr(DiscreteOperator, "cached", sloppy)
+    # a K solve off by 1e-6 breaks the Phi residual, whatever bounds it:
+    # the lift fails at its exponent, gauge and diagnostics still run
+    solve = scipy.linalg.solveh_banded
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda *args: solve(*args) * (1 + 1e-6))
     result = run_suites(load_config(bundled_config("baseline-1d.json")), out_dir=tmp_path)
     [failure] = result.failures
     assert (failure["suite"], failure["kind"], failure["name"], failure["a"]) == (

@@ -1,8 +1,7 @@
 """Module layering: no fracred module reaches into another's private names,
-K is copied to dense only where a LAPACK factorization overwrites the copy
-and M only as the mass of the generalized ``eigh``, L^a and G are formed
-only at the rows a caller reads, and every tolerance bound lives in the
-contract table."""
+K and M are copied to dense only as the two matrices of the generalized
+``eigh``, which overwrites both copies, L^a and G are formed only at the
+rows a caller reads, and every tolerance bound lives in the contract table."""
 
 import ast
 import re
@@ -36,12 +35,10 @@ def test_no_cross_module_private_imports():
     assert offenders == []
 
 
-#: LAPACK factorizations of K or M: each argument slot a factorization may
+#: the one LAPACK factorization of K and M: each argument slot it may
 #: overwrite, with the one matrix a dense copy in that slot may come from
 FACTORIZATIONS = {
     "eigh": (("a", "K"), ("b", "M")),
-    "cho_factor": (("a", "K"),),
-    "cholesky": (("a", "K"),),
 }
 
 
@@ -57,9 +54,9 @@ def operator_matrix(node):
 
 def dense_copies(path: Path) -> list:
     """``.toarray()`` of K or M in one source file other than a Fortran-ordered
-    copy (``order="F"``) passed in a slot that a LAPACK factorization
-    overwrites (``overwrite_a``/``overwrite_b=True``) and that takes that
-    matrix (M only as ``eigh``'s ``b``); LAPACK copies any other array
+    copy (``order="F"``) passed in the slot of ``eigh`` that takes that
+    matrix (K as ``a``, M as ``b``) and that it overwrites
+    (``overwrite_a``/``overwrite_b=True``); LAPACK copies any other array
     before it factors it."""
     tree = ast.parse(path.read_text(), filename=str(path))
     consumed = {}  # argument node -> the matrix its slot may take
@@ -97,7 +94,7 @@ def test_k_and_m_are_densified_only_for_lapack():
 @pytest.mark.parametrize(
     "source, hits",
     [
-        ("f = scipy.linalg.cho_factor(op.K.toarray(order='F'), overwrite_a=True)", 0),
+        ("f = scipy.linalg.cho_factor(op.K.toarray(order='F'), overwrite_a=True)", 1),
         ("L = cholesky(op.M.toarray(order='F'), lower=True, overwrite_a=True)", 1),
         ("f = cho_factor(op.M.toarray(order='F'), overwrite_a=True)", 1),
         ("w, v = eigh(M.toarray(order='F'), K.toarray(order='F'), "
