@@ -165,13 +165,13 @@ class HeatRatioReport:
 
 
 def is_plain_laplacian(op: DiscreteOperator) -> bool:
-    """A = I, b = 0, c = 0 on every element and an unweighted mass."""
+    """A = I, b = 0, c = 0 and w = 1 on every element."""
     coeffs = op.coeffs
     return (
-        op.mass_density is None
-        and bool(np.all(coeffs.A == np.eye(op.mesh.dim)))
+        bool(np.all(coeffs.A == np.eye(op.mesh.dim)))
         and not np.any(coeffs.b)
         and not np.any(coeffs.c)
+        and bool(np.all(coeffs.w == 1))
     )
 
 

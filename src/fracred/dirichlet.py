@@ -116,7 +116,6 @@ class CauchyPair:
     trace_W: np.ndarray
     wtilde_nodes: np.ndarray
     flux_Wtilde: np.ndarray
-    a: float
 
 
 def _interior_solve(op: DiscreteOperator, a: float, cols, F=None):
@@ -195,7 +194,6 @@ def cauchy_pair(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> Cauchy
         trace_W=sol.u[w_dofs],
         wtilde_nodes=op.free_nodes[wt_dofs],
         flux_Wtilde=power_matrix(op, a, wt_dofs) @ sol.u,
-        a=a,
     )
     if not (np.all(np.isfinite(pair.trace_W)) and np.all(np.isfinite(pair.flux_Wtilde))):
         raise ArithmeticError("non-finite Cauchy data")

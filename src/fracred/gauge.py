@@ -6,7 +6,7 @@ weak-form change of variables is an exact finite-dimensional identity: the
 stiffness and mass assembled from the transported data
 
     A'   = DF^T A DF / det DF      (conductivity)
-    w'   = 1 / det DF              (mass weight)
+    w'   = w / det DF              (mass weight)
     b'   = DF^T b / det DF         (magnetic-type term)
     c'   = c / det DF              (potential)
 
@@ -115,7 +115,9 @@ class Diffeo:
 
 def map_mesh(mesh: Mesh, F: Diffeo) -> Mesh:
     """Move nodes to F(node), keep connectivity and bounding box."""
-    if F.mesh is not mesh and not np.array_equal(F.mesh.nodes, mesh.nodes):
+    if F.mesh is not mesh and not (
+        np.array_equal(F.mesh.nodes, mesh.nodes) and np.array_equal(F.mesh.elements, mesh.elements)
+    ):
         raise DiffeoError("deformation was built for a different mesh")
     mapped = Mesh(
         dim=mesh.dim,
@@ -141,12 +143,10 @@ def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:
     DF, det = F.DF, F.det
     A2 = np.einsum("eji,ejk,ekl->eil", DF, op.coeffs.A, DF) / det[:, None, None]
     A2 = 0.5 * (A2 + np.swapaxes(A2, 1, 2))
-    w2 = 1.0 / det
     b2 = np.einsum("eji,ej->ei", DF, op.coeffs.b) / det[:, None]
     c2 = op.coeffs.c / det
-    if op.mass_density is not None:
-        w2 = w2 * op.mass_density
-    return assemble(mesh2, CoefficientField(A=A2, b=b2, c=c2, labels=op.labels), mass_density=w2)
+    w2 = (1.0 / det) * op.coeffs.w
+    return assemble(mesh2, CoefficientField(A=A2, b=b2, c=c2, w=w2, labels=op.labels))
 
 
 def gauge_invariance_check(

@@ -6,9 +6,10 @@ The operator has the sesquilinear form
             + i int b . (u grad(conj(v)) - grad(u) conj(v))
             + int c u conj(v)
 
-with per-element constant coefficients: A a symmetric positive matrix, b a
-real vector (magnetic-type term), c a real scalar potential.  Integration is
-exact for piecewise-linear basis functions and constant coefficients, the
+and the mass form m(u, v) = int w u conj(v), with per-element constant
+coefficients: A a symmetric positive matrix, b a real vector (magnetic-type
+term), c a real scalar potential and w a positive mass weight.  Integration
+is exact for piecewise-linear basis functions and constant coefficients, the
 mass matrix is consistent (never lumped), and homogeneous Dirichlet values
 are eliminated on the outer box boundary.  Keeping the element integration
 exact is what later makes mapped-mesh reassembly an entrywise matrix
@@ -19,7 +20,9 @@ the generalized eigendecomposition K Phi = M Phi diag(lambda) with
 Phi^H M Phi = I is computed densely at assembly time.  Desk scale only
 (a few thousand degrees of freedom): K and M are held only as CSR, and the
 dense eigendecomposition is the one place that densifies them; it consumes
-a fresh dense copy of each.
+a fresh dense copy of each.  The local problem on the OMEGA patch is read
+through ``omega_interface``: its interface dofs, the OMEGA-only stiffness
+rows there and the factored P1 facet mass of the interface.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class AssemblyError(RuntimeError):
 
 @dataclass
 class CoefficientField:
-    """Per-element coefficients (A, b, c) and their ellipticity bound.
+    """Per-element coefficients (A, b, c, w) and their ellipticity bound.
 
     Attributes
     ----------
@@ -63,14 +66,18 @@ class CoefficientField:
         Real magnetic-type coefficient per element.
     c : ndarray, shape (n_elements,)
         Real potential per element.
+    w : ndarray, shape (n_elements,)
+        Positive mass weight per element.
     labels : RegionLabels or None
         When present, coefficient support rules are enforced: A is the
-        identity and b, c vanish on every element not tagged OMEGA.
+        identity, b and c vanish and w is 1 on every element not tagged
+        OMEGA.
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    w: np.ndarray
     labels: RegionLabels | None = None
 
     @property
@@ -89,46 +96,28 @@ class CoefficientField:
     ) -> "CoefficientField":
         """Broadcast scalar or single-matrix inputs to per-element arrays.
 
-        A may be None (identity), a scalar, a (dim, dim) matrix, or a full
-        (n_elements, dim, dim) stack; b a (dim,) vector or stack; c a scalar
-        or per-element array.  When labels are given, b and c inputs are
-        applied on OMEGA elements only and A defaults to the identity off
-        OMEGA unless a full stack overrides it.  An asymmetric or indefinite
-        A raises CoefficientError here, before any assembly.
+        A may be None (identity), a scalar or a (dim, dim) matrix; b a (dim,)
+        vector or stack; c a scalar or per-element array; w is 1.  When
+        labels are given, A, b and c inputs are applied on OMEGA elements
+        only.  An asymmetric or indefinite A raises CoefficientError here,
+        before any assembly.
         """
         ne, d = mesh.element_count, mesh.dim
-        eye = np.broadcast_to(np.eye(d), (ne, d, d)).copy()
-        if A is None:
-            A_full = eye
-        else:
+        target = labels.omega_elements if labels is not None else slice(None)
+        A_full = np.broadcast_to(np.eye(d), (ne, d, d)).copy()
+        if A is not None:
             A_arr = np.asarray(A, dtype=float)
-            if A_arr.ndim == 0:
-                A_full = eye * A_arr
-            elif A_arr.shape == (d, d):
-                A_full = np.broadcast_to(A_arr, (ne, d, d)).copy()
-            elif A_arr.shape == (ne, d, d):
-                A_full = A_arr.copy()
-            else:
+            if A_arr.shape not in ((), (d, d)):
                 raise CoefficientError(f"bad A shape {A_arr.shape}")
-            if labels is not None and A_arr.ndim in (0, 2):
-                # scalar / single-matrix input applies on OMEGA only
-                A_full_outside = eye.copy()
-                A_full_outside[labels.omega_elements] = A_full[
-                    labels.omega_elements
-                ]
-                A_full = A_full_outside
+            A_full[target] = A_arr if A_arr.ndim == 2 else A_arr * np.eye(d)
         b_full = np.zeros((ne, d))
         if b is not None:
-            b_arr = np.asarray(b, dtype=float)
-            target = labels.omega_elements if labels is not None else slice(None)
-            b_full[target] = b_arr
+            b_full[target] = np.asarray(b, dtype=float)
         c_full = np.zeros(ne)
         if c is not None:
-            c_arr = np.asarray(c, dtype=float)
-            target = labels.omega_elements if labels is not None else slice(None)
-            c_full[target] = c_arr
+            c_full[target] = np.asarray(c, dtype=float)
         observed_ellipticity(A_full)
-        return cls(A=A_full, b=b_full, c=c_full, labels=labels)
+        return cls(A=A_full, b=b_full, c=c_full, w=np.ones(ne), labels=labels)
 
     def validate(self, mesh: Mesh) -> None:
         ne, d = mesh.element_count, mesh.dim
@@ -136,8 +125,10 @@ class CoefficientField:
             raise CoefficientError(
                 f"A shape {self.A.shape} does not match mesh ({ne}, {d}, {d})"
             )
-        if self.b.shape != (ne, d) or self.c.shape != (ne,):
-            raise CoefficientError("b or c shape does not match mesh")
+        if self.b.shape != (ne, d) or self.c.shape != (ne,) or self.w.shape != (ne,):
+            raise CoefficientError("b, c or w shape does not match mesh")
+        if not np.all(self.w > 0):
+            raise CoefficientError("mass weight w must be positive")
         observed_ellipticity(self.A)
         if self.labels is not None:
             outside = np.setdiff1d(np.arange(ne), self.labels.omega_elements)
@@ -146,6 +137,8 @@ class CoefficientField:
                 raise CoefficientError("A must be the identity off OMEGA")
             if np.any(self.b[outside] != 0) or np.any(self.c[outside] != 0):
                 raise CoefficientError("b and c must vanish off OMEGA")
+            if np.any(self.w[outside] != 1):
+                raise CoefficientError("w must be 1 off OMEGA")
 
 
 def worst_relative(res, scale) -> float:
@@ -238,7 +231,7 @@ def element_geometry(mesh: Mesh):
     return measures, grads
 
 
-def local_matrices(mesh: Mesh, coeffs: CoefficientField, mass_density=None):
+def local_matrices(mesh: Mesh, coeffs: CoefficientField):
     """Exact per-element stiffness and mass matrices.
 
     Returns (k_local, m_local) with shapes (n_elements, d+1, d+1); k_local is
@@ -262,13 +255,7 @@ def local_matrices(mesh: Mesh, coeffs: CoefficientField, mass_density=None):
         diff = q[:, :, None] - q[:, None, :]
         k_loc = k_loc.astype(complex) + 1j * (measures / nb)[:, None, None] * diff
 
-    density = np.ones(mesh.element_count) if mass_density is None else np.asarray(mass_density, dtype=float)
-    if density.shape != (mesh.element_count,):
-        raise ValueError(f"mass density shape {density.shape} mismatch")
-    if np.any(density <= 0):
-        raise ValueError("mass density must be positive")
-    m_loc = density[:, None, None] * m_unit
-    return k_loc, m_loc
+    return k_loc, coeffs.w[:, None, None] * m_unit
 
 
 def _sparse_sum(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
@@ -287,16 +274,44 @@ def _sparse_sum(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
     return full
 
 
-def omega_stiffness(op: DiscreteOperator) -> scipy.sparse.csr_array:
-    """Rows at the Omega interface dofs of the stiffness assembled over OMEGA
-    elements only (cached, CSR); columns run over all dofs."""
+def omega_interface(op: DiscreteOperator):
+    """The Omega interface dofs, the stiffness rows there assembled over OMEGA
+    elements only (CSR, columns over all dofs) and the Cholesky factor of the
+    interface mass B; cached.
+
+    B is the P1 mass of the interface facets, the OMEGA element facets that
+    no second OMEGA element shares: |F| (1 + delta_ij) / (d (d + 1)) per
+    facet of d vertices, which is the identity on the two points of a 1-D
+    interface and ell/6 [[2, 1], [1, 2]] per edge in 2-D.
+    """
 
     def build():
-        k_loc, _ = local_matrices(op.mesh, op.coeffs)
-        keep = np.zeros(op.mesh.element_count, dtype=bool)
-        keep[op.resolve_labels().omega_elements] = True
-        full = _sparse_sum(op.mesh, np.where(keep[:, None, None], k_loc, 0.0))
-        return full[np.ix_(op.free_nodes[op.boundary_omega_dofs()], op.free_nodes)]
+        mesh, omega = op.mesh, op.resolve_labels().omega_elements
+        dofs = op.boundary_omega_dofs()
+        nodes = op.free_nodes[dofs]
+        k_loc, _ = local_matrices(mesh, op.coeffs)
+        keep = np.zeros(mesh.element_count, dtype=bool)
+        keep[omega] = True
+        k_omega = _sparse_sum(mesh, np.where(keep[:, None, None], k_loc, 0.0))
+        # each facet drops one vertex of an OMEGA element
+        d = mesh.dim
+        el = mesh.elements[omega]
+        facets = np.sort(np.concatenate([np.delete(el, k, axis=1) for k in range(d + 1)]), axis=1)
+        facets, count = np.unique(facets, axis=0, return_counts=True)
+        facets = facets[count == 1]
+        # |F|: the length of the one edge of a 2-D facet, 1 for a 1-D point
+        edges = mesh.nodes[facets[:, 1:]] - mesh.nodes[facets[:, :1]]
+        size = np.prod(np.linalg.norm(edges, axis=2), axis=1)
+        pos = np.full(mesh.node_count, -1)
+        pos[nodes] = np.arange(dofs.size)
+        B = np.zeros((dofs.size, dofs.size))
+        local = (size[:, None, None] * (1.0 + np.eye(d))) / (d * (d + 1))
+        np.add.at(B, (pos[facets][:, :, None], pos[facets][:, None, :]), local)
+        try:
+            factor = scipy.linalg.cho_factor(B)
+        except scipy.linalg.LinAlgError as exc:
+            raise ArithmeticError("degenerate interface mass matrix") from exc
+        return dofs, k_omega[np.ix_(nodes, op.free_nodes)], factor
 
     return op.cached("omega_stiffness", build)
 
@@ -315,8 +330,8 @@ class DiscreteOperator:
 
     The instance is treated as immutable after assembly.  ``_cache`` holds
     idempotent derived matrices (per exponent the interior rows of the
-    fractional stiffness with their Cholesky factor, the interface-mass
-    factor and the Omega stiffness rows; no factor of K, and never a whole
+    fractional stiffness with their Cholesky factor, and the Omega
+    interface of ``omega_interface``; no factor of K, and never a whole
     L^a or G); entries are write-once pure functions of the operator, so
     concurrent readers are safe.
     """
@@ -330,7 +345,6 @@ class DiscreteOperator:
     eigen_residual: float
     free_nodes: np.ndarray
     node_to_dof: np.ndarray
-    mass_density: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -398,22 +412,16 @@ class DiscreteOperator:
         return self._cache[key]
 
 
-def assemble(
-    mesh: Mesh,
-    coeffs: CoefficientField,
-    mass_density=None,
-) -> DiscreteOperator:
+def assemble(mesh: Mesh, coeffs: CoefficientField) -> DiscreteOperator:
     """Assemble (K, M) on the free nodes and attach the eigendecomposition.
 
     Parameters
     ----------
     mesh : Mesh
     coeffs : CoefficientField
-        Validated before any numerics (symmetry, positive definite A, and,
-        when labels are attached, coefficient support rules).
-    mass_density : array_like, optional
-        Positive per-element density for the mass matrix (weighted inner
-        product); default 1.
+        Validated before any numerics (shapes, symmetric positive definite
+        A, positive w, and, when labels are attached, coefficient support
+        rules).
 
     Raises
     ------
@@ -424,7 +432,7 @@ def assemble(
         If the stiffness or the dense eigenpairs break their contracts.
     """
     coeffs.validate(mesh)
-    k_loc, m_loc = local_matrices(mesh, coeffs, mass_density)
+    k_loc, m_loc = local_matrices(mesh, coeffs)
     boundary = mesh.boundary_nodes()
     free = np.setdiff1d(np.arange(mesh.node_count), boundary)
     node_to_dof = np.full(mesh.node_count, -1, dtype=np.intp)
@@ -446,7 +454,6 @@ def assemble(
     R = K @ vecs - (M @ vecs) * vals
     residual = check("eigenpair residual", float((np.linalg.norm(R, axis=0) / vals).max()), AssemblyError)
 
-    density = None if mass_density is None else np.asarray(mass_density, dtype=float)
     return DiscreteOperator(
         mesh=mesh,
         coeffs=coeffs,
@@ -457,7 +464,6 @@ def assemble(
         eigen_residual=residual,
         free_nodes=free,
         node_to_dof=node_to_dof,
-        mass_density=density,
     )
 
 
@@ -476,5 +482,6 @@ def check_shared_exterior(op1: DiscreteOperator, op2: DiscreteOperator) -> None:
         np.array_equal(c1.A[outside], c2.A[outside])
         and np.array_equal(c1.b[outside], c2.b[outside])
         and np.array_equal(c1.c[outside], c2.c[outside])
+        and np.array_equal(c1.w[outside], c2.w[outside])
     ):
         raise ValueError("exterior coefficient mismatch")

@@ -27,7 +27,7 @@ import scipy.linalg
 from .calculus import QuadratureError, TimeQuadrature, apply_inverse, apply_power
 from .dirichlet import ExteriorData, NonlocalSolution, cauchy_gap, cauchy_pair, solve_exterior_value
 from .mesh import RegionLabels
-from .operators import DiscreteOperator, check, check_shared_exterior, omega_stiffness, worst_relative
+from .operators import DiscreteOperator, check, check_shared_exterior, omega_interface, worst_relative
 
 
 @dataclass(frozen=True)
@@ -77,63 +77,18 @@ class BoundaryCauchyData:
     conormal: np.ndarray
 
 
-def _boundary_edges(mesh, labels: RegionLabels) -> np.ndarray:
-    """Edges of the OMEGA element patch that face a non-OMEGA element.
-
-    An edge interior to the patch is shared by exactly two OMEGA
-    triangles; interface edges appear once.
-    """
-    tris = mesh.elements[labels.omega_elements]
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq[counts == 1]
-
-
-def _boundary_mass(op: DiscreteOperator):
-    """Mass matrix of the Omega interface, and the interface dofs.
-
-    In 1D the interface is two points and the natural pairing is the
-    counting measure (identity); in 2D it is the P1 edge mass ell/6 *
-    [[2, 1], [1, 2]] summed over interface edges.
-    """
-    bd_dofs = op.boundary_omega_dofs()
-    if op.mesh.dim == 1:
-        return bd_dofs, np.eye(bd_dofs.size)
-    pos = {int(d): k for k, d in enumerate(bd_dofs)}
-    B = np.zeros((bd_dofs.size, bd_dofs.size))
-    for n0, n1 in _boundary_edges(op.mesh, op.labels):
-        ell = float(np.linalg.norm(op.mesh.nodes[n1] - op.mesh.nodes[n0]))
-        i = pos[int(op.node_to_dof[n0])]
-        j = pos[int(op.node_to_dof[n1])]
-        B[i, i] += ell / 3.0
-        B[j, j] += ell / 3.0
-        B[i, j] += ell / 6.0
-        B[j, i] += ell / 6.0
-    return bd_dofs, B
-
-
 def boundary_cauchy(op: DiscreteOperator, pair: LiftedPair) -> BoundaryCauchyData:
     """Boundary Cauchy data of Psi: trace and variational co-normal flux.
 
     The co-normal values g solve B g = r where r collects the Omega-side
     stiffness rows at interface dofs, r_j = (K_Omega Psi)_j, the standard
-    variational flux lifting; B is the interface mass, whose Cholesky factor
-    is cached with the interface dofs.
+    variational flux lifting; B is the interface mass of ``omega_interface``.
     """
-
-    def build():
-        bd_dofs, B = _boundary_mass(op)
-        try:
-            return bd_dofs, scipy.linalg.cho_factor(B)
-        except scipy.linalg.LinAlgError as exc:
-            raise ArithmeticError("degenerate interface mass matrix") from exc
-
-    bd_dofs, factor = op.cached("omega_boundary_mass_cholesky", build)
+    dofs, k_omega, factor = omega_interface(op)
     return BoundaryCauchyData(
-        nodes=op.free_nodes[bd_dofs],
-        trace=pair.psi[bd_dofs],
-        conormal=scipy.linalg.cho_solve(factor, omega_stiffness(op) @ pair.psi),
+        nodes=op.free_nodes[dofs],
+        trace=pair.psi[dofs],
+        conormal=scipy.linalg.cho_solve(factor, k_omega @ pair.psi),
     )
 
 

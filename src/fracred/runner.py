@@ -212,7 +212,7 @@ def _suite_gauge(ctx: RunContext) -> None:
     ) + "\n"
 
 
-def _heat_pairs(ctx: RunContext, op) -> list:
+def _heat_pairs(op) -> list:
     # pairs straddling the origin, comfortably away from the box edge
     targets = [0.0, 0.1, 0.2]
     nodes = []
@@ -271,7 +271,7 @@ def _suite_diagnostics(ctx: RunContext) -> None:
         # diameter: t is its geometric mean in 1-D (d = h) and 1/sqrt(2) of that
         # mean in 2-D, where h is the triangle leg and d the hypotenuse
         t = h * span / 2.0
-        report = heat_bound_check(op, t, _heat_pairs(ctx, op))
+        report = heat_bound_check(op, t, _heat_pairs(op))
         doc["heat_ratios"] = {
             "t": report.t,
             "t_in_window": report.t_in_window,

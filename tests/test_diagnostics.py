@@ -184,7 +184,7 @@ class TestHeatBound:
     def test_rejects_weighted_mass(self, heat1d):
         field = CoefficientField.build(heat1d.mesh)
         weighted = assemble(
-            heat1d.mesh, field, mass_density=np.full(heat1d.mesh.element_count, 2.0)
+            heat1d.mesh, dataclasses.replace(field, w=np.full(heat1d.mesh.element_count, 2.0))
         )
         with pytest.raises(ValueError, match="plain"):
             heat_bound_check(weighted, 0.01, self.center_pairs(heat1d)[:1])
@@ -249,3 +249,15 @@ class TestRigidityProbe:
             heatflow_rigidity_probe(
                 heat1d.op, heat1d.op, 0.5, f, quad, self.sigma(base1d)
             )
+
+    def test_rejects_partner_with_other_exterior_weight(self, base1d, quad):
+        # an unlabelled partner escapes the support rules, so only the
+        # shared-exterior check can see its mass weight differ off OMEGA
+        outside = np.setdiff1d(np.arange(base1d.mesh.element_count), base1d.labels.omega_elements)
+        w = np.ones(base1d.mesh.element_count)
+        w[outside[:5]] = 3.0
+        field = dataclasses.replace(CoefficientField.build(base1d.mesh), w=w)
+        partner = assemble(base1d.mesh, field)
+        f = hat_probes(base1d)[0]
+        with pytest.raises(ValueError, match="exterior coefficient mismatch"):
+            heatflow_rigidity_probe(base1d.op, partner, 0.5, f, quad, self.sigma(base1d))

@@ -14,6 +14,7 @@ from fracred.gauge import (
     map_mesh,
     pushforward_operator,
 )
+from fracred.mesh import Mesh
 from fracred.operators import CoefficientField, assemble
 
 
@@ -58,10 +59,19 @@ class TestDiffeoConstruction:
         with pytest.raises(DiffeoError):
             Diffeo.build(base1d.mesh, base1d.mesh.nodes[:-1], rho=0.8)
 
-    def test_map_mesh_rejects_foreign_deformation(self, base1d, fine1d):
+    def test_map_mesh_rejects_foreign_deformation(self, base1d, fine1d, base2d):
         F = Diffeo.radial_shrink(base1d.mesh, 0.8, 0.8)
         with pytest.raises(DiffeoError):
             map_mesh(fine1d.mesh, F)
+        # the same nodes with every cell split along its other diagonal
+        mesh = base2d.mesh
+        lower, upper = mesh.elements[0::2], mesh.elements[1::2]
+        n00, n10, n11, n01 = lower[:, 0], lower[:, 1], lower[:, 2], upper[:, 2]
+        flipped = np.stack([np.stack([n00, n10, n01], 1), np.stack([n10, n11, n01], 1)], 1)
+        other = Mesh(2, mesh.nodes.copy(), flipped.reshape(-1, 3), mesh.box.copy())
+        assert other.element_measures().min() > 0
+        with pytest.raises(DiffeoError):
+            map_mesh(other, Diffeo.radial_shrink(mesh, 0.5, 0.8))
 
 
 class TestPushforwardFormulas:

@@ -1,5 +1,7 @@
 """Assembly of the generalized eigenproblem: exactness, validation, spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,7 +86,7 @@ class TestAssemblyInvariants:
         mesh = build_interval_mesh(0.0, 1.0, 16)
         field = CoefficientField.build(mesh)
         op1 = assemble(mesh, field)
-        op2 = assemble(mesh, field, mass_density=np.full(16, 2.0))
+        op2 = assemble(mesh, dataclasses.replace(field, w=np.full(16, 2.0)))
         np.testing.assert_allclose(op2.M.toarray(), 2.0 * op1.M.toarray())
         np.testing.assert_allclose(op2.K.toarray(), op1.K.toarray())
 
@@ -149,3 +151,28 @@ class TestCoefficientValidation:
         assert np.all(field.A[labels.omega_elements] == 3.0 * np.eye(1))
         assert np.all(field.c[outside] == 0)
         assert np.all(field.c[labels.omega_elements] == 1.0)
+        assert np.all(field.w == 1.0)
+
+    @pytest.mark.parametrize("w, match", [
+        (np.full(80, -1.0), "positive"),
+        (np.zeros(80), "positive"),
+        (np.ones(79), "shape"),
+        (np.ones((80, 1)), "shape"),
+    ])
+    def test_bad_mass_weight_rejected(self, w, match):
+        mesh = build_interval_mesh(-2.0, 2.0, 80)
+        field = dataclasses.replace(CoefficientField.build(mesh), w=w)
+        with pytest.raises(CoefficientError, match=match):
+            field.validate(mesh)
+
+    def test_labelled_mass_weight_confined_to_omega(self):
+        mesh = build_interval_mesh(-2.0, 2.0, 80)
+        labels = label_regions(mesh, (-1, 1), (1.05, 1.8), (-1.95, -1.05))
+        field = CoefficientField.build(mesh, labels=labels)
+        inside = field.w.copy()
+        inside[labels.omega_elements] = 2.0
+        dataclasses.replace(field, w=inside).validate(mesh)
+        outside = field.w.copy()
+        outside[np.setdiff1d(np.arange(80), labels.omega_elements)[0]] = 2.0
+        with pytest.raises(CoefficientError, match="w must be 1 off OMEGA"):
+            assemble(mesh, dataclasses.replace(field, w=outside))

@@ -17,7 +17,7 @@ from fracred.calculus import (
 )
 from fracred.config import load_config
 from fracred.dirichlet import ExteriorData, cauchy_pair, solve_exterior_value
-from fracred.operators import CoefficientField, assemble
+from fracred.operators import CoefficientField, assemble, omega_interface
 from fracred.reduction import (
     LiftedPair,
     boundary_cauchy,
@@ -31,6 +31,22 @@ from fracred.runner import run_suites
 
 def first_probe_solution(scn, a=0.5):
     return solve_exterior_value(scn.op, a, hat_probes(scn)[0])
+
+
+def interface_mass(op):
+    """The interface dofs and B = U^T U from the cached upper Cholesky factor."""
+    dofs, _, (c, lower) = omega_interface(op)
+    assert not lower
+    U = np.triu(c)
+    return dofs, U.T @ U
+
+
+def interface_edges(scn):
+    """Edges of the OMEGA triangles that no second OMEGA triangle shares."""
+    tris = scn.mesh.elements[scn.labels.omega_elements]
+    edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    return uniq[counts == 1]
 
 
 def count_calls(monkeypatch, *functions):
@@ -179,10 +195,8 @@ class TestBoundaryCauchy:
     def test_interface_mass_totals_the_perimeter_2d(self, base2d):
         # each P1 edge block ell/6 [[2, 1], [1, 2]] sums to ell, so the
         # whole interface mass sums to the patch perimeter
-        from fracred.reduction import _boundary_edges, _boundary_mass
-
-        _, B = _boundary_mass(base2d.op)
-        edges = _boundary_edges(base2d.mesh, base2d.labels)
+        _, B = interface_mass(base2d.op)
+        edges = interface_edges(base2d)
         perimeter = sum(
             float(np.linalg.norm(base2d.mesh.nodes[n1] - base2d.mesh.nodes[n0]))
             for n0, n1 in edges
@@ -192,12 +206,10 @@ class TestBoundaryCauchy:
         assert np.all(np.linalg.eigvalsh(B) > 0)
 
     def test_edge_block_entries_2d(self, base2d):
-        from fracred.reduction import _boundary_edges, _boundary_mass
-
         op = base2d.op
-        bd_dofs, B = _boundary_mass(op)
+        bd_dofs, B = interface_mass(op)
         pos = {int(d): k for k, d in enumerate(bd_dofs)}
-        n0, n1 = _boundary_edges(base2d.mesh, base2d.labels)[0]
+        n0, n1 = interface_edges(base2d)[0]
         ell = float(np.linalg.norm(base2d.mesh.nodes[n1] - base2d.mesh.nodes[n0]))
         i, j = pos[int(op.node_to_dof[n0])], pos[int(op.node_to_dof[n1])]
         assert B[i, j] == pytest.approx(ell / 6.0, rel=1e-12)
@@ -205,13 +217,11 @@ class TestBoundaryCauchy:
     def test_flux_balance_is_exact(self, base2d):
         # sum_j (B g)_j = 1^T K_Omega psi = 0 because stiffness rows of a
         # fully interior patch annihilate constants
-        from fracred.reduction import _boundary_mass
-
         op = base2d.op
         x = base2d.mesh.nodes[op.free_nodes][:, 0]
         fake = LiftedPair(psi=x, residuals={})
         bc = boundary_cauchy(op, fake)
-        _, B = _boundary_mass(op)
+        _, B = interface_mass(op)
         assert abs((B @ bc.conormal).sum()) < 1e-12
 
     def test_gap_rejects_different_node_sets(self, base1d, base2d):
