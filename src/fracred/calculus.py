@@ -239,12 +239,10 @@ def kernel_Ka(op: DiscreteOperator, a: float, x_node: int, z_node: int, quad: Ti
 
 
 def min_element_diameter(mesh) -> float:
+    """Smallest over the elements of the longest vertex-pair edge."""
     pts = mesh.nodes[mesh.elements]
-    if mesh.dim == 1:
-        return float(mesh.element_measures().min())
-    edges = [pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0], pts[:, 2] - pts[:, 1]]
-    lengths = np.stack([np.linalg.norm(e, axis=1) for e in edges], axis=1)
-    return float(lengths.max(axis=1).min())
+    i, j = np.triu_indices(mesh.dim + 1, k=1)
+    return float(np.linalg.norm(pts[:, j] - pts[:, i], axis=2).max(axis=1).min())
 
 
 def kernel_gaussian_reference(a: float, r, dim: int = 1):

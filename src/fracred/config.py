@@ -305,11 +305,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
+
+
 def load_config(path) -> ExperimentConfig:
     """Read and validate a config file."""
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

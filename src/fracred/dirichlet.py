@@ -5,8 +5,8 @@ find u with u = f outside the interior of Omega and B(u, w) = 0 for every
 w supported on Omega-interior dofs, where B(u, w) = <L^a u, w>_M.  With
 G the matrix of B this is the Schur solve G_II u_I = -G_IX f_X.
 
-The measured data are the pair (u|_W, (L^a u)|_Wtilde).  Nodal flux values
-are reported in the strong sense, i.e. entries of L^a u = M^{-1} G u.
+The measured data are the CauchyData (u|_W, (L^a u)|_Wtilde).  Nodal flux
+values are reported in the strong sense, i.e. entries of L^a u = M^{-1} G u.
 """
 
 from __future__ import annotations
@@ -109,13 +109,20 @@ class NonlocalSolution:
 
 
 @dataclass(frozen=True)
-class CauchyPair:
-    """Exterior partial Cauchy data (u|_W, (L^a u)|_Wtilde), one column per datum."""
+class CauchyData:
+    """Theorem 1's Cauchy data, one column per datum, in either reading:
+    exterior (u|_W, (L^a u)|_Wtilde) from ``cauchy_pair``, or boundary (trace
+    and co-normal flux of Psi, both on the Omega interface) from
+    ``reduction.boundary_cauchy``."""
 
-    w_nodes: np.ndarray
-    trace_W: np.ndarray
-    wtilde_nodes: np.ndarray
-    flux_Wtilde: np.ndarray
+    trace_nodes: np.ndarray
+    trace: np.ndarray
+    flux_nodes: np.ndarray
+    flux: np.ndarray
+
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.trace)) and np.all(np.isfinite(self.flux))):
+            raise ArithmeticError("non-finite Cauchy data")
 
 
 def _interior_solve(op: DiscreteOperator, a: float, cols, F=None):
@@ -182,32 +189,29 @@ def stability_constant(op: DiscreteOperator, a: float) -> float:
     return c
 
 
-def cauchy_pair(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> CauchyPair:
+def cauchy_pair(op: DiscreteOperator, a: float, sol: NonlocalSolution) -> CauchyData:
     """Extract (u|_W, (L^a u)|_Wtilde), flux in the strong nodal sense; the
     flux is formed from the |Wtilde| rows of L^a alone."""
     if sol.a != a:
         raise ValueError(f"solution was computed at a={sol.a}, not {a}")
     w_dofs = op.region_dofs("W")
     wt_dofs = op.region_dofs("WTILDE")
-    pair = CauchyPair(
-        w_nodes=op.free_nodes[w_dofs],
-        trace_W=sol.u[w_dofs],
-        wtilde_nodes=op.free_nodes[wt_dofs],
-        flux_Wtilde=power_matrix(op, a, wt_dofs) @ sol.u,
+    return CauchyData(
+        trace_nodes=op.free_nodes[w_dofs],
+        trace=sol.u[w_dofs],
+        flux_nodes=op.free_nodes[wt_dofs],
+        flux=power_matrix(op, a, wt_dofs) @ sol.u,
     )
-    if not (np.all(np.isfinite(pair.trace_W)) and np.all(np.isfinite(pair.flux_Wtilde))):
-        raise ArithmeticError("non-finite Cauchy data")
-    return pair
 
 
-def cauchy_gap(one: CauchyPair, other: CauchyPair):
-    """Max-norm distance between two Cauchy pairs on matching windows, per datum column."""
+def cauchy_gap(one: CauchyData, other: CauchyData):
+    """Max-norm distance between two Cauchy data on matching nodes, per datum column."""
     if not (
-        np.array_equal(one.w_nodes, other.w_nodes)
-        and np.array_equal(one.wtilde_nodes, other.wtilde_nodes)
+        np.array_equal(one.trace_nodes, other.trace_nodes)
+        and np.array_equal(one.flux_nodes, other.flux_nodes)
     ):
-        raise ValueError("Cauchy pairs live on different windows")
+        raise ValueError("Cauchy data live on different nodes")
     return np.maximum(
-        np.abs(one.trace_W - other.trace_W).max(axis=0),
-        np.abs(one.flux_Wtilde - other.flux_Wtilde).max(axis=0),
+        np.abs(one.trace - other.trace).max(axis=0),
+        np.abs(one.flux - other.flux).max(axis=0),
     )

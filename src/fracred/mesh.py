@@ -143,18 +143,12 @@ def build_rect_mesh(box, nx: int, ny: int) -> Mesh:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            # split along the n00-n11 diagonal, both triangles CCW
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    elements = np.array(tris, dtype=np.intp)
+    # lower-left node of every cell, cells in (i, j) order; each cell is split
+    # along its n00-n11 diagonal into two CCW triangles
+    n00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    n10, n01, n11 = n00 + ny + 1, n00 + 1, n00 + ny + 2
+    tris = np.stack([n00, n10, n11, n00, n11, n01], axis=1)
+    elements = tris.reshape(-1, 3).astype(np.intp)
     return Mesh(2, nodes, elements, box)
 
 

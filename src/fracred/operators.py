@@ -199,13 +199,6 @@ def observed_ellipticity(A: np.ndarray) -> float:
     return float(max(eigs.max(), (1.0 / eigs).max()))
 
 
-def _reference_gradients(dim: int) -> np.ndarray:
-    # gradients of barycentric coordinates on the reference simplex
-    if dim == 1:
-        return np.array([[-1.0], [1.0]])
-    return np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 def element_geometry(mesh: Mesh):
     """Measures and P1 basis gradients for every element.
 
@@ -220,14 +213,11 @@ def element_geometry(mesh: Mesh):
     measures = mesh.element_measures()
     if np.any(measures <= 0):
         raise ValueError("element with non-positive measure")
-    if mesh.dim == 1:
-        h = measures[:, None, None]
-        grads = _reference_gradients(1)[None, :, :] / h
-    else:
-        # rows of J are the edge vectors; dX/dxi = J^T, so grad_x = J^{-1} grad_xi
-        J = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]], axis=1)
-        Jinv = np.linalg.inv(J)
-        grads = np.einsum("id,edk->eik", _reference_gradients(2), np.swapaxes(Jinv, 1, 2))
+    # rows of J are the edge vectors; dX/dxi = J^T, so grad_x = J^{-1} grad_xi,
+    # with the barycentric gradients of the reference simplex as grad_xi
+    J = pts[:, 1:] - pts[:, :1]
+    reference = np.vstack([-np.ones(mesh.dim), np.eye(mesh.dim)])
+    grads = np.einsum("id,edk->eik", reference, np.swapaxes(np.linalg.inv(J), 1, 2))
     return measures, grads
 
 

@@ -76,6 +76,14 @@ class TestRunContract:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "schema violation" in capsys.readouterr().err
 
+    def test_nan_exponent_exit_config(self, tmp_path, capsys):
+        def nan(raw):
+            raw["a"] = [float("nan")]
+
+        cfg = write_config(tmp_path, nan)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_missing_config_exit_io(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["run", missing, "--out", str(tmp_path / "o")]) == EXIT_IO

@@ -233,6 +233,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(p)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_json_constants_rejected(self, tmp_path, value):
+        # Python's json reads NaN and +-Infinity, and NaN passes every bound
+        raw = valid_raw()
+        raw["quad"]["s_max"] = value
+        p = tmp_path / "constant.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(p)
+
     def test_non_object_root_rejected(self, tmp_path):
         p = tmp_path / "list.json"
         p.write_text(json.dumps([1, 2, 3]))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import fracred.dirichlet as dirichlet
 from fracred.calculus import fractional_stiffness
 from fracred.dirichlet import (
-    CauchyPair,
     ExteriorData,
     ExteriorDataError,
     cauchy_gap,
@@ -259,9 +258,9 @@ class TestCauchyData:
         sol = solve_exterior_value(base1d.op, 0.5, f)
         pair = cauchy_pair(base1d.op, 0.5, sol)
         w_dofs = base1d.op.region_dofs("W", base1d.labels)
-        np.testing.assert_array_equal(pair.trace_W, f.values[w_dofs])
-        assert pair.wtilde_nodes.size == base1d.op.region_dofs("WTILDE", base1d.labels).size
-        assert np.all(np.isfinite(pair.flux_Wtilde))
+        np.testing.assert_array_equal(pair.trace, f.values[w_dofs])
+        assert pair.flux_nodes.size == base1d.op.region_dofs("WTILDE", base1d.labels).size
+        assert np.all(np.isfinite(pair.flux))
 
     def test_pair_rejects_mismatched_exponent(self, base1d):
         sol = solve_exterior_value(base1d.op, 0.25, seeded_datum(base1d, 31))
@@ -305,12 +304,12 @@ class TestExteriorDataMatrix:
 
     def test_nodal_columns_match_cauchy_pairs(self, base1d):
         block = solve_exterior_value(base1d.op, 0.5, ExteriorData.w_hats(base1d.op))
-        matrix = cauchy_pair(base1d.op, 0.5, block).flux_Wtilde
+        matrix = cauchy_pair(base1d.op, 0.5, block).flux
         for j, f in enumerate(hat_probes(base1d)[:4]):
             sol = solve_exterior_value(base1d.op, 0.5, f)
             pair = cauchy_pair(base1d.op, 0.5, sol)
             np.testing.assert_allclose(
-                matrix[:, j], pair.flux_Wtilde, rtol=1e-12, atol=1e-13
+                matrix[:, j], pair.flux, rtol=1e-12, atol=1e-13
             )
 
 

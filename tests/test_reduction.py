@@ -16,12 +16,11 @@ from fracred.calculus import (
     gamma_neg,
 )
 from fracred.config import load_config
-from fracred.dirichlet import ExteriorData, cauchy_pair, solve_exterior_value
+from fracred.dirichlet import ExteriorData, cauchy_gap, cauchy_pair, solve_exterior_value
 from fracred.operators import CoefficientField, assemble, omega_interface
 from fracred.reduction import (
     LiftedPair,
     boundary_cauchy,
-    boundary_gap,
     lift,
     moment_functional,
     theorem1_probe,
@@ -136,25 +135,24 @@ class TestBlockEquivalence:
             bc_j = boundary_cauchy(op, pair_j)
             for got, want in [
                 (pair.psi[:, j], pair_j.psi),
-                (cp.trace_W[:, j], cp_j.trace_W),
-                (cp.flux_Wtilde[:, j], cp_j.flux_Wtilde),
+                (cp.trace[:, j], cp_j.trace),
+                (cp.flux[:, j], cp_j.flux),
                 (bc.trace[:, j], bc_j.trace),
-                (bc.conormal[:, j], bc_j.conormal),
+                (bc.flux[:, j], bc_j.flux),
             ]:
                 assert np.abs(got - want).max() < 1e-12
-            np.testing.assert_array_equal(cp.w_nodes, cp_j.w_nodes)
-            np.testing.assert_array_equal(bc.nodes, bc_j.nodes)
+            for data, data_j in [(cp, cp_j), (bc, bc_j)]:
+                np.testing.assert_array_equal(data.trace_nodes, data_j.trace_nodes)
+                np.testing.assert_array_equal(data.flux_nodes, data_j.flux_nodes)
 
     def test_per_probe_matches_single_probes(self, scn, columns):
+        # each gap of the block is the worst of the single-probe gaps
         other = assemble(scn.mesh, CoefficientField.build(scn.mesh, labels=scn.labels, c=5.0))
         rep = theorem1_probe(scn.op, other, 0.5, columns, scn.labels)
-        assert len(rep["per_probe"]) == len(columns)
-        for entry, f in zip(rep["per_probe"], columns):
-            single = theorem1_probe(scn.op, other, 0.5, [f], scn.labels)
-            for key in ("exterior_gap", "boundary_gap"):
-                assert entry[key] == pytest.approx(single[key], rel=1e-10)
+        singles = [theorem1_probe(scn.op, other, 0.5, [f], scn.labels) for f in columns]
         for key in ("exterior_gap", "boundary_gap"):
-            assert rep[key] == max(entry[key] for entry in rep["per_probe"])
+            assert rep[key] == pytest.approx(max(single[key] for single in singles), rel=1e-10)
+            assert rep[key] > 0.0
 
 
 class TestBoundaryCauchy:
@@ -165,18 +163,19 @@ class TestBoundaryCauchy:
         x = base1d.mesh.nodes[op.free_nodes].ravel()
         fake = LiftedPair(psi=x, residuals={})
         bc = boundary_cauchy(op, fake)
-        order = np.argsort(base1d.mesh.nodes[bc.nodes].ravel())
-        np.testing.assert_allclose(bc.conormal[order], [-1.0, 1.0], atol=1e-12)
+        order = np.argsort(base1d.mesh.nodes[bc.flux_nodes].ravel())
+        np.testing.assert_allclose(bc.flux[order], [-1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(
-            np.sort(base1d.mesh.nodes[bc.nodes].ravel()), [-1.0, 1.0]
+            np.sort(base1d.mesh.nodes[bc.flux_nodes].ravel()), [-1.0, 1.0]
         )
+        np.testing.assert_array_equal(bc.trace_nodes, bc.flux_nodes)
 
     def test_constant_psi_has_zero_conormal(self, base1d):
         op = base1d.op
         ones = np.ones(op.n_dofs)
         fake = LiftedPair(psi=ones, residuals={})
         bc = boundary_cauchy(op, fake)
-        assert np.abs(bc.conormal).max() < 1e-12
+        assert np.abs(bc.flux).max() < 1e-12
         assert np.all(bc.trace == 1.0)
 
     def test_linear_psi_flux_on_straight_edges_2d(self, base2d):
@@ -185,12 +184,12 @@ class TestBoundaryCauchy:
         x = base2d.mesh.nodes[op.free_nodes][:, 0]
         fake = LiftedPair(psi=x, residuals={})
         bc = boundary_cauchy(op, fake)
-        pts = base2d.mesh.nodes[bc.nodes]
+        pts = base2d.mesh.nodes[bc.flux_nodes]
         right = (np.abs(pts[:, 0] - 1.0) < 1e-9) & (np.abs(pts[:, 1]) <= 0.5)
         left = (np.abs(pts[:, 0] + 1.0) < 1e-9) & (np.abs(pts[:, 1]) <= 0.5)
         assert right.any() and left.any()
-        np.testing.assert_allclose(bc.conormal[right], 1.0, atol=0.05)
-        np.testing.assert_allclose(bc.conormal[left], -1.0, atol=0.05)
+        np.testing.assert_allclose(bc.flux[right], 1.0, atol=0.05)
+        np.testing.assert_allclose(bc.flux[left], -1.0, atol=0.05)
 
     def test_interface_mass_totals_the_perimeter_2d(self, base2d):
         # each P1 edge block ell/6 [[2, 1], [1, 2]] sums to ell, so the
@@ -222,7 +221,7 @@ class TestBoundaryCauchy:
         fake = LiftedPair(psi=x, residuals={})
         bc = boundary_cauchy(op, fake)
         _, B = interface_mass(op)
-        assert abs((B @ bc.conormal).sum()) < 1e-12
+        assert abs((B @ bc.flux).sum()) < 1e-12
 
     def test_gap_rejects_different_node_sets(self, base1d, base2d):
         s1 = first_probe_solution(base1d)
@@ -230,7 +229,13 @@ class TestBoundaryCauchy:
         s2 = first_probe_solution(base2d)
         b2 = boundary_cauchy(base2d.op, lift(base2d.op, 0.5, s2))
         with pytest.raises(ValueError):
-            boundary_gap(b1, b2)
+            cauchy_gap(b1, b2)
+
+    def test_non_finite_psi_rejected(self, base1d):
+        psi = np.ones(base1d.op.n_dofs)
+        psi[omega_interface(base1d.op)[0][0]] = np.nan
+        with pytest.raises(ArithmeticError, match="non-finite Cauchy data"):
+            boundary_cauchy(base1d.op, LiftedPair(psi=psi, residuals={}))
 
 
 class TestTheoremProbe:
@@ -239,7 +244,7 @@ class TestTheoremProbe:
         rep = theorem1_probe(base1d.op, base1d.op, 0.5, probes, base1d.labels)
         assert rep["exterior_gap"] < 1e-10
         assert rep["boundary_gap"] < 1e-10
-        assert len(rep["per_probe"]) == 4
+        assert set(rep) == {"exterior_gap", "boundary_gap", "lift_residuals"}
 
     def test_zeroth_order_perturbation_regression(self, perturbed1d, base1d):
         # frozen from the first verified run: c = +5 inside Omega shifts

@@ -280,7 +280,7 @@ class TestRows:
     def test_cauchy_flux_rows(self, assembled, a):
         op = assembled
         sol = solve_exterior_value(op, a, ExteriorData.w_hats(op))
-        got = cauchy_pair(op, a, sol).flux_Wtilde
+        got = cauchy_pair(op, a, sol).flux
         # the W-tilde flux is a near-cancelling sum (about 1e-4 here), so the
         # roundoff scale is the flux where it is largest, at the W hats
         full = apply_power(op, a, sol.u)
