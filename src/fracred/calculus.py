@@ -46,7 +46,7 @@ _S_MAX_LIMIT = math.asinh(math.log(np.finfo(float).max) / math.pi)
 
 @dataclass(frozen=True)
 class TimeQuadrature:
-    """Double-exponential node/weight set for integrals over t in (0, inf).
+    """Double-exponential nodes and weights for integrals against t**(-1-a) on (0, inf).
 
     Attributes
     ----------
@@ -60,7 +60,7 @@ class TimeQuadrature:
     n: int = 200
 
     def __post_init__(self):
-        if self.n < 2 or self.s_max <= 0:
+        if not (self.n >= 2 and 0 < self.s_max):
             raise QuadratureError(f"bad quadrature parameters {self}")
         if self.s_max > _S_MAX_LIMIT:
             raise QuadratureError(
@@ -80,41 +80,35 @@ class TimeQuadrature:
     def t(self) -> np.ndarray:
         return np.exp(np.pi * np.sinh(self.s))
 
-    def singular_weights(self, power: float) -> np.ndarray:
-        """w_q * t_q**(-power), evaluated in log form to dodge overflow."""
-        s = self.s
-        log_t = np.pi * np.sinh(s)
-        w = np.pi * np.cosh(s) * self.step * np.exp((1.0 - power) * log_t)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
-    def mode_terms(self, lam, power: float, increment: bool = True) -> np.ndarray:
-        """Weighted heat-flow terms w_q t_q**(-power) evol(t_q lambda).
+    def mode_terms(self, lam, a: float, increment: bool = True) -> np.ndarray:
+        """Weighted heat-flow terms w_q t_q**(-1-a) evol(t_q lambda).
 
         evol(x) is e^{-x} - 1 with increment, else e^{-x}; the node axis is
-        appended last, so summing it integrates against t**(-power).  expm1
-        keeps full relative precision where t*lambda is tiny; the literal
-        difference e^{-t lambda} - 1 would lose eps^(1-a) of the answer and
-        miss tight calibration tolerances.
+        appended last, so summing it integrates against t**(-1-a).  The
+        weight is evaluated in log form to dodge overflow.  expm1 keeps full
+        relative precision where t*lambda is tiny; the literal difference
+        e^{-t lambda} - 1 would lose eps^(1-a) of the answer and miss tight
+        calibration tolerances.
         """
+        s = self.s
+        log_t = np.pi * np.sinh(s)
+        w = np.pi * np.cosh(s) * self.step * np.exp(-a * log_t)
+        w[0] *= 0.5
+        w[-1] *= 0.5
         x = np.multiply.outer(np.asarray(lam, dtype=float), self.t)
         evol = np.expm1(-x) if increment else np.exp(-x)
-        return evol * self.singular_weights(power)
+        return evol * w
 
     def scalar_power(self, lam, a: float):
         """Quadrature value of the fractional-power integral at lambda."""
-        return self.mode_terms(lam, 1.0 + a).sum(axis=-1) / gamma_neg(a)
-
-    def calibration_error(self, lambdas, a: float) -> float:
-        """Max relative error of scalar_power against lambda^a (NaN when any is NaN)."""
-        return float(np.max([rel for *_, rel in calibration_rows(self, lambdas, a)]))
+        return self.mode_terms(lam, a).sum(axis=-1) / gamma_neg(a)
 
     def ensure_calibrated(self, lambda_min: float, lambda_max: float, a: float) -> float:
-        """Worst relative error over a geometric sample of [lambda_min, lambda_max];
-        QuadratureError when it breaks the "calibration error" contract."""
-        lam = np.geomspace(lambda_min, lambda_max, 9)
-        return check("calibration error", self.calibration_error(lam, a), QuadratureError, a)
+        """Worst relative error of scalar_power against lambda^a over a geometric
+        sample of [lambda_min, lambda_max] (NaN when any is NaN); QuadratureError
+        when it breaks the "calibration error" contract."""
+        rows = calibration_rows(self, np.geomspace(lambda_min, lambda_max, 9), a)
+        return check("calibration error", float(np.max([rel for *_, rel in rows])), QuadratureError, a)
 
 
 def calibration_rows(quad: TimeQuadrature, lambdas, a: float):
@@ -201,17 +195,14 @@ def apply_inverse(op: DiscreteOperator, v: np.ndarray):
     return x, worst_relative(np.linalg.norm(op.K @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
 
 
-def heat_kernel_entry(op: DiscreteOperator, t, x_node: int, z_node: int):
+def heat_kernel_entry(op: DiscreteOperator, t: float, x_node: int, z_node: int):
     """Discrete heat kernel p_t(x, z), the (x, z) entry of e^{-tL} M^{-1}.
 
-    Vectorized over t.  Nodes are mesh node indices.
+    Nodes are mesh node indices.
     """
     dx = op.dofs_of_nodes(x_node)[0]
     dz = op.dofs_of_nodes(z_node)[0]
-    prod = op.eigenvectors[dx] * op.eigenvectors[dz].conj()
-    t = np.asarray(t, dtype=float)
-    vals = np.exp(-np.multiply.outer(t, op.eigenvalues)) @ prod
-    return vals if vals.ndim else vals[()]
+    return np.exp(-t * op.eigenvalues) @ (op.eigenvectors[dx] * op.eigenvectors[dz].conj())
 
 
 def kernel_Ka(op: DiscreteOperator, a: float, x_node: int, z_node: int, quad: TimeQuadrature):
@@ -233,7 +224,7 @@ def kernel_Ka(op: DiscreteOperator, a: float, x_node: int, z_node: int, quad: Ti
     if not keep.any():
         raise QuadratureError("the squared element diameter leaves no quadrature nodes")
     dx, dz = op.dofs_of_nodes([x_node, z_node])
-    modes = quad.mode_terms(op.eigenvalues, 1.0 + a, increment=False)[:, keep].sum(axis=1)
+    modes = quad.mode_terms(op.eigenvalues, a, increment=False)[:, keep].sum(axis=1)
     value = (op.eigenvectors[dx] * op.eigenvectors[dz].conj()) @ modes / gamma
     return float(value.real) if op.is_real else complex(value)
 

@@ -251,11 +251,16 @@ class ExperimentConfig:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict and return the typed configuration.
 
-    Schema validation runs first (unknown keys rejected), then the semantic
-    checks: box ordering and dimensions, strict separation of the closed
-    Omega box from each window box, coefficient shapes, and containment of
-    the deformation ball in Omega.
+    Values that are not JSON are rejected first, NaN and +-Infinity among
+    them (NaN passes every bound).  Schema validation follows (unknown keys
+    rejected), then the semantic checks: box ordering and dimensions, strict
+    separation of the closed Omega box from each window box, coefficient
+    shapes, and containment of the deformation ball in Omega.
     """
+    try:
+        json.dumps(raw, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -305,15 +310,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"config is not valid JSON: {name} is not a JSON number")
-
-
 def load_config(path) -> ExperimentConfig:
     """Read and validate a config file."""
     text = Path(path).read_text()
     try:
-        raw = json.loads(text, parse_constant=_reject_constant)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

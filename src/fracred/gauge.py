@@ -103,7 +103,7 @@ class Diffeo:
         """
         if not 0 < factor <= 1:
             raise DiffeoError(f"shrink factor must lie in (0, 1], got {factor}")
-        if rho <= 0:
+        if not rho > 0:
             raise DiffeoError(f"rho must be positive, got {rho}")
         r = np.linalg.norm(mesh.nodes, axis=1)
         mapped = mesh.nodes.copy()

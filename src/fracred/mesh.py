@@ -208,12 +208,6 @@ class RegionLabels:
         )
 
 
-def _element_nodes(mesh: Mesh, element_idx: np.ndarray) -> np.ndarray:
-    if element_idx.size == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.unique(mesh.elements[element_idx])
-
-
 def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     """Tag elements and nodes by barycenter membership in region boxes.
 
@@ -250,12 +244,9 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
             raise RegionError(f"region {name} is empty")
 
     omega_elements = np.flatnonzero(in_omega)
-    w_elements = np.flatnonzero(in_w)
-    wtilde_elements = np.flatnonzero(in_wt)
-
-    omega_nodes = _element_nodes(mesh, omega_elements)
-    w_nodes = _element_nodes(mesh, w_elements)
-    wtilde_nodes = _element_nodes(mesh, wtilde_elements)
+    omega_nodes = np.unique(mesh.elements[omega_elements])
+    w_nodes = np.unique(mesh.elements[in_w])
+    wtilde_nodes = np.unique(mesh.elements[in_wt])
 
     # discrete closure disjointness: one untagged element must separate
     # omega from each window, so their node sets may not intersect
@@ -270,10 +261,9 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     )
     touches_tagged = np.isin(mesh.elements, tagged_nodes).any(axis=1)
     e_mask = ~tagged & ~touches_tagged
-    e_elements = np.flatnonzero(e_mask)
-    e_nodes = _element_nodes(mesh, e_elements)
-    if e_elements.size == 0:
+    if not e_mask.any():
         raise RegionError("far region E is empty; enlarge the mesh box")
+    e_nodes = np.unique(mesh.elements[e_mask])
 
     element_tags = np.full(mesh.element_count, OTHER_EXTERIOR, dtype="<U14")
     element_tags[e_mask] = E
@@ -288,7 +278,7 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     node_tags[omega_nodes] = OMEGA
 
     # boundary nodes of omega: in an OMEGA element and in a non-OMEGA element
-    non_omega_nodes = _element_nodes(mesh, np.flatnonzero(~in_omega))
+    non_omega_nodes = np.unique(mesh.elements[~in_omega])
     boundary_omega = np.intersect1d(omega_nodes, non_omega_nodes)
     omega_interior = np.setdiff1d(omega_nodes, boundary_omega)
     if boundary_omega.size == 0 or omega_interior.size == 0:

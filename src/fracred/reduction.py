@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .calculus import QuadratureError, TimeQuadrature, apply_inverse, apply_power
+from .calculus import apply_inverse, apply_power
 from .dirichlet import CauchyData, ExteriorData, NonlocalSolution, cauchy_gap, cauchy_pair, solve_exterior_value
 from .mesh import RegionLabels
 from .operators import DiscreteOperator, check, check_shared_exterior, omega_interface, worst_relative
@@ -122,45 +122,3 @@ def theorem1_probe(
         "lift_residuals": {key: max(res1[key], res2[key]) for key in res1},
     }
 
-
-def moment_functional(
-    op: DiscreteOperator,
-    a: float,
-    u: np.ndarray,
-    m: int,
-    quad: TimeQuadrature,
-    nodes,
-    increment: bool = False,
-) -> np.ndarray:
-    """Time moments of the heat flow: sum_q w_q U(t_q, x) / t_q^{m+a}.
-
-    With increment=True the evolved vector is (e^{-tL} - I) u instead of
-    e^{-tL} u; at m = 1 that reproduces Gamma(-a) L^a u exactly (checked
-    against the scalar calibration when m = 1).
-
-    The bare moment diverges as t -> 0 unless u decays there (e.g. u is a
-    difference of flows agreeing at t = 0); divergence is detected by the
-    smallest-t quadrature nodes dominating the sum and raises
-    QuadratureError.
-    """
-    if m < 1 or int(m) != m:
-        raise ValueError(f"moment order must be a positive integer, got {m}")
-    if not 0 < a < 1:
-        raise ValueError(f"exponent must lie in (0, 1), got {a}")
-    if increment and m == 1:
-        quad.ensure_calibrated(op.lambda_min, op.lambda_max, a)
-    dofs = op.dofs_of_nodes(np.asarray(nodes, dtype=int))
-    coeff = op.spectral_coefficients(u)
-    terms = quad.mode_terms(op.eigenvalues, m + a, increment)
-    # per-node, per-time contributions before the final weighted sum
-    contrib = op.eigenvectors[dofs] @ (coeff[:, None] * terms)
-    head = np.abs(contrib[:, :5]).max(axis=1)
-    peak = np.abs(contrib).max(axis=1)
-    diverging = head > 1e-3 * peak
-    if np.any(diverging & (peak > 0)):
-        worst = np.asarray(nodes, dtype=int)[diverging & (peak > 0)]
-        raise QuadratureError(
-            f"moment integral (m={m}, a={a}) diverges at t->0 at nodes "
-            f"{worst.tolist()}: smallest-t nodes dominate the sum"
-        )
-    return contrib.sum(axis=1)

@@ -243,6 +243,28 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(p)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "path",
+        [("a", 0), ("quad", "s_max"), ("operators", 0, "c"), ("diffeo", "rho"), ("mesh", "box", 1)],
+        ids=["a", "quad.s_max", "operators.c", "diffeo.rho", "mesh.box"],
+    )
+    def test_non_json_numbers_in_dict_rejected(self, path, value):
+        # a dict built in Python never passes through json.loads
+        raw = valid_raw()
+        raw["diffeo"] = {"rho": 0.8, "factor": 0.8}
+        *parents, key = path
+        target = raw
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        reject(raw, match="not valid JSON")
+
+    def test_non_json_value_in_dict_rejected(self):
+        raw = valid_raw()
+        raw["a"] = {0.5}
+        reject(raw, match="not valid JSON")
+
     def test_non_object_root_rejected(self, tmp_path):
         p = tmp_path / "list.json"
         p.write_text(json.dumps([1, 2, 3]))

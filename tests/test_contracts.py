@@ -8,6 +8,7 @@ and a failed run must copy that record into its manifest.
 
 import json
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -106,7 +107,7 @@ def bundled_raw(name="baseline-1d.json", **changes) -> dict:
 
 def test_nan_calibration_fails_with_its_record(tmp_path, monkeypatch):
     # a NaN error must break the contract, and JSON has no NaN to record it by
-    monkeypatch.setattr(TimeQuadrature, "calibration_error", lambda self, lam, a: float("nan"))
+    monkeypatch.setattr(TimeQuadrature, "scalar_power", lambda self, lam, a: np.full(np.shape(lam), np.nan))
     result = run_suites(parse_config(bundled_raw()), out_dir=tmp_path, suites=["calibrate"])
     [failure] = result.failures
     assert (failure["kind"], failure["name"], failure["value"]) == ("QuadratureError", "calibration error", "nan")

@@ -1,8 +1,7 @@
 """Every narrative script under demos/ runs to completion.
 
-kernel_Ka, kernel_gaussian_reference, moment_functional and dirichlet_energy
-have no caller inside the package; these scripts are their callers outside
-the tests.
+kernel_Ka, kernel_gaussian_reference and dirichlet_energy have no caller
+inside the package; these scripts are their callers outside the tests.
 """
 
 import os

@@ -41,6 +41,11 @@ class TestDiffeoConstruction:
         with pytest.raises(DiffeoError):
             Diffeo.radial_shrink(base1d.mesh, -1.0, 0.8)
 
+    def test_nan_radius_rejected(self, base1d):
+        # NaN fails no `<=` test, and a NaN ball contains no node
+        with pytest.raises(DiffeoError, match="rho"):
+            Diffeo.radial_shrink(base1d.mesh, float("nan"), 0.8)
+
     def test_build_rejects_moves_outside_ball(self, base1d):
         mapped = base1d.mesh.nodes.copy()
         mapped[-1] += 0.01

@@ -101,6 +101,12 @@ class TestLabelRegions:
         with pytest.raises(RegionError):
             label_regions(mesh, (-1, 1), (1.81, 1.82), (-1.95, -1.05))
 
+    def test_empty_far_region_rejected(self):
+        mesh = build_interval_mesh(-2.0, 2.0, 80)
+        # every untagged element shares a node with omega or a window
+        with pytest.raises(RegionError, match="far region E is empty"):
+            label_regions(mesh, (-1, 1), (1.05, 1.95), (-1.95, -1.05))
+
     def test_omega_boundary_split(self):
         mesh = build_rect_mesh([[-2, 2], [-2, 2]], 20, 20)
         labels = label_regions(

@@ -4,27 +4,14 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from conftest import bundled_config, hat_probes
 
-from fracred.calculus import (
-    QuadratureError,
-    TimeQuadrature,
-    apply_inverse,
-    apply_power,
-    gamma_neg,
-)
+from fracred.calculus import apply_inverse, apply_power
 from fracred.config import load_config
 from fracred.dirichlet import ExteriorData, cauchy_gap, cauchy_pair, solve_exterior_value
 from fracred.operators import CoefficientField, assemble, omega_interface
-from fracred.reduction import (
-    LiftedPair,
-    boundary_cauchy,
-    lift,
-    moment_functional,
-    theorem1_probe,
-)
+from fracred.reduction import LiftedPair, boundary_cauchy, lift, theorem1_probe
 from fracred.runner import run_suites
 
 
@@ -301,60 +288,3 @@ class TestTheoremProbe:
             theorem1_probe(
                 base1d.op, fine1d.op, 0.5, hat_probes(base1d)[:1], base1d.labels
             )
-
-
-class TestMomentFunctional:
-    def test_first_increment_moment_is_the_power(self, base1d, quad):
-        op = base1d.op
-        rng = np.random.default_rng(7)
-        u = rng.standard_normal(op.n_dofs)
-        nodes = base1d.labels.node_set("W")[:4]
-        got = moment_functional(op, 0.5, u, 1, quad, nodes, increment=True)
-        want = gamma_neg(0.5) * apply_power(op, 0.5, u)[op.dofs_of_nodes(nodes)]
-        np.testing.assert_allclose(got, want, rtol=1e-9)
-
-    def test_single_mode_matches_adaptive_quadrature(self, base1d, quad):
-        # oracle: project onto one eigenvector, where the moment reduces to
-        # the scalar integral of expm1(-lam t) t^(-1-a)
-        op = base1d.op
-        k = 3
-        u = op.eigenvectors[:, k].copy()
-        lam = float(op.eigenvalues[k])
-        a = 0.5
-        node = int(base1d.labels.node_set("W")[0])
-        got = moment_functional(op, a, u, 1, quad, [node], increment=True)[0]
-        fn = lambda t: np.expm1(-t * lam) * t ** (-1 - a)
-        r1, _ = scipy.integrate.quad(fn, 0, 1 / lam, limit=400)
-        r2, _ = scipy.integrate.quad(fn, 1 / lam, np.inf, limit=400)
-        want = (r1 + r2) * u[op.dofs_of_nodes(node)[0]]
-        assert got == pytest.approx(want, rel=1e-8)
-
-    def test_bare_moment_diverges(self, base1d, quad):
-        rng = np.random.default_rng(8)
-        u = rng.standard_normal(base1d.op.n_dofs)
-        nodes = base1d.labels.node_set("W")[:2]
-        with pytest.raises(QuadratureError):
-            moment_functional(base1d.op, 0.5, u, 1, quad, nodes, increment=False)
-
-    def test_second_increment_moment_diverges(self, base1d, quad):
-        # expm1 only buys one power of t, so m = 2 still blows up at t -> 0
-        rng = np.random.default_rng(9)
-        u = rng.standard_normal(base1d.op.n_dofs)
-        nodes = base1d.labels.node_set("W")[:2]
-        with pytest.raises(QuadratureError):
-            moment_functional(base1d.op, 0.5, u, 2, quad, nodes, increment=True)
-
-    def test_zero_vector_passes_the_detector(self, base1d, quad):
-        nodes = base1d.labels.node_set("W")[:2]
-        out = moment_functional(
-            base1d.op, 0.5, np.zeros(base1d.op.n_dofs), 1, quad, nodes
-        )
-        np.testing.assert_array_equal(out, 0.0)
-
-    def test_parameter_validation(self, base1d, quad):
-        u = np.zeros(base1d.op.n_dofs)
-        nodes = base1d.labels.node_set("W")[:1]
-        with pytest.raises(ValueError):
-            moment_functional(base1d.op, 0.5, u, 0, quad, nodes)
-        with pytest.raises(ValueError):
-            moment_functional(base1d.op, 1.5, u, 1, quad, nodes)
