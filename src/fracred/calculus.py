@@ -154,8 +154,15 @@ def power_matrix(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
 
 def fractional_stiffness(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
     """G[rows, :] = (((M[rows] Phi) lambda^a) Phi^H) M, rows of the matrix G = M L^a
-    of (u, w) -> <L^a u, w>_M (Hermitian to roundoff); formed per call, never cached."""
-    return _power_rows(op, a, (op.M if rows is None else op.M[rows]) @ op.eigenvectors)
+    of (u, w) -> <L^a u, w>_M (Hermitian to roundoff); formed per call, never cached.
+
+    M[rows] Phi reads only the rows of Phi that M[rows] touches, as one
+    C-ordered block: the sparse product would otherwise copy all of the
+    Fortran-ordered Phi.
+    """
+    M_rows = op.M if rows is None else op.M[rows]
+    touched = np.unique(M_rows.indices)
+    return _power_rows(op, a, M_rows[:, touched] @ op.eigenvectors[touched])
 
 
 def power_via_heat_quadrature(

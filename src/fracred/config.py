@@ -118,6 +118,7 @@ CONFIG_SCHEMA = {
         "a": {
             "type": "array",
             "minItems": 1,
+            "uniqueItems": True,
             "items": {
                 "type": "number",
                 "exclusiveMinimum": 0,

@@ -3,7 +3,8 @@
 The discrete problem: given exterior data f supported on the window W,
 find u with u = f outside the interior of Omega and B(u, w) = 0 for every
 w supported on Omega-interior dofs, where B(u, w) = <L^a u, w>_M.  With
-G the matrix of B this is the Schur solve G_II u_I = -G_IX f_X.
+G the matrix of B this is the Schur solve G_II u_I = -G_IW f_W, since f
+vanishes off W; per exponent G[I, W], G_II and its factor are cached.
 
 The measured data are the CauchyData (u|_W, (L^a u)|_Wtilde).  Nodal flux
 values are reported in the strong sense, i.e. entries of L^a u = M^{-1} G u.
@@ -125,27 +126,33 @@ class CauchyData:
             raise ArithmeticError("non-finite Cauchy data")
 
 
-def _interior_solve(op: DiscreteOperator, a: float, cols, F=None):
-    """X = -G_II^{-1} G[I, cols] F (F = I when omitted) and its worst column residual.
+def _interior_block(op: DiscreteOperator, a: float, rows=None):
+    """The cached (G[I, W], Hermitized G_II, Cholesky factor of G_II) at exponent a.
 
-    G_I = G[I, :], the Hermitized G_II = G_I[:, I] and its Cholesky factor are
-    cached together per exponent; a failing factorization flags a non-PD
-    interior block, and a residual breaking its contract raises.
+    The entry is built from the interior rows G[I, :], ``rows`` when the
+    caller has formed them, else formed here; the rows themselves are not
+    kept.  A failing factorization flags a non-PD interior block.
     """
 
     def build():
         interior = op.omega_interior_dofs()
-        G_I = fractional_stiffness(op, a, interior)
+        G_I = fractional_stiffness(op, a, interior) if rows is None else rows
         G_II = 0.5 * (G_I[:, interior] + G_I[:, interior].conj().T)
         try:
-            return G_I, G_II, scipy.linalg.cho_factor(G_II)
+            factor = scipy.linalg.cho_factor(G_II)
         except scipy.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"interior block of L^{a} not positive definite"
             ) from exc
+        return G_I[:, op.region_dofs("W")], G_II, factor
 
-    G_I, G_II, factor = op.cached(("gii_cholesky", a), build)
-    B = -G_I[:, cols] if F is None else -(G_I[:, cols] @ F)
+    return op.cached(("gii_cholesky", a), build)
+
+
+def _interior_solve(op: DiscreteOperator, a: float, B):
+    """X = G_II^{-1} B and its worst column residual, which raises when it
+    breaks its contract."""
+    _, G_II, factor = _interior_block(op, a)
     X = scipy.linalg.cho_solve(factor, B)
     worst = worst_relative(np.linalg.norm(G_II @ X - B, axis=0), np.linalg.norm(B, axis=0))
     return X, check("interior solve residual", worst, ArithmeticError, a)
@@ -167,7 +174,8 @@ def solve_exterior_value(
         )
     if not np.array_equal(f.w_dofs, op.region_dofs("W")):
         raise ExteriorDataError("datum window is not the operator's W")
-    X, residual = _interior_solve(op, a, f.w_dofs, F[f.w_dofs])
+    G_IW = _interior_block(op, a)[0]
+    X, residual = _interior_solve(op, a, -(G_IW @ F[f.w_dofs]))
     U = np.array(F, dtype=np.result_type(F, X))
     U[op.omega_interior_dofs()] = X
     return NonlocalSolution(u=U, a=a, residual=residual)
@@ -179,9 +187,15 @@ def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
 
 
 def stability_constant(op: DiscreteOperator, a: float) -> float:
-    """C = 1 + ||G_II^{-1} G_IX||_2, the measured solve amplification."""
+    """C = 1 + ||G_II^{-1} G_IX||_2, the measured solve amplification.
+
+    The one reader of the interior rows G[I, :] past their W columns: it
+    forms them, and builds the solve cache entry from them when it is missing.
+    """
     interior = op.omega_interior_dofs()
-    X, _ = _interior_solve(op, a, np.setdiff1d(np.arange(op.n_dofs), interior))
+    G_I = fractional_stiffness(op, a, interior)
+    _interior_block(op, a, G_I)
+    X, _ = _interior_solve(op, a, -G_I[:, np.setdiff1d(np.arange(op.n_dofs), interior)])
     # ||X||_2^2 is the top eigenvalue of the |I| x |I| Gram matrix X X^H
     top = scipy.linalg.eigvalsh(X @ X.conj().T, subset_by_index=[interior.size - 1] * 2)[0]
     c = 1.0 + float(np.sqrt(top))

@@ -319,11 +319,12 @@ class DiscreteOperator:
     eigenpair residual ||K phi - lambda M phi|| / lambda.
 
     The instance is treated as immutable after assembly.  ``_cache`` holds
-    idempotent derived matrices (per exponent the interior rows of the
-    fractional stiffness with their Cholesky factor, and the Omega
-    interface of ``omega_interface``; no factor of K, and never a whole
-    L^a or G); entries are write-once pure functions of the operator, so
-    concurrent readers are safe.
+    idempotent derived matrices (per exponent the W columns G[I, W] of the
+    fractional stiffness's interior rows, with the interior block G_II and
+    its Cholesky factor, and the Omega interface of ``omega_interface``;
+    no factor of K, no array with n columns, and never a whole L^a or G);
+    entries are write-once pure functions of the operator, so concurrent
+    readers are safe.
     """
 
     mesh: Mesh
@@ -402,6 +403,10 @@ class DiscreteOperator:
         return self._cache[key]
 
 
+#: eigenvector columns per panel of the eigenpair residual check
+_RESIDUAL_PANEL = 64
+
+
 def assemble(mesh: Mesh, coeffs: CoefficientField) -> DiscreteOperator:
     """Assemble (K, M) on the free nodes and attach the eigendecomposition.
 
@@ -440,9 +445,14 @@ def assemble(mesh: Mesh, coeffs: CoefficientField) -> DiscreteOperator:
         raise PositivityError(float(vals[0]))
 
     # K phi_i = lambda_i M phi_i relative to lambda_i, with the M-orthonormal
-    # column scaling the eigensolver already imposes
-    R = K @ vecs - (M @ vecs) * vals
-    residual = check("eigenpair residual", float((np.linalg.norm(R, axis=0) / vals).max()), AssemblyError)
+    # column scaling the eigensolver already imposes; on C-ordered column
+    # panels, which the sparse products read without copying the whole of Phi
+    norms = np.empty(vals.size)
+    for j in range(0, vals.size, _RESIDUAL_PANEL):
+        cols = slice(j, j + _RESIDUAL_PANEL)
+        panel = np.ascontiguousarray(vecs[:, cols])
+        norms[cols] = np.linalg.norm(K @ panel - (M @ panel) * vals[cols], axis=0)
+    residual = check("eigenpair residual", float((norms / vals).max()), AssemblyError)
 
     return DiscreteOperator(
         mesh=mesh,

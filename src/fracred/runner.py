@@ -137,6 +137,8 @@ def _suite_direct(ctx: RunContext) -> None:
         f = ctx.rng.standard_normal(w_nodes.size)
         g = ctx.rng.standard_normal(w_nodes.size)
         alpha, beta = 0.7, -1.3
+        # first, so that the interior rows it forms also build the solve cache entry
+        c_stab = stability_constant(op, a)
         # one block solve, columns: zero datum, f, g, alpha f + beta g
         block = np.column_stack([np.zeros(w_nodes.size), f, g, alpha * f + beta * g])
         sol = solve_exterior_value(op, a, ExteriorData.from_node_values(op, w_nodes, block))
@@ -150,7 +152,6 @@ def _suite_direct(ctx: RunContext) -> None:
         )
         check("linearity residual", lin, ContractError, a)
 
-        c_stab = stability_constant(op, a)
         interior = op.omega_interior_dofs()
         res = float(np.abs((op.M @ apply_power(op, a, u_f))[interior]).max())
         per_a[str(a)] = {

@@ -62,6 +62,12 @@ class TestSchema:
             raw["a"] = [bad]
             reject(raw)
 
+    def test_repeated_exponents_rejected(self):
+        # each exponent keys one entry of direct.json and its calibration rows
+        raw = valid_raw()
+        raw["a"] = [0.5, 0.5]
+        reject(raw, match="schema violation at a")
+
     def test_operator_count_limits(self):
         raw = valid_raw()
         raw["operators"] = []

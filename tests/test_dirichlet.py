@@ -1,14 +1,18 @@
 """Exterior-value solves and the exterior Cauchy data they generate."""
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracred.dirichlet as dirichlet
 from fracred.calculus import fractional_stiffness
+from fracred.config import parse_config
 from fracred.dirichlet import (
     ExteriorData,
     ExteriorDataError,
@@ -23,8 +27,9 @@ from fracred.gauge import gauge_invariance_check
 from fracred.mesh import build_interval_mesh, label_regions
 from fracred.operators import CoefficientField, assemble
 from fracred.reduction import theorem1_probe
+from fracred.runner import run_suites
 
-from conftest import hat_probes
+from conftest import bundled_config, hat_probes
 
 
 def seeded_datum(scn, seed):
@@ -404,24 +409,51 @@ class TestLabelBinding:
 
 
 class TestInteriorBlockCache:
+    @staticmethod
+    def counted(monkeypatch):
+        """Calls of fractional_stiffness from dirichlet, as (op, a, rows)."""
+        calls = []
+        monkeypatch.setattr(
+            dirichlet,
+            "fractional_stiffness",
+            lambda op, a, rows=None: calls.append((op, a, rows)) or fractional_stiffness(op, a, rows),
+        )
+        return calls
+
     def test_interior_block_is_cached_with_its_factor(self, base1d, monkeypatch):
         op = assemble(base1d.mesh, base1d.fields[0])
         a = 0.5
         f = seeded_datum(SimpleNamespace(op=op, labels=base1d.labels), 0)
         first = solve_exterior_value(op, a, f)
-        G_I, G_II, factor = op.cached(("gii_cholesky", a), None)
+        G_IW, G_II, factor = op.cached(("gii_cholesky", a), None)
         interior = op.omega_interior_dofs()
         rows = fractional_stiffness(op, a, interior)
-        assert np.array_equal(G_I, rows)
+        assert np.array_equal(G_IW, rows[:, op.region_dofs("W")])
         G_rows_II = rows[:, interior]
         assert np.array_equal(G_II, 0.5 * (G_rows_II + G_rows_II.conj().T))
-        # a warm solve reads the cached rows of G, for its right-hand side too
-        calls = []
-        monkeypatch.setattr(
-            dirichlet,
-            "fractional_stiffness",
-            lambda *args: calls.append(args) or fractional_stiffness(*args),
-        )
+        assert np.array_equal(factor[0], scipy.linalg.cho_factor(G_II)[0])
+        # a warm solve reads the cached G[I, W] for its right-hand side
+        calls = self.counted(monkeypatch)
         again = solve_exterior_value(op, a, f)
         assert len(calls) == 0
         assert np.array_equal(again.u, first.u) and again.residual == first.residual
+
+    def test_interior_rows_formed_once_per_exponent(self, base1d, monkeypatch):
+        # the order of the direct suite: stability constant, then the block solve
+        op = assemble(base1d.mesh, base1d.fields[0])
+        calls = self.counted(monkeypatch)
+        for a in (0.25, 0.5, 0.75):
+            stability_constant(op, a)
+            solve_exterior_value(op, a, ExteriorData.w_hats(op))
+        interior = op.omega_interior_dofs()
+        assert [a for _, a, _ in calls] == [0.25, 0.5, 0.75]
+        assert all(np.array_equal(rows, interior) for *_, rows in calls)
+
+    def test_full_run_forms_interior_rows_once_per_operator_and_exponent(self, tmp_path, monkeypatch):
+        calls = self.counted(monkeypatch)
+        raw = json.loads(Path(bundled_config("baseline-1d.json")).read_text())
+        raw["operators"] = [{}, {"c": 5.0}]
+        assert run_suites(parse_config(raw), out_dir=tmp_path).ok
+        # operators 0 and 1 and the gauge suite's transported operator, at three exponents
+        keys = {(id(op), a) for op, a, _ in calls}
+        assert len(calls) == len(keys) == 3 * 3

@@ -320,9 +320,9 @@ class TestRowsOnly:
             if isinstance(key, tuple) and any(isinstance(k, float) for k in key)
         ]
         assert len(per_exponent) == 3
+        # not even the n-column interior rows G[I, :]: the solve reads G[I, W]
         shapes = [x.shape for value in per_exponent for x in arrays(value)]
-        assert (op.omega_interior_dofs().size, n) in shapes
-        assert (n, n) not in shapes
+        assert shapes and all(shape[-1] != n for shape in shapes)
 
     def test_two_operator_rect_ladder_run(self, tmp_path):
         # the probes-2d geometry with a second operator: every suite, 841 dofs
