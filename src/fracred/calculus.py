@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import DiscreteOperator, check, worst_relative
+from .operators import DiscreteOperator, check, lower_band, worst_relative
 
 
 class QuadratureError(ValueError):
@@ -186,19 +186,15 @@ def power_via_heat_quadrature(
 def apply_inverse(op: DiscreteOperator, v: np.ndarray):
     """Solve K x = M v by banded Cholesky; the weak form of L x = v.
 
-    The factor is formed per call, never cached, from the upper band of the
-    Hermitian K.  The bandwidth follows the node order: 1 on intervals, at
-    most ny on an nx x ny rectangle, so the factor costs O(n ny^2) there.
-    v may be a dof x k block.  Returns x and the worst column's relative
-    residual ||K x - M v|| / ||M v||, which the caller checks.
+    The factor is formed per call, never cached, from the lower band of the
+    Hermitian K (``lower_band``).  The bandwidth follows the node order: 1
+    on intervals, about nx on an nx x ny rectangle, so the factor costs
+    O(n nx^2) there.  v may be a dof x k block.  Returns x and the worst
+    column's relative residual ||K x - M v|| / ||M v||, which the caller
+    checks.
     """
-    dia = op.K.todia()
-    width = dia.offsets.max()
-    upper = dia.offsets >= 0
-    band = np.zeros((width + 1, op.n_dofs), dtype=dia.dtype)
-    band[width - dia.offsets[upper]] = dia.data[upper]
     rhs = op.M @ v
-    x = scipy.linalg.solveh_banded(band, rhs)
+    x = scipy.linalg.solveh_banded(lower_band(op.K), rhs, lower=True)
     return x, worst_relative(np.linalg.norm(op.K @ x - rhs, axis=0), np.linalg.norm(rhs, axis=0))
 
 

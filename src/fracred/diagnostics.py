@@ -188,7 +188,7 @@ def heat_bound_check(
     if not is_plain_laplacian(op_neglap):
         raise ValueError("heat bound check requires the plain -Laplace operator")
     d = op_neglap.mesh.dim
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
 
     h = min_element_diameter(op_neglap.mesh)

@@ -61,7 +61,7 @@ class Diffeo:
         self.mapped_nodes.setflags(write=False)
         self.DF.setflags(write=False)
         self.det.setflags(write=False)
-        if self.det.min() <= 0:
+        if not self.det.min() > 0:
             raise DiffeoError(f"deformation inverts an element (min det {self.det.min():.3e})")
 
     @staticmethod
@@ -71,6 +71,8 @@ class Diffeo:
         mapped = np.array(mapped_nodes, dtype=float)
         if mapped.shape != mesh.nodes.shape:
             raise DiffeoError("mapped node array does not match the mesh")
+        if not np.all(np.isfinite(mapped)):
+            raise DiffeoError("mapped nodes must be finite")
         r = np.linalg.norm(mesh.nodes, axis=1)
         moved = np.any(mapped != mesh.nodes, axis=1)
         if np.any(moved & (r >= rho)):
@@ -125,7 +127,7 @@ def map_mesh(mesh: Mesh, F: Diffeo) -> Mesh:
         elements=mesh.elements.copy(),
         box=mesh.box.copy(),
     )
-    if mapped.element_measures().min() <= 0:
+    if not mapped.element_measures().min() > 0:
         raise MeshError("mapped mesh has a degenerate element")
     return mapped
 

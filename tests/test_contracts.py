@@ -146,7 +146,9 @@ def test_failed_phi_solve_skips_no_suite(tmp_path, monkeypatch):
     # a K solve off by 1e-6 breaks the Phi residual, whatever bounds it:
     # the lift fails at its exponent, gauge and diagnostics still run
     solve = scipy.linalg.solveh_banded
-    monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda *args: solve(*args) * (1 + 1e-6))
+    monkeypatch.setattr(
+        scipy.linalg, "solveh_banded", lambda *args, **kwargs: solve(*args, **kwargs) * (1 + 1e-6)
+    )
     result = run_suites(load_config(bundled_config("baseline-1d.json")), out_dir=tmp_path)
     [failure] = result.failures
     assert (failure["suite"], failure["kind"], failure["name"], failure["a"]) == (

@@ -193,6 +193,11 @@ class TestHeatBound:
         with pytest.raises(ValueError):
             heat_bound_check(heat1d.op, 0.0, self.center_pairs(heat1d)[:1])
 
+    def test_rejects_nan_time(self, heat1d):
+        # NaN fails no `<= 0` test; the ratios came back NaN
+        with pytest.raises(ValueError, match="time must be positive"):
+            heat_bound_check(heat1d.op, float("nan"), self.center_pairs(heat1d)[:1])
+
 
 class TestRigidityProbe:
     def sigma(self, scn):

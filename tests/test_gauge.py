@@ -14,7 +14,7 @@ from fracred.gauge import (
     map_mesh,
     pushforward_operator,
 )
-from fracred.mesh import Mesh
+from fracred.mesh import Mesh, MeshError
 from fracred.operators import CoefficientField, assemble
 
 
@@ -51,6 +51,29 @@ class TestDiffeoConstruction:
         mapped[-1] += 0.01
         with pytest.raises(DiffeoError):
             Diffeo.build(base1d.mesh, mapped, rho=0.8)
+
+    def test_build_rejects_non_finite_nodes(self, base2d):
+        # a NaN node inside B_rho gives NaN dets, which pass `det.min() <= 0`
+        mapped = base2d.mesh.nodes.copy()
+        mapped[np.argmin(np.linalg.norm(mapped, axis=1))] = np.nan
+        with pytest.raises(DiffeoError, match="finite"):
+            Diffeo.build(base2d.mesh, mapped, rho=0.8)
+
+    def test_nan_det_rejected(self, base2d):
+        ne = base2d.mesh.element_count
+        det = np.ones(ne)
+        det[0] = np.nan
+        with pytest.raises(DiffeoError, match="inverts an element"):
+            Diffeo(base2d.mesh, base2d.mesh.nodes.copy(), np.tile(np.eye(2), (ne, 1, 1)), det)
+
+    def test_map_mesh_rejects_nan_measures(self, base2d):
+        # the Jacobians are fine, the mapped nodes are not
+        mesh, ne = base2d.mesh, base2d.mesh.element_count
+        mapped = mesh.nodes.copy()
+        mapped[np.argmin(np.linalg.norm(mapped, axis=1))] = np.nan
+        F = Diffeo(mesh, mapped, np.tile(np.eye(2), (ne, 1, 1)), np.ones(ne))
+        with pytest.raises(MeshError, match="degenerate element"):
+            map_mesh(mesh, F)
 
     def test_build_rejects_inverted_elements(self, base1d):
         mapped = base1d.mesh.nodes.copy()

@@ -1,6 +1,6 @@
 """Module layering: no fracred module reaches into another's private names,
-K and M are copied to dense only as the two matrices of the generalized
-``eigh``, which overwrites both copies, L^a and G are formed only at the
+K is copied to dense only as the buffer the eigensolve's first banded
+triangular solve overwrites and M never, L^a and G are formed only at the
 rows a caller reads, and every tolerance bound lives in the contract table."""
 
 import ast
@@ -35,10 +35,12 @@ def test_no_cross_module_private_imports():
     assert offenders == []
 
 
-#: the one LAPACK factorization of K and M: each argument slot it may
-#: overwrite, with the one matrix a dense copy in that slot may come from
+#: the one LAPACK call that may take a dense copy of K or M: the argument
+#: position, the slot it overwrites and the one matrix a copy there may come
+#: from.  K is densified once, as the right-hand side of the first banded
+#: triangular solve of the eigensolve, and M never: it is read through its band
 FACTORIZATIONS = {
-    "eigh": (("a", "K"), ("b", "M")),
+    "tbtrs": {1: ("b", "K")},
 }
 
 
@@ -52,28 +54,38 @@ def operator_matrix(node):
     return node.id if isinstance(node, ast.Name) and node.id in ("K", "M") else None
 
 
+def call_name(node):
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+
+
 def dense_copies(path: Path) -> list:
     """``.toarray()`` of K or M in one source file other than a Fortran-ordered
-    copy (``order="F"``) passed in the slot of ``eigh`` that takes that
-    matrix (K as ``a``, M as ``b``) and that it overwrites
-    (``overwrite_a``/``overwrite_b=True``); LAPACK copies any other array
-    before it factors it."""
+    copy (``order="F"``) of K passed as ``b`` to the file's first ``tbtrs``
+    call, which overwrites it (``overwrite_b=True``); LAPACK copies any
+    other array before it works on it, and every later solve reads the
+    buffer the first one returned."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    calls = sorted(
+        (node for node in ast.walk(tree) if isinstance(node, ast.Call)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
     consumed = {}  # argument node -> the matrix its slot may take
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+    seen = set()
+    for node in calls:
+        name = call_name(node)
+        if name not in FACTORIZATIONS or name in seen:
             continue
-        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        seen.add(name)
         overwritten = {
             kw.arg for kw in node.keywords
             if isinstance(kw.value, ast.Constant) and kw.value.value is True
         }
-        for arg, (slot, matrix) in zip(node.args, FACTORIZATIONS.get(name, ())):
-            if f"overwrite_{slot}" in overwritten:
-                consumed[arg] = matrix
+        for position, (slot, matrix) in FACTORIZATIONS[name].items():
+            if position < len(node.args) and f"overwrite_{slot}" in overwritten:
+                consumed[node.args[position]] = matrix
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "toarray":
+    for node in calls:
+        if getattr(node.func, "attr", None) == "toarray":
             name = operator_matrix(node.func.value)
             fortran = any(
                 kw.arg == "order" and isinstance(kw.value, ast.Constant) and kw.value.value == "F"
@@ -85,6 +97,7 @@ def dense_copies(path: Path) -> list:
 
 
 def test_k_and_m_are_densified_only_for_lapack():
+    # K only for the eigensolve's first banded triangular solve, M never
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     offenders = [hit for path in sources for hit in dense_copies(path)]
@@ -94,21 +107,31 @@ def test_k_and_m_are_densified_only_for_lapack():
 @pytest.mark.parametrize(
     "source, hits",
     [
-        ("f = scipy.linalg.cho_factor(op.K.toarray(order='F'), overwrite_a=True)", 1),
-        ("L = cholesky(op.M.toarray(order='F'), lower=True, overwrite_a=True)", 1),
-        ("f = cho_factor(op.M.toarray(order='F'), overwrite_a=True)", 1),
+        ("Y, info = tbtrs(L, K.toarray(order='F'), uplo='L', overwrite_b=True)", 0),
+        ("Y, info = tbtrs(L, op.K.toarray(order='F'), overwrite_b=True)", 0),
+        ("Y, info = tbtrs(L, K.toarray(order='F'))", 1),
+        ("Y, info = tbtrs(L, K.toarray(order='F'), overwrite_b=False)", 1),
+        ("Y, info = tbtrs(L, K.toarray(), overwrite_b=True)", 1),
+        ("Y, info = tbtrs(L, M.toarray(order='F'), overwrite_b=True)", 1),
+        ("Y, info = tbtrs(K.toarray(order='F'), B, overwrite_b=True)", 1),
+        ("Y, info = tbtrs(L, A, overwrite_b=True)\n"
+         "Z, info = tbtrs(L, K.toarray(order='F'), overwrite_b=True)", 1),
+        ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), "
+         "overwrite_a=True, overwrite_b=True)", 2),
         ("w, v = eigh(M.toarray(order='F'), K.toarray(order='F'), "
          "overwrite_a=True, overwrite_b=True)", 2),
-        ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), "
-         "overwrite_a=True, overwrite_b=True)", 0),
-        ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), overwrite_a=True)", 1),
         ("w, v = eigh(K.toarray(), M.toarray(), overwrite_a=True, overwrite_b=True)", 2),
+        ("f = scipy.linalg.cho_factor(op.K.toarray(order='F'), overwrite_a=True)", 1),
         ("f = cho_factor(op.K.toarray(order='F'), overwrite_a=False)", 1),
+        ("f = cho_factor(op.M.toarray(order='F'), overwrite_a=True)", 1),
+        ("L = cholesky(op.M.toarray(order='F'), lower=True, overwrite_a=True)", 1),
         ("L = scipy.linalg.cholesky(op.M.toarray(order='F'), lower=True)", 1),
+        ("c, info = pbtrf(M.toarray(order='F'), lower=1, overwrite_ab=True)", 1),
         ("D = op.M.toarray()", 1),
         ("x = np.linalg.solve(op.M.toarray(), v)", 1),
         ("B = op.K[rows].conj().toarray()", 1),
         ("R = omega_stiffness(op).toarray()", 0),
+        ("band = lower_band(op.M)", 0),
         ("y = op.M @ v", 0),
     ],
 )

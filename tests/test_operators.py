@@ -165,6 +165,20 @@ class TestCoefficientValidation:
         with pytest.raises(CoefficientError, match=match):
             field.validate(mesh)
 
+    @pytest.mark.parametrize("name, value", [
+        ("A", np.nan), ("b", np.inf), ("c", np.nan), ("w", np.inf),
+    ])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        # on one OMEGA element, where every coefficient may vary; NaN and inf
+        # pass every ordering test, so each reached LAPACK or a later check
+        mesh = build_interval_mesh(-2.0, 2.0, 80)
+        labels = label_regions(mesh, (-1, 1), (1.05, 1.8), (-1.95, -1.05))
+        field = CoefficientField.build(mesh, labels=labels)
+        bad = getattr(field, name).copy()
+        bad[labels.omega_elements[0]] = value
+        with pytest.raises(CoefficientError, match=f"{name} must be finite"):
+            assemble(mesh, dataclasses.replace(field, **{name: bad}))
+
     def test_labelled_mass_weight_confined_to_omega(self):
         mesh = build_interval_mesh(-2.0, 2.0, 80)
         labels = label_regions(mesh, (-1, 1), (1.05, 1.8), (-1.95, -1.05))

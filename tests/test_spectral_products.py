@@ -169,8 +169,8 @@ class TestCsrTwins:
             assemble(mesh, base2d.fields[0])
 
     def test_assembly_holds_no_dense_k_or_m(self):
-        # the eigenvectors are the one n x n array left; the peak is the two
-        # dense copies LAPACK overwrites plus its 2 n^2 workspace
+        # the eigenvectors are the one n x n array left; the peak is the one
+        # dense copy of K that becomes them plus the 2 n^2 syevd workspace
         cfg = parse_config(RECT30)
         mesh = cfg.build_mesh()
         field = cfg.build_fields(mesh, cfg.build_labels(mesh))[0]
@@ -183,7 +183,29 @@ class TestCsrTwins:
             tracemalloc.stop()
         unit = 8.0 * op.n_dofs**2
         assert (held - before) / unit <= 1.2
-        assert (peak - before) / unit <= 4.5
+        assert (peak - before) / unit <= 3.5
+
+    def test_band_eigensolve_matches_dense_eigh(self, assembled):
+        # both routes are backward stable, so by Weyl their eigenvalues agree
+        # to a small multiple of eps kappa(M) lambda_max
+        op = assembled
+        vals = scipy.linalg.eigh(op.K.toarray(), op.M.toarray(), eigvals_only=True)
+        assert np.abs(op.eigenvalues - vals).max() <= 1e-12 * vals[-1]
+        phi = op.eigenvectors
+        gram = phi.conj().T @ (op.M @ phi)
+        assert np.abs(gram - np.eye(op.n_dofs)).max() <= 1e-12
+        assert 0.0 < op.eigen_residual <= operators.CONTRACTS["eigenpair residual"]
+
+    def test_indefinite_mass_fails_its_factorization(self, base1d, monkeypatch):
+        original = operators.local_matrices
+
+        def negated(*args, **kwargs):
+            k_loc, m_loc = original(*args, **kwargs)
+            return k_loc, -m_loc
+
+        monkeypatch.setattr(operators, "local_matrices", negated)
+        with pytest.raises(AssemblyError, match="band Cholesky of the mass matrix"):
+            assemble(base1d.mesh, base1d.fields[0])
 
     def test_magnetic_operator_is_complex(self, magnetic2d):
         assert not magnetic2d.op.is_real
