@@ -142,8 +142,10 @@ def apply_power(op: DiscreteOperator, a: float, v: np.ndarray) -> np.ndarray:
 
 
 def _power_rows(op: DiscreteOperator, a: float, left: np.ndarray) -> np.ndarray:
-    """((left * lambda^a) Phi^H) M for a k x n block ``left`` of eigenbasis rows."""
-    return ((left * spectral_power(op, a)) @ op.eigenvectors.conj().T) @ op.M
+    """((left * lambda^a) Phi^H) M for a k x n block ``left`` of eigenbasis rows,
+    with X Phi^H formed as conj(conj(X) Phi^T) so that no n x n copy of a
+    complex Phi is made."""
+    return ((left * spectral_power(op, a)).conj() @ op.eigenvectors.T).conj() @ op.M
 
 
 def power_matrix(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:

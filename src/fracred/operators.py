@@ -21,7 +21,9 @@ Phi^H M Phi = I is computed densely at assembly time.  Desk scale only
 (a few thousand degrees of freedom): K and M are held only as CSR.  The
 eigensolve reduces the pencil by the band Cholesky factor of M, so M is
 never densified; K is densified once, and that one n x n buffer is
-overwritten in place until it holds Phi.  The local problem on the OMEGA
+overwritten in place until it is reduced to a tridiagonal matrix, whose
+eigenvectors are taken back to Phi in a second n x n buffer.  At most 2.5
+n^2 entries are live in the eigensolve.  The local problem on the OMEGA
 patch is read through ``omega_interface``: its interface dofs, the
 OMEGA-only stiffness rows there and the factored P1 facet mass of the
 interface.
@@ -158,7 +160,7 @@ def worst_relative(res, scale) -> float:
 #: fixed constants, set on the bundled configs (mesh size h = 0.05)
 CONTRACTS = {
     "stiffness Hermitian deviation": 1e-12,  # max|K - K^H| / max|K|: assembly roundoff only
-    "eigenpair residual": 1e-10,  # max ||K phi - lambda M phi|| / lambda from the dense eigh
+    "eigenpair residual": 1e-10,  # max ||K phi - lambda M phi|| / lambda from the band eigensolve
     "calibration error": 1e-8,  # scalar quadrature against lambda^a over the spectrum
     "interior solve residual": 1e-10,  # relative residual of the Schur solve G_II X = B
     "lift phi residual": 1e-10,  # ||K Phi - M u|| / ||M u||
@@ -319,10 +321,11 @@ class DiscreteOperator:
     eliminated); ``free_nodes`` maps degree-of-freedom index to mesh node
     index and ``node_to_dof`` inverts it with -1 on constrained nodes.
 
-    ``K`` and ``M`` are CSR; the eigensolve densifies K once, in a buffer
-    that becomes ``eigenvectors``, and reads M only through its band
-    Cholesky factor.  ``eigen_residual`` is the worst relative
-    eigenpair residual ||K phi - lambda M phi|| / lambda.
+    ``K`` and ``M`` are CSR; the eigensolve densifies K once, reduces that
+    buffer to tridiagonal form and drops it, and reads M only through its
+    band Cholesky factor; ``eigenvectors`` is the one n x n array kept.
+    ``eigen_residual`` is the worst relative eigenpair residual
+    ||K phi - lambda M phi|| / lambda.
 
     The instance is treated as immutable after assembly.  ``_cache`` holds
     idempotent derived matrices (per exponent the W columns G[I, W] of the
@@ -400,8 +403,12 @@ class DiscreteOperator:
         return np.sqrt(np.maximum(np.sum(v.conj() * (self.M @ v), axis=0).real, 0.0))
 
     def spectral_coefficients(self, v) -> np.ndarray:
-        """Coordinates of v in the M-orthonormal eigenbasis."""
-        return self.eigenvectors.conj().T @ (self.M @ v)
+        """Coordinates of v in the M-orthonormal eigenbasis.
+
+        Phi^H y is formed as conj(Phi^T conj(y)): ``Phi.conj()`` would copy
+        the whole of a complex Phi, and for a real one ``conj`` is free.
+        """
+        return (self.eigenvectors.T @ (self.M @ v).conj()).conj()
 
     def cached(self, key, compute):
         if key not in self._cache:
@@ -453,6 +460,16 @@ def _conjugate_transpose(A: np.ndarray) -> None:
         np.conjugate(A, out=A)
 
 
+def _tail_slices(n: int):
+    """(column i, slice of the packed buffer) for each Householder tail
+    A[i + 2:, i] that ``?sytrd``/``?hetrd`` leaves below the subdiagonal of
+    an n x n matrix, packed column after column: (n - 1)(n - 2) / 2 entries."""
+    start = 0
+    for i in range(n - 2):
+        yield i, slice(start, start + n - 2 - i)
+        start += n - 2 - i
+
+
 def _band_eigh(K, M):
     """Eigenvalues and M-orthonormal eigenvectors of the Hermitian pencil
     (K, M) by the band Cholesky reduction to standard form (Martin &
@@ -462,31 +479,66 @@ def _band_eigh(K, M):
     eigenvalues of C = L^-1 K L^-H, and Phi = L^-H Z is M-orthonormal for
     the orthonormal eigenvectors Z of C.  Since K is Hermitian, C = L^-1 Y^H
     with Y = L^-1 K.  One Fortran-ordered dense copy of K is overwritten in
-    turn by Y, Y^H, C, Z and Phi: each banded triangular solve (``?tbtrs``)
-    costs O(n^2 kd) for bandwidth kd, M is never densified, and the only
-    other n x n memory is the ``?syevd``/``?heevd`` workspace.  The lower
-    factor keeps the eigenpair residual at that of the dense ``?sygvd``
-    route (9.61e-11 against 9.48e-11 at interval 1600); reducing by the
-    upper one, M = U^H U, gave 1.57e-10 there, past the contract bound.
+    turn by Y, Y^H and C: each banded triangular solve (``?tbtrs``) costs
+    O(n^2 kd) for bandwidth kd, and M is never densified.  The lower factor
+    keeps the eigenpair residual at that of the dense ``?sygvd`` route
+    (9.61e-11 against 9.48e-11 at interval 1600); reducing by the upper
+    one, M = U^H U, gave 1.57e-10 there, past the contract bound.
+
+    C is solved by the kernels of ``?syevd``, reordered to hold less at
+    once: ``?sytrd``/``?hetrd`` reduces C to
+    a real tridiagonal T = Q^H C Q in place, the Householder tails of Q are
+    packed into (n - 1)(n - 2) / 2 entries and C is dropped, and divide and
+    conquer (``dstevd``) gives the eigenvectors of T, with the packed tails,
+    those eigenvectors and the n^2 divide-and-conquer workspace the peak,
+    2.5 n^2 against the 3 n^2 of ``?syevd`` on C.  ``?ormqr``/``?unmqr``
+    then overwrites them with Z = Q Z_T, and an untransposed upper
+    ``?tbtrs`` turns Z into Phi.
     """
     factor = lower_band(M).astype(K.dtype)
-    solver = "heevd" if np.iscomplexobj(factor) else "syevd"
-    pbtrf, tbtrs, evd = scipy.linalg.get_lapack_funcs(("pbtrf", "tbtrs", solver), (factor,))
+    real = not np.iscomplexobj(factor)
+    names = ("sytrd", "sytrd_lwork", "ormqr") if real else ("hetrd", "hetrd_lwork", "unmqr")
+    pbtrf, tbtrs, trd, trd_lwork, mqr = scipy.linalg.get_lapack_funcs(
+        ("pbtrf", "tbtrs", *names), (factor,)
+    )
+    stevd = scipy.linalg.get_lapack_funcs("stevd", dtype=float)
     L = _lapack("band Cholesky of the mass matrix", pbtrf(factor, lower=True, overwrite_ab=True))
     # each step overwrites the Fortran-ordered copy of K that LAPACK is handed
     A = _lapack("L^-1 K", tbtrs(L, K.toarray(order="F"), uplo="L", overwrite_b=True))
     _conjugate_transpose(A)
     A = _lapack("L^-1 K L^-H", tbtrs(L, A, uplo="L", overwrite_b=True))
-    vals, A = _lapack(solver, evd(A, lower=True, overwrite_a=True))
+    n = A.shape[0]
+    # the queried workspace selects the blocked reduction; the default n, the unblocked one
+    lwork = int(_lapack("tridiagonal workspace query", trd_lwork(n, lower=True)).real)
+    A, diag, off, tau = _lapack(
+        "tridiagonal reduction", trd(A, lower=True, lwork=lwork, overwrite_a=True)
+    )
+    tails = np.empty((n - 1) * (n - 2) // 2, dtype=A.dtype)
+    for i, part in _tail_slices(n):
+        tails[part] = A[i + 2 :, i]
+    del A
+    # dstevd takes an off-diagonal of length max(n - 1, 1)
+    vals, Z = _lapack("tridiagonal eigensolve", stevd(diag, np.pad(off, (0, int(n == 1)))))
+    Z = Z.astype(K.dtype, copy=False)
+    # reflector i of the reduction has its implicit unit at row i + 1, so in
+    # column j = i + 1 it is QR reflector j; reflector 0 is the identity
+    # (tau 0), and Q then applies to all of Z, which a row slice would copy
+    V = np.zeros((n, n), dtype=K.dtype, order="F")
+    for i, part in _tail_slices(n):
+        V[i + 2 :, i + 1] = tails[part]
+    del tails  # before ?ormqr/?unmqr allocates its n x nb workspace
+    tau = np.concatenate([np.zeros(1, dtype=tau.dtype), tau])
+    _, work = _lapack("Q Z workspace query", mqr("L", "N", V, tau, Z, -1, overwrite_c=True))
+    Z, _ = _lapack("Q Z", mqr("L", "N", V, tau, Z, int(work[0].real), overwrite_c=True))
     # L^H in upper band storage, row kd - d holding conj(L[j + d, j]) at
     # column j + d: the untransposed upper solve takes half the time of the
     # transposed lower one (0.05 s against 0.10 s at n = 1521)
-    kd, n = L.shape[0] - 1, L.shape[1]
+    kd = L.shape[0] - 1
     LH = np.zeros_like(L)
     for d in range(kd + 1):
         LH[kd - d, d:] = L[d, : n - d].conj()
-    A = _lapack("L^-H Z", tbtrs(LH, A, uplo="U", overwrite_b=True))
-    return vals, A
+    Z = _lapack("L^-H Z", tbtrs(LH, Z, uplo="U", overwrite_b=True))
+    return vals, Z
 
 
 #: eigenvector columns per panel of the eigenpair residual check

@@ -1,7 +1,8 @@
 """Module layering: no fracred module reaches into another's private names,
 K is copied to dense only as the buffer the eigensolve's first banded
-triangular solve overwrites and M never, L^a and G are formed only at the
-rows a caller reads, and every tolerance bound lives in the contract table."""
+triangular solve overwrites and M never, no eigensolver driver with a 2 n^2
+eigenvector workspace is called, L^a and G are formed only at the rows a
+caller reads, and every tolerance bound lives in the contract table."""
 
 import ast
 import re
@@ -139,6 +140,68 @@ def test_dense_copy_check_finds_its_targets(tmp_path, source, hits):
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
     assert len(dense_copies(path)) == hits
+
+
+#: LAPACK drivers that solve for eigenvectors in a 2 n^2 workspace beside the
+#: n x n matrix: the standard and generalized divide and conquer drivers
+EIGENVECTOR_DRIVER = re.compile(r"[sdcz]?(sy|he)[eg]vd")
+
+
+def eigenvector_drivers(path: Path) -> list:
+    """Uses in one source file of a 2 n^2 eigenvector driver: its name as a
+    string (``get_lapack_funcs("syevd")``), a name or an attribute
+    (``lapack.dsyevd``), and every ``eigh`` call that does not pass
+    ``eigvals_only=True``, which runs one of them."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and EIGENVECTOR_DRIVER.fullmatch(name):
+            found.append(f"{path.name}:{node.lineno} names {name}")
+        if isinstance(node, ast.Call) and call_name(node) == "eigh" and not any(
+            kw.arg == "eigvals_only" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+            for kw in node.keywords
+        ):
+            found.append(f"{path.name}:{node.lineno} calls eigh for eigenvectors")
+    return found
+
+
+def test_no_eigensolve_holds_a_2n2_eigenvector_workspace():
+    # the eigensolve packs the Householder tails while divide and conquer
+    # runs, 2.5 n^2 at its peak; any of these drivers would take it to 3 n^2
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    offenders = [hit for path in sources for hit in eigenvector_drivers(path)]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ('solver = "heevd" if complex_ else "syevd"', 2),
+        ('evd, = scipy.linalg.get_lapack_funcs(("dsygvd",), (A,))', 1),
+        ("w, v, info = scipy.linalg.lapack.zhegvd(A, B)", 1),
+        ("w, v = scipy.linalg.eigh(C)", 1),
+        ("w, v = eigh(K, M, overwrite_a=True)", 1),
+        ("w, v = np.linalg.eigh(C)", 1),
+        ("w = scipy.linalg.eigh(C, eigvals_only=True)", 0),
+        ("w = eigh(C, eigvals_only=False)", 1),
+        ("w = scipy.linalg.eigvalsh(C)", 0),
+        ('stevd = scipy.linalg.get_lapack_funcs("stevd", dtype=float)', 0),
+        ('trd, mqr = scipy.linalg.get_lapack_funcs(("sytrd", "ormqr"), (C,))', 0),
+        ('solver = "syevr"', 0),
+    ],
+)
+def test_eigenvector_driver_check_finds_its_targets(tmp_path, source, hits):
+    path = tmp_path / "probe.py"
+    path.write_text(source + "\n")
+    assert len(eigenvector_drivers(path)) == hits
 
 
 #: builders of n x n spectral matrices; the program asks them for rows only
