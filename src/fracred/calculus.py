@@ -154,17 +154,22 @@ def power_matrix(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
     return _power_rows(op, a, op.eigenvectors if rows is None else op.eigenvectors[rows])
 
 
-def fractional_stiffness(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
-    """G[rows, :] = (((M[rows] Phi) lambda^a) Phi^H) M, rows of the matrix G = M L^a
-    of (u, w) -> <L^a u, w>_M (Hermitian to roundoff); formed per call, never cached.
+def mass_eigenrows(op: DiscreteOperator, rows=None) -> np.ndarray:
+    """M[rows] Phi, the eigenbasis rows weighted by the mass; rows=None gives all n.
 
-    M[rows] Phi reads only the rows of Phi that M[rows] touches, as one
-    C-ordered block: the sparse product would otherwise copy all of the
+    It reads only the rows of Phi that M[rows] touches, as one C-ordered
+    block: the sparse product would otherwise copy all of the
     Fortran-ordered Phi.
     """
     M_rows = op.M if rows is None else op.M[rows]
     touched = np.unique(M_rows.indices)
-    return _power_rows(op, a, M_rows[:, touched] @ op.eigenvectors[touched])
+    return M_rows[:, touched] @ op.eigenvectors[touched]
+
+
+def fractional_stiffness(op: DiscreteOperator, a: float, rows=None) -> np.ndarray:
+    """G[rows, :] = (((M[rows] Phi) lambda^a) Phi^H) M, rows of the matrix G = M L^a
+    of (u, w) -> <L^a u, w>_M (Hermitian to roundoff); formed per call, never cached."""
+    return _power_rows(op, a, mass_eigenrows(op, rows))
 
 
 def power_via_heat_quadrature(

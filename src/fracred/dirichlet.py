@@ -4,7 +4,8 @@ The discrete problem: given exterior data f supported on the window W,
 find u with u = f outside the interior of Omega and B(u, w) = 0 for every
 w supported on Omega-interior dofs, where B(u, w) = <L^a u, w>_M.  With
 G the matrix of B this is the Schur solve G_II u_I = -G_IW f_W, since f
-vanishes off W; per exponent G[I, W], G_II and its factor are cached.
+vanishes off W; per exponent G[I, W], G_II and its factor are cached, both
+blocks formed from the eigenbasis rows M[R] Phi, never from the rows G[I, :].
 
 The measured data are the CauchyData (u|_W, (L^a u)|_Wtilde).  Nodal flux
 values are reported in the strong sense, i.e. entries of L^a u = M^{-1} G u.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .calculus import fractional_stiffness, power_matrix, spectral_power
+from .calculus import fractional_stiffness, mass_eigenrows, power_matrix, spectral_power
 from .operators import DiscreteOperator, check, worst_relative
 
 logger = logging.getLogger(__name__)
@@ -126,25 +127,28 @@ class CauchyData:
             raise ArithmeticError("non-finite Cauchy data")
 
 
-def _interior_block(op: DiscreteOperator, a: float, rows=None):
+def _interior_block(op: DiscreteOperator, a: float):
     """The cached (G[I, W], Hermitized G_II, Cholesky factor of G_II) at exponent a.
 
-    The entry is built from the interior rows G[I, :], ``rows`` when the
-    caller has formed them, else formed here; the rows themselves are not
-    kept.  A failing factorization flags a non-PD interior block.
+    With F_R = M[R] Phi, both blocks are (F_I lambda^a) F_R^H, R = W or I:
+    |I| (|I| + |W|) n work.  The |I| x n temporaries are dropped before G_II
+    is Hermitized and factored; a failing factorization flags a non-PD block.
     """
 
     def build():
-        interior = op.omega_interior_dofs()
-        G_I = fractional_stiffness(op, a, interior) if rows is None else rows
-        G_II = 0.5 * (G_I[:, interior] + G_I[:, interior].conj().T)
+        F_I = mass_eigenrows(op, op.omega_interior_dofs())
+        F_I_pow = F_I * spectral_power(op, a)
+        G_IW = F_I_pow @ mass_eigenrows(op, op.region_dofs("W")).conj().T
+        G_II = F_I_pow @ F_I.conj().T
+        del F_I, F_I_pow
+        G_II = 0.5 * (G_II + G_II.conj().T)
         try:
             factor = scipy.linalg.cho_factor(G_II)
         except scipy.linalg.LinAlgError as exc:
             raise ArithmeticError(
                 f"interior block of L^{a} not positive definite"
             ) from exc
-        return G_I[:, op.region_dofs("W")], G_II, factor
+        return G_IW, G_II, factor
 
     return op.cached(("gii_cholesky", a), build)
 
@@ -187,15 +191,15 @@ def dirichlet_energy(op: DiscreteOperator, a: float, u: np.ndarray) -> float:
 
 
 def stability_constant(op: DiscreteOperator, a: float) -> float:
-    """C = 1 + ||G_II^{-1} G_IX||_2, the measured solve amplification.
+    """C = 1 + ||G_II^{-1} G_IX||_2, the measured solve amplification, X every dof off I.
 
-    The one reader of the interior rows G[I, :] past their W columns: it
-    forms them, and builds the solve cache entry from them when it is missing.
+    The one reader of G[I, :] past its W columns: it keeps only the X
+    columns of the rows it forms.  The sign of -G_IX in the solve does not
+    change the norm, so it is left out.
     """
     interior = op.omega_interior_dofs()
-    G_I = fractional_stiffness(op, a, interior)
-    _interior_block(op, a, G_I)
-    X, _ = _interior_solve(op, a, -G_I[:, np.setdiff1d(np.arange(op.n_dofs), interior)])
+    G_IX = fractional_stiffness(op, a, interior)[:, np.setdiff1d(np.arange(op.n_dofs), interior)]
+    X, _ = _interior_solve(op, a, G_IX)
     # ||X||_2^2 is the top eigenvalue of the |I| x |I| Gram matrix X X^H
     top = scipy.linalg.eigvalsh(X @ X.conj().T, subset_by_index=[interior.size - 1] * 2)[0]
     c = 1.0 + float(np.sqrt(top))

@@ -328,10 +328,11 @@ class DiscreteOperator:
     ||K phi - lambda M phi|| / lambda.
 
     The instance is treated as immutable after assembly.  ``_cache`` holds
-    idempotent derived matrices (per exponent the W columns G[I, W] of the
-    fractional stiffness's interior rows, with the interior block G_II and
-    its Cholesky factor, and the Omega interface of ``omega_interface``;
-    no factor of K, no array with n columns, and never a whole L^a or G);
+    idempotent derived matrices (per exponent the blocks G[I, W] and G_II of
+    the fractional stiffness, both formed from mass-weighted eigenbasis rows,
+    with the Cholesky factor of G_II, and the Omega interface of
+    ``omega_interface``; no factor of K, no array with n columns, and never
+    a whole L^a or G);
     entries are write-once pure functions of the operator, so concurrent
     readers are safe.
     """

@@ -15,6 +15,7 @@ with the same config and seed are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -130,14 +131,12 @@ def _suite_assemble(ctx: RunContext) -> None:
 
 def _suite_direct(ctx: RunContext) -> None:
     op = ctx.operator(0)
-    labels = ctx.labels
-    w_nodes = labels.w_nodes
+    w_nodes = op.free_nodes[op.region_dofs("W")]
     per_a = {}
     for a in ctx.cfg.exponents:
         f = ctx.rng.standard_normal(w_nodes.size)
         g = ctx.rng.standard_normal(w_nodes.size)
         alpha, beta = 0.7, -1.3
-        # first, so that the interior rows it forms also build the solve cache entry
         c_stab = stability_constant(op, a)
         # one block solve, columns: zero datum, f, g, alpha f + beta g
         block = np.column_stack([np.zeros(w_nodes.size), f, g, alpha * f + beta * g])
@@ -327,15 +326,18 @@ def run_suites(
 ) -> RunResult:
     """Run the selected suites and write results under out_dir.
 
-    Raises ConfigError for invalid suite selections and scenario
-    construction failures; numeric contract violations are collected into
-    the failure manifest instead.
+    Raises ConfigError for invalid suite selections, a seed override that
+    is not a non-negative integer, and scenario construction failures;
+    numeric contract violations are collected into the failure manifest
+    instead.
     """
     selected = tuple(suites) if suites is not None else cfg.suites
     unknown = [s for s in selected if s not in SUITE_NAMES]
     if unknown:
         raise ConfigError(f"unknown suites: {', '.join(unknown)}")
     ordered = [s for s in SUITE_NAMES if s in selected]
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
+        raise ConfigError(f"seed override must be a non-negative integer, got {seed!r}")
 
     ctx = RunContext(cfg, cfg.seed if seed is None else int(seed))
     failures = []

@@ -7,6 +7,8 @@ import pytest
 from conftest import bundled_config
 
 from fracred.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
+from fracred.config import ConfigError, load_config
+from fracred.runner import run_suites
 
 FULL_RUN_FILES = {
     "assemble.json",
@@ -121,6 +123,18 @@ class TestRunOptions:
         )
         assert code == EXIT_CONFIG
         assert "frobnicate" in capsys.readouterr().err
+
+    def test_negative_seed_exit_config(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "baseline-1d", "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_run_suites_rejects_a_bad_seed_override(self, seed, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            run_suites(load_config(bundled_config("baseline-1d.json")), out_dir=tmp_path / "o", seed=seed)
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override_recorded_and_deterministic(self, tmp_path, capsys):
         out1, out2, out3 = (tmp_path / n for n in ("a", "b", "c"))

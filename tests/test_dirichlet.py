@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracred.dirichlet as dirichlet
+import fracred.runner as runner
 from fracred.calculus import fractional_stiffness
 from fracred.config import parse_config
 from fracred.dirichlet import (
@@ -408,6 +409,16 @@ class TestLabelBinding:
         assert runge_rank(op, 0.25, again).smallest == runge_rank(op, 0.25, op.labels).smallest
 
 
+class TestDirectSuite:
+    def test_w_reaching_the_outer_box_draws_on_its_free_nodes(self, tmp_path):
+        # the node at x = 2 is in W but carries the homogeneous Dirichlet condition
+        raw = json.loads(Path(bundled_config("baseline-1d.json")).read_text())
+        raw["regions"]["w"] = [1.4, 2.0]
+        result = run_suites(parse_config(raw), out_dir=tmp_path, suites=["direct"])
+        assert result.ok, result.failures
+        assert "direct.json" in result.outputs
+
+
 class TestInteriorBlockCache:
     @staticmethod
     def counted(monkeypatch):
@@ -420,23 +431,27 @@ class TestInteriorBlockCache:
         )
         return calls
 
-    def test_interior_block_is_cached_with_its_factor(self, base1d, monkeypatch):
-        op = assemble(base1d.mesh, base1d.fields[0])
+    def test_interior_block_is_cached_with_its_factor(self, base1d, base2d, monkeypatch):
         a = 0.5
-        f = seeded_datum(SimpleNamespace(op=op, labels=base1d.labels), 0)
-        first = solve_exterior_value(op, a, f)
-        G_IW, G_II, factor = op.cached(("gii_cholesky", a), None)
-        interior = op.omega_interior_dofs()
-        rows = fractional_stiffness(op, a, interior)
-        assert np.array_equal(G_IW, rows[:, op.region_dofs("W")])
-        G_rows_II = rows[:, interior]
-        assert np.array_equal(G_II, 0.5 * (G_rows_II + G_rows_II.conj().T))
-        assert np.array_equal(factor[0], scipy.linalg.cho_factor(G_II)[0])
-        # a warm solve reads the cached G[I, W] for its right-hand side
-        calls = self.counted(monkeypatch)
-        again = solve_exterior_value(op, a, f)
-        assert len(calls) == 0
-        assert np.array_equal(again.u, first.u) and again.residual == first.residual
+        for scn in (base1d, base2d):
+            op = assemble(scn.mesh, scn.fields[0])
+            f = seeded_datum(SimpleNamespace(op=op, labels=scn.labels), 0)
+            first = solve_exterior_value(op, a, f)
+            G_IW, G_II, factor = op.cached(("gii_cholesky", a), None)
+            interior = op.omega_interior_dofs()
+            rows = fractional_stiffness(op, a, interior)
+            # the same n-term sums in another association: n eps = 8e-14 at n = 361
+            tol = 1e-13 * np.abs(rows).max()
+            assert np.abs(G_IW - rows[:, op.region_dofs("W")]).max() <= tol
+            G_rows_II = rows[:, interior]
+            assert np.abs(G_II - 0.5 * (G_rows_II + G_rows_II.conj().T)).max() <= tol
+            assert np.array_equal(G_II, G_II.conj().T)
+            assert np.array_equal(factor[0], scipy.linalg.cho_factor(G_II)[0])
+            # a warm solve reads the cached G[I, W] for its right-hand side
+            calls = self.counted(monkeypatch)
+            again = solve_exterior_value(op, a, f)
+            assert len(calls) == 0
+            assert np.array_equal(again.u, first.u) and again.residual == first.residual
 
     def test_interior_rows_formed_once_per_exponent(self, base1d, monkeypatch):
         # the order of the direct suite: stability constant, then the block solve
@@ -449,11 +464,37 @@ class TestInteriorBlockCache:
         assert [a for _, a, _ in calls] == [0.25, 0.5, 0.75]
         assert all(np.array_equal(rows, interior) for *_, rows in calls)
 
+    def test_solve_then_stability_forms_interior_rows_once_per_exponent(self, base1d, monkeypatch):
+        # either call order builds the same solve cache entry, and forms G[I, :] once
+        one = assemble(base1d.mesh, base1d.fields[0])
+        other = assemble(base1d.mesh, base1d.fields[0])
+        calls = self.counted(monkeypatch)
+        for a in (0.25, 0.5, 0.75):
+            solved_first = solve_exterior_value(one, a, ExteriorData.w_hats(one))
+            c_after = stability_constant(one, a)
+            c_first = stability_constant(other, a)
+            solved_after = solve_exterior_value(other, a, ExteriorData.w_hats(other))
+            assert c_after == c_first
+            assert np.array_equal(solved_first.u, solved_after.u)
+            assert solved_first.residual == solved_after.residual
+        assert [(op is one, a) for op, a, _ in calls] == [
+            (owner, a) for a in (0.25, 0.5, 0.75) for owner in (True, False)
+        ]
+
     def test_full_run_forms_interior_rows_once_per_operator_and_exponent(self, tmp_path, monkeypatch):
         calls = self.counted(monkeypatch)
+        stability_ops = []
+        monkeypatch.setattr(
+            runner,
+            "stability_constant",
+            lambda op, a: stability_ops.append(op) or stability_constant(op, a),
+        )
         raw = json.loads(Path(bundled_config("baseline-1d.json")).read_text())
         raw["operators"] = [{}, {"c": 5.0}]
         assert run_suites(parse_config(raw), out_dir=tmp_path).ok
-        # operators 0 and 1 and the gauge suite's transported operator, at three exponents
-        keys = {(id(op), a) for op, a, _ in calls}
-        assert len(calls) == len(keys) == 3 * 3
+        # only stability_constant forms G[I, :], on operator 0 at each exponent;
+        # operator 1 and the gauge suite's transported operator build their
+        # solve cache entries from eigenbasis rows alone
+        op0 = stability_ops[0]
+        assert all(op is op0 for op in stability_ops)
+        assert [(op is op0, a) for op, a, _ in calls] == [(True, 0.25), (True, 0.5), (True, 0.75)]
