@@ -2,19 +2,23 @@
 
 A config file describes one scenario: a mesh, the region boxes, one or two
 coefficient sets, the exponents to sweep, quadrature parameters, an optional
-interior deformation, and the suite selection.  Validation is strict (unknown
-keys are rejected) and happens before any numerics; geometric sanity checks
-that the schema language cannot express (box ordering, region separation,
-coefficient shapes) are applied immediately after.
+interior deformation, and the suite selection.  ``CONFIG_SCHEMA`` states the
+format in JSON Schema (draft 7); a small checker in this module gives its
+keywords their draft-7 meaning, so validation needs no third-party
+validator, and it refuses to run on a keyword it does not implement.
+Validation is strict (unknown keys are rejected) and happens before any
+numerics; geometric sanity checks that the schema language cannot express
+(box ordering, region separation, coefficient shapes) are applied
+immediately after.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .gauge import Diffeo
@@ -158,6 +162,113 @@ CONFIG_SCHEMA = {
 }
 
 
+#: the JSON types CONFIG_SCHEMA names, as draft 7 defines them: a bool is
+#: neither a number nor an integer, and an integral float such as 42.0 is an
+#: integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+#: the numeric bounds: the comparison a number fails them by, and its words
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+
+#: the keywords `_check` implements, each with the form of argument it
+#: implements it for; ``$schema`` only names the draft and is ignored
+_KEYWORDS = {
+    "$schema": str, "type": str, "enum": list, "const": object, "oneOf": list,
+    "properties": dict, "required": list, "additionalProperties": bool,
+    "items": dict, "minItems": int, "maxItems": int, "uniqueItems": bool,
+    "minLength": int, **dict.fromkeys(_BOUNDS, (int, float)),
+}
+
+
+def _equality_key(value):
+    """A hashable stand-in for ``value`` under JSON Schema equality, which
+    ``enum``, ``const`` and ``uniqueItems`` use: 1 equals 1.0, True is not 1."""
+    if isinstance(value, bool):
+        return (bool, value)
+    if isinstance(value, (list, tuple)):
+        return (list, tuple(map(_equality_key, value)))
+    if isinstance(value, dict):
+        return (dict, frozenset((k, _equality_key(v)) for k, v in value.items()))
+    return value
+
+
+def _check(value, schema: dict, path: tuple = ()) -> None:
+    """Raise ConfigError at the first place where ``value`` breaks ``schema``.
+
+    Each keyword means what draft 7 says.  A keyword outside `_KEYWORDS`, or
+    one in another form (a list of types, a schema for additional
+    properties), raises NotImplementedError, so that a schema edit cannot
+    go unchecked.
+    """
+    for key, arg in schema.items():
+        if not isinstance(arg, _KEYWORDS.get(key, ())) or (
+            key == "type" and arg not in _TYPES
+        ):
+            raise NotImplementedError(f"schema keyword {key}: {arg!r} is not checked")
+
+    def fail(message: str):
+        where = "/".join(str(step) for step in path) or "<root>"
+        raise ConfigError(f"schema violation at {where}: {message}")
+
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "enum" in schema and _equality_key(value) not in map(_equality_key, schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if "const" in schema and _equality_key(value) != _equality_key(schema["const"]):
+        fail(f"{schema['const']!r} was expected")
+    if "oneOf" in schema:
+        misses = []
+        for option in schema["oneOf"]:
+            try:
+                _check(value, option, path)
+            except ConfigError as exc:
+                misses.append(str(exc).removeprefix("schema violation at "))
+        matches = len(schema["oneOf"]) - len(misses)
+        if matches == 0:
+            fail(f"no allowed form matches ({'; '.join(misses)})")
+        if matches > 1:
+            fail(f"{value!r} matches {matches} of the allowed forms, not one")
+    if _TYPES["number"](value):
+        for key, (breaks, words) in _BOUNDS.items():
+            if key in schema and breaks(value, schema[key]):
+                fail(f"{value!r} is {words} {schema[key]!r}")
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        fail(f"{value!r} is shorter than {schema['minLength']} characters")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} has fewer than {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"{value!r} has more than {schema['maxItems']} items")
+        if schema.get("uniqueItems") and len(set(map(_equality_key, value))) < len(value):
+            fail(f"{value!r} has non-unique elements")
+        if "items" in schema:
+            for index, item in enumerate(value):
+                _check(item, schema["items"], path + (index,))
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        unexpected = [key for key in value if key not in properties]
+        if unexpected and schema.get("additionalProperties") is False:
+            fail(f"additional properties are not allowed: {unexpected!r}")
+        for key, option in properties.items():
+            if key in value:
+                _check(value[key], option, path + (key,))
+
+
 def _as_boxes(raw, dim: int, name: str) -> np.ndarray:
     box = np.asarray(raw, dtype=float).reshape(-1, 2) if dim > 1 else np.asarray(
         [raw], dtype=float
@@ -187,9 +298,9 @@ class OperatorSpec:
     def parse(raw: dict, dim: int) -> "OperatorSpec":
         A = raw.get("A", 1.0)
         if isinstance(A, list):
-            A = np.asarray(A, dtype=float)
-            if A.shape != (dim, dim):
+            if len(A) != dim or any(len(row) != dim for row in A):
                 raise ConfigError(f"conductivity matrix must be {dim}x{dim}")
+            A = np.asarray(A, dtype=float)
             if not np.allclose(A, A.T, rtol=0.0, atol=0.0):
                 raise ConfigError("conductivity matrix must be symmetric")
         b = raw.get("b")
@@ -225,9 +336,10 @@ class ExperimentConfig:
     def build_mesh(self) -> Mesh:
         spec = self.mesh_spec
         try:
+            # the schema's integers include integral floats such as 80.0
             if spec["kind"] == "interval":
-                return build_interval_mesh(*spec["box"], spec["n_cells"])
-            return build_rect_mesh(spec["box"], spec["nx"], spec["ny"])
+                return build_interval_mesh(*spec["box"], int(spec["n_cells"]))
+            return build_rect_mesh(spec["box"], int(spec["nx"]), int(spec["ny"]))
         except MeshError as exc:
             raise ConfigError(f"mesh spec rejected: {exc}") from exc
 
@@ -262,11 +374,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         json.dumps(raw, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"schema violation at {path}: {exc.message}") from exc
+    _check(raw, CONFIG_SCHEMA)
 
     dim = 1 if raw["mesh"]["kind"] == "interval" else 2
     omega = _as_boxes(raw["regions"]["omega"], dim, "omega")
@@ -312,10 +420,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a config file."""
-    text = Path(path).read_text()
+    """Read and validate a config file, which JSON requires to be UTF-8."""
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -86,6 +86,14 @@ class TestRunContract:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_config(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"out_dir": "r\xe9s"}')
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_io(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["run", missing, "--out", str(tmp_path / "o")]) == EXIT_IO

@@ -1,17 +1,24 @@
 """Config schema validation, semantic checks, and scenario construction."""
 
+import copy
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from conftest import bundled_config
 
+from fracred import config
 from fracred.config import (
+    CONFIG_SCHEMA,
     SUITE_NAMES,
     ConfigError,
     load_config,
     parse_config,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def valid_raw():
@@ -90,6 +97,163 @@ class TestSchema:
         reject(raw)
 
 
+def schema_accepts(raw) -> bool:
+    """Whether parse_config gets past the schema check with ``raw``."""
+    try:
+        parse_config(raw)
+    except ConfigError as exc:
+        return not str(exc).startswith("schema violation")
+    return True
+
+
+#: replacement values for the mutated configs: every JSON type, bools next
+#: to the integers they equal, integral floats, values at and past each
+#: bound, and values that are valid in one place of the schema only
+POOL = [
+    0, 1, 2, -1, 0.5, 1.0, 42.0, 42.5, 2.5, -0.5, 1e-300, True, False, None,
+    "", "x", "interval", "rect", "calibrate", "gauge",
+    [], [0.5], [0.25, 0.25], [0.25, 0.5], [1, 1.0], [True, 1], [-1.0, 1.0],
+    [[-1.0, 1.0], [-1.0, 1.0]], [[1.0], [0.0, 1.0]], ["direct", "reduce"],
+    {}, {"c": 1.0}, {"A": 2.0}, {"rho": 0.5, "factor": 0.5},
+]
+#: keys added to the mutated configs: each key the schema knows, and one it does not
+KEYS = sorted({
+    "kind", "box", "n_cells", "nx", "ny", "omega", "w", "wtilde", "A", "b", "c",
+    "s_max", "n", "rho", "factor", "mesh", "regions", "operators", "a", "quad",
+    "diffeo", "suites", "out_dir", "seed", "extra",
+})
+
+
+def containers(node):
+    """Every dict and list inside ``node``, ``node`` itself included."""
+    yield node
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            yield from containers(child)
+
+
+def mutate(raw: dict, rng: random.Random) -> dict:
+    """One to three edits: replace a value, delete a key, add a key, or
+    append an item, each in a container picked at random."""
+    raw = copy.deepcopy(raw)
+    for _ in range(rng.randint(1, 3)):
+        node = rng.choice(list(containers(raw)))
+        value = copy.deepcopy(rng.choice(POOL))
+        edit = rng.randrange(4)
+        if edit == 0 and node:
+            node[rng.choice(list(node) if isinstance(node, dict) else range(len(node)))] = value
+        elif edit == 1 and isinstance(node, dict) and node:
+            del node[rng.choice(list(node))]
+        elif edit == 2 and isinstance(node, dict):
+            node[rng.choice(KEYS)] = value
+        elif isinstance(node, list):
+            node.append(value)
+    return raw
+
+
+class TestSchemaChecker:
+    """The checker behind parse_config against jsonschema, the reference
+    validator for CONFIG_SCHEMA (a test dependency only)."""
+
+    def test_agrees_with_jsonschema_on_mutated_configs(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        reference = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+        sources = [
+            *(bundled_config(n) for n in ("baseline-1d.json", "baseline-2d.json", "perturbed-1d.json")),
+            *sorted((ROOT / "bench" / "configs").glob("*.json")),
+        ]
+        rng = random.Random(24)
+        accepted = 0
+        for source in sources:
+            with open(source) as fh:
+                raw = json.load(fh)
+            for _ in range(600):
+                case = mutate(raw, rng)
+                expected = reference.is_valid(case)
+                assert schema_accepts(case) == expected, case
+                accepted += expected
+        # both outcomes are exercised, each many times
+        assert 200 < accepted < 600 * len(sources) - 200
+
+    @pytest.mark.parametrize(
+        "key, value, accepted",
+        [
+            ("seed", True, False),
+            ("seed", 42.0, True),
+            ("a", [True], False),
+            ("operators", [{"c": False}], False),
+            ("operators", [{"A": True}], False),
+            ("quad", {"n": 200.0}, True),
+            ("out_dir", "", False),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, str) else v,
+    )
+    def test_edge_values(self, key, value, accepted):
+        """A bool is neither a number nor an integer, an integral float is an
+        integer, and an empty output directory is refused."""
+        raw = valid_raw()
+        raw[key] = value
+        assert schema_accepts(raw) is accepted
+
+    @pytest.mark.parametrize(
+        "schema, value, valid",
+        [
+            ({"uniqueItems": True}, [1, 1.0], False),
+            ({"uniqueItems": True}, [True, 1], True),
+            ({"uniqueItems": True}, [[1], [1.0]], False),
+            ({"uniqueItems": True}, [[True], [1]], True),
+            ({"uniqueItems": True}, [{"k": 0}, {"k": 0.0}], False),
+            ({"enum": [1, "x"]}, 1.0, True),
+            ({"enum": [1, "x"]}, True, False),
+            ({"const": 0}, False, False),
+            ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1, False),
+            ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5, True),
+            ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, 1.5, False),
+            ({"$schema": "http://json-schema.org/draft-07/schema#", "type": "string"}, "x", True),
+            ({"type": "integer", "maximum": 3}, 3.0, True),
+            ({"type": "number", "exclusiveMaximum": 3}, 3, False),
+        ],
+        ids=[
+            "unique-1-1.0", "unique-True-1", "unique-nested-1-1.0", "unique-nested-True-1",
+            "unique-objects", "enum-1.0", "enum-True", "const-False", "oneOf-both",
+            "oneOf-one", "oneOf-none", "$schema-ignored", "integral-float-maximum",
+            "exclusive-maximum",
+        ],
+    )
+    def test_jsonschema_equality_and_oneof_cases(self, schema, value, valid):
+        """1 equals 1.0 and True is not 1; oneOf needs exactly one match;
+        $schema is ignored."""
+        jsonschema = pytest.importorskip("jsonschema")
+        assert jsonschema.Draft7Validator(schema).is_valid(value) is valid
+        try:
+            config._check(value, schema)
+        except ConfigError:
+            assert not valid
+        else:
+            assert valid
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"multipleOf": 0.5},
+            {"type": ["number", "string"]},
+            {"type": "null"},
+            {"items": [{"type": "number"}]},
+            {"additionalProperties": {"type": "number"}},
+            {"anyOf": [{"type": "number"}]},
+        ],
+        ids=["multipleOf", "type-list", "type-null", "items-list", "additionalProperties-schema", "anyOf"],
+    )
+    def test_unimplemented_keyword_raises(self, schema):
+        with pytest.raises(NotImplementedError):
+            config._check(0.5, schema)
+
+    def test_schema_edit_with_unchecked_keyword_fails_loudly(self, monkeypatch):
+        monkeypatch.setitem(CONFIG_SCHEMA["properties"]["seed"], "multipleOf", 2)
+        with pytest.raises(NotImplementedError, match="multipleOf"):
+            parse_config(valid_raw())
+
+
 class TestSemanticChecks:
     def test_window_touching_omega_rejected(self):
         raw = valid_raw()
@@ -136,6 +300,13 @@ class TestSemanticChecks:
         raw = valid_raw()
         raw["operators"] = [{"A": [[1.0, 0.0], [0.0, 1.0]]}]
         reject(raw, match="1x1")
+
+    def test_ragged_conductivity_rejected(self):
+        # passes the schema, and numpy refuses to build an array from it
+        with open(bundled_config("baseline-2d.json")) as fh:
+            raw = json.load(fh)
+        raw["operators"] = [{"A": [[1.0], [0.0, 1.0]]}]
+        reject(raw, match="2x2")
 
     def test_magnetic_length_mismatch_rejected(self):
         raw = valid_raw()
@@ -197,6 +368,15 @@ class TestBuilders:
         assert mesh.node_count == 81
         labels = cfg.build_labels(mesh)
         assert labels.node_set("W").size > 0
+
+    def test_integral_float_cell_counts_build(self):
+        raw = valid_raw()
+        raw["mesh"]["n_cells"] = 80.0
+        assert parse_config(raw).build_mesh().node_count == 81
+        with open(bundled_config("baseline-2d.json")) as fh:
+            raw = json.load(fh)
+        raw["mesh"].update(nx=20.0, ny=20.0)
+        assert parse_config(raw).build_mesh().node_count == 21 * 21
 
     def test_empty_window_surfaces_as_config_error(self):
         # passes every box check but captures no element barycenter

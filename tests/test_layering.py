@@ -2,10 +2,14 @@
 K is copied to dense only as the buffer the eigensolve's first banded
 triangular solve overwrites and M never, no eigensolver driver with a 2 n^2
 eigenvector workspace is called, L^a and G are formed only at the rows a
-caller reads, and every tolerance bound lives in the contract table."""
+caller reads, every tolerance bound lives in the contract table, and
+importing the package to load a config adds no third-party module to what
+numpy and scipy load."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -437,3 +441,37 @@ def test_contract_use_check_finds_its_targets(tmp_path, source, checked, constan
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
     assert contract_uses(path) == (checked, constants)
+
+
+#: in a fresh interpreter: the top-level modules that importing fracred and
+#: loading the configs named on the command line add to those numpy and
+#: scipy load, standard library and fracred left out
+IMPORT_FOOTPRINT = """
+import sys
+import numpy, scipy.linalg, scipy.sparse
+
+def top_level():
+    return {name.partition(".")[0] for name in sys.modules}
+
+baseline = top_level()
+sys.path.insert(0, sys.argv[1])
+import fracred
+for path in sys.argv[2:]:
+    fracred.load_config(path)
+added = top_level() - baseline - set(sys.stdlib_module_names) - {"fracred"}
+print(" ".join(sorted(added)))
+"""
+
+
+def test_loading_a_config_imports_nothing_beyond_numpy_and_scipy(tmp_path):
+    configs = sorted((PACKAGE / "configs").glob("*.json"))
+    assert configs
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT, str(PACKAGE.parent), *map(str, configs)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == []
