@@ -38,7 +38,7 @@ from .calculus import (
     spectral_power,
 )
 from .dirichlet import ExteriorData, solve_exterior_value
-from .mesh import OMEGA, RegionLabels
+from .mesh import RegionLabels
 from .operators import CONTRACTS, DiscreteOperator, check, check_shared_exterior
 
 logger = logging.getLogger(__name__)
@@ -110,10 +110,10 @@ def ucp_quotient(
         raise ValueError("empty Sigma")
     if np.unique(sigma).size != sigma.size:
         raise ValueError("Sigma nodes must be distinct")
-    labels = op.labels
-    if labels is not None and np.any(labels.node_tags[sigma] == OMEGA):
-        logger.warning("ucp_quotient: Sigma meets OMEGA (%d nodes)",
-                       int(np.sum(labels.node_tags[sigma] == OMEGA)))
+    if op.labels is not None:
+        in_omega = int(np.isin(sigma, op.labels.omega_nodes).sum())
+        if in_omega:
+            logger.warning("ucp_quotient: Sigma meets OMEGA (%d nodes)", in_omega)
     phi = op.eigenvectors[op.dofs_of_nodes(sigma)]
     stacked = np.vstack([phi, phi * lam_a])
     return SingularValueReport(
@@ -245,9 +245,8 @@ def heatflow_rigidity_probe(
     rows = f.values.reshape(f.values.shape[0], -1)
     support_nodes = op1.free_nodes[np.flatnonzero(rows.any(axis=1))]
     # closure of the support: every node sharing an element with it
-    el = op1.mesh.elements
-    touching = el[np.isin(el, support_nodes).any(axis=1)]
-    closure = np.unique(touching)
+    mesh = op1.mesh
+    closure = np.unique(mesh.elements[mesh.elements_touching(support_nodes)])
     if np.intersect1d(sigma, closure).size:
         raise ValueError("Sigma closure meets the datum support")
 

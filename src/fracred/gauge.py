@@ -88,7 +88,7 @@ class Diffeo:
         J = EY @ np.linalg.inv(EX)
         DF = np.swapaxes(J, 1, 2)
         # elements with every vertex fixed carry the exact identity
-        untouched = ~np.any(moved[el], axis=1)
+        untouched = ~mesh.elements_touching(np.flatnonzero(moved))
         DF[untouched] = np.eye(d)
         det = np.linalg.det(DF)
         det[untouched] = 1.0

@@ -7,10 +7,11 @@ inhomogeneity region OMEGA strictly inside the box, two exterior data windows
 W and WTILDE, and a far set E.  Regions are axis-aligned boxes and an element
 belongs to a region iff its barycenter does; discrete closure disjointness
 between OMEGA and each window means the element sets share no node, so at
-least one untagged buffer element separates them.
+least one buffer element, in no region, separates them.
 
 W and WTILDE may coincide or overlap (same-window Cauchy data is a legitimate
-scenario); OMEGA must stay buffered from both.
+scenario); OMEGA must stay buffered from both.  Each region is held once, as
+an index set.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ OMEGA = "OMEGA"
 W = "W"
 WTILDE = "WTILDE"
 E = "E"
-OTHER_EXTERIOR = "OTHER_EXTERIOR"
 
 
 class MeshError(ValueError):
@@ -81,6 +81,10 @@ class Mesh:
 
     def element_barycenters(self) -> np.ndarray:
         return self.nodes[self.elements].mean(axis=1)
+
+    def elements_touching(self, nodes) -> np.ndarray:
+        """Mask of the elements that have at least one node in ``nodes``."""
+        return np.isin(self.elements, nodes).any(axis=1)
 
     def boundary_nodes(self) -> np.ndarray:
         """Indices of nodes on the outer box boundary (Dirichlet set)."""
@@ -168,18 +172,13 @@ def _inside(points: np.ndarray, box: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegionLabels:
-    """Element and node membership for the scenario regions.
+    """Element and node membership for the scenario regions, as index sets.
 
-    Per-region index sets may overlap only between W and WTILDE; the
-    element_tags / node_tags arrays give one tag per element and node,
-    resolving overlaps by the priority order OMEGA > W > WTILDE > E >
-    OTHER_EXTERIOR, and are what ``matches`` compares.  boundary_omega_nodes
+    The sets may overlap only between W and WTILDE.  boundary_omega_nodes
     collects nodes shared by an OMEGA element and a non-OMEGA element;
     omega_interior_nodes is the OMEGA node set with those removed.
     """
 
-    element_tags: np.ndarray
-    node_tags: np.ndarray
     omega_elements: np.ndarray
     omega_nodes: np.ndarray
     w_nodes: np.ndarray
@@ -201,22 +200,22 @@ class RegionLabels:
         }[tag]
 
     def matches(self, other: "RegionLabels") -> bool:
-        """True when both labelings tag every element and node identically."""
-        return self is other or (
-            np.array_equal(self.element_tags, other.element_tags)
-            and np.array_equal(self.node_tags, other.node_tags)
+        """True when every index set equals the other labeling's."""
+        return self is other or all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__dataclass_fields__
         )
 
 
 def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
-    """Tag elements and nodes by barycenter membership in region boxes.
+    """Index sets of the regions, by barycenter membership in region boxes.
 
     An element is OMEGA/W/WTILDE iff its barycenter lies in the open box; E
-    collects untagged elements that share no node with any tagged element
-    (one buffer element away from everything); the remaining untagged
-    elements are OTHER_EXTERIOR.  OMEGA must be strictly inside the mesh
-    box and its closure must be disjoint from both window closures, i.e.
-    the element sets share no node.  W and WTILDE may overlap each other.
+    collects the elements that share no node with any of those (one buffer
+    element away from everything); the elements in between belong to no
+    region.  OMEGA must be strictly inside the mesh box and its closure must
+    be disjoint from both window closures, i.e. the element sets share no
+    node.  W and WTILDE may overlap each other.
 
     Raises
     ------
@@ -248,34 +247,20 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     w_nodes = np.unique(mesh.elements[in_w])
     wtilde_nodes = np.unique(mesh.elements[in_wt])
 
-    # discrete closure disjointness: one untagged element must separate
+    # discrete closure disjointness: one element in no region must separate
     # omega from each window, so their node sets may not intersect
     if np.intersect1d(omega_nodes, w_nodes).size:
         raise RegionError("omega and W closures touch (no buffer element)")
     if np.intersect1d(omega_nodes, wtilde_nodes).size:
         raise RegionError("omega and WTILDE closures touch (no buffer element)")
 
-    tagged = in_omega | in_w | in_wt
-    tagged_nodes = np.unique(
+    # every region element touches its own nodes, so this also excludes them
+    e_mask = ~mesh.elements_touching(
         np.concatenate([omega_nodes, w_nodes, wtilde_nodes])
     )
-    touches_tagged = np.isin(mesh.elements, tagged_nodes).any(axis=1)
-    e_mask = ~tagged & ~touches_tagged
     if not e_mask.any():
         raise RegionError("far region E is empty; enlarge the mesh box")
     e_nodes = np.unique(mesh.elements[e_mask])
-
-    element_tags = np.full(mesh.element_count, OTHER_EXTERIOR, dtype="<U14")
-    element_tags[e_mask] = E
-    element_tags[in_wt] = WTILDE
-    element_tags[in_w] = W
-    element_tags[in_omega] = OMEGA
-
-    node_tags = np.full(mesh.node_count, OTHER_EXTERIOR, dtype="<U14")
-    node_tags[e_nodes] = E
-    node_tags[wtilde_nodes] = WTILDE
-    node_tags[w_nodes] = W
-    node_tags[omega_nodes] = OMEGA
 
     # boundary nodes of omega: in an OMEGA element and in a non-OMEGA element
     non_omega_nodes = np.unique(mesh.elements[~in_omega])
@@ -285,8 +270,6 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
         raise RegionError("omega region too thin to have interior and boundary")
 
     return RegionLabels(
-        element_tags=element_tags,
-        node_tags=node_tags,
         omega_elements=omega_elements,
         omega_nodes=omega_nodes,
         w_nodes=w_nodes,

@@ -167,7 +167,6 @@ CONTRACTS = {
     "lift psi residual": 1e-9,  # L^a Phi against the direct L^(a-1) u, relative
     "lift interior residual": 1e-9,  # weak (K Psi) on Omega-interior dofs over ||u||_M
     "rigidity disagreement": 1e-8,  # heat-quadrature moment against the spectral flux gap
-    "zero datum response": 0.0,  # max |u| for f = 0: the solve is linear, so exactly 0
     "linearity residual": 1e-12,  # ||u(alpha f + beta g) - alpha u(f) - beta u(g)|| / ||u||
     "self exterior gap": 1e-10,  # exterior Cauchy data of an operator against itself
     "self boundary gap": 1e-10,  # boundary Cauchy data of an operator against itself

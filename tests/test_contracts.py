@@ -60,7 +60,6 @@ LIBRARY_CHECKS = {
 
 #: contract -> (runner suite that checks it, exponent in the record)
 RUNNER_CHECKS = {
-    "zero datum response": ("direct", 0.25),
     "linearity residual": ("direct", 0.25),
     "self exterior gap": ("reduce", 0.25),
     "self boundary gap": ("reduce", 0.25),

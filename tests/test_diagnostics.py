@@ -1,14 +1,16 @@
 """Injectivity, density, and heat-kernel diagnostics."""
 
 import dataclasses
+import json
 import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import hat_probes
+from conftest import bundled_config, hat_probes
 
+from fracred.config import parse_config
 from fracred.dirichlet import ExteriorData
 from fracred.diagnostics import (
     HeatRatioReport,
@@ -19,6 +21,7 @@ from fracred.diagnostics import (
     ucp_quotient,
 )
 from fracred.operators import CoefficientField, assemble
+from fracred.runner import run_suites
 
 
 def report(values, shape=(2, 4), tag="test"):
@@ -266,3 +269,16 @@ class TestRigidityProbe:
         f = hat_probes(base1d)[0]
         with pytest.raises(ValueError, match="exterior coefficient mismatch"):
             heatflow_rigidity_probe(base1d.op, partner, 0.5, f, quad, self.sigma(base1d))
+
+    def test_runner_keeps_sigma_off_the_datum_when_windows_coincide(self, tmp_path):
+        with open(bundled_config("perturbed-1d.json")) as fh:
+            raw = json.load(fh)
+        raw["regions"]["wtilde"] = [1.05, 1.8]
+        result = run_suites(parse_config(raw), out_dir=tmp_path / "same", suites=["diagnostics"])
+        assert result.failures == []
+        # WTILDE nodes 61 and 62 both touch the hat at node 61
+        raw["regions"]["wtilde"] = [1.05, 1.1]
+        result = run_suites(parse_config(raw), out_dir=tmp_path / "none", suites=["diagnostics"])
+        [failure] = result.failures
+        assert failure["kind"] == "ValueError"
+        assert "closure of the rigidity datum" in failure["message"]

@@ -14,6 +14,7 @@ from fracred.mesh import (
     dump_json,
     label_regions,
 )
+from fracred.operators import CoefficientField, assemble
 
 
 class TestIntervalMesh:
@@ -66,15 +67,6 @@ class TestLabelRegions:
     def test_baseline_partition(self):
         mesh = build_interval_mesh(-2.0, 2.0, 80)
         labels = label_regions(mesh, (-1, 1), (1.05, 1.8), (-1.95, -1.05))
-        # every element gets exactly one resolved tag
-        assert labels.element_tags.shape == (80,)
-        assert set(np.unique(labels.element_tags)) <= {
-            "OMEGA",
-            "W",
-            "WTILDE",
-            "E",
-            "OTHER_EXTERIOR",
-        }
         # omega stays buffered from both windows
         assert not np.intersect1d(labels.omega_nodes, labels.w_nodes).size
         assert not np.intersect1d(labels.omega_nodes, labels.wtilde_nodes).size
@@ -126,6 +118,13 @@ class TestLabelRegions:
         c = label_regions(mesh, (-1, 1), (1.05, 1.8), (-1.8, -1.05))
         assert a.matches(b)
         assert not a.matches(c)
+        # two WTILDE windows inside W: only the WTILDE sets differ
+        d = label_regions(mesh, (-1, 1), (1.05, 1.8), (1.1, 1.4))
+        e = label_regions(mesh, (-1, 1), (1.05, 1.8), (1.4, 1.75))
+        assert not d.matches(e)
+        op = assemble(mesh, CoefficientField.build(mesh, labels=d))
+        with pytest.raises(ValueError, match="labels do not belong"):
+            op.region_dofs("WTILDE", e)
 
 
 class TestSerialization:

@@ -388,3 +388,23 @@ class TestRowsOnly:
         assert result.failures == []
         assert result.ok
         assert json.loads((tmp_path / "manifest.json").read_text())["suites_skipped"] == []
+
+
+@pytest.mark.parametrize(
+    "config, operators",
+    [("baseline-1d.json", [{"b": [0.7]}]), ("perturbed-1d.json", [{}, {"b": [0.7], "c": 1.0}])],
+)
+def test_magnetic_scenario_runs_every_suite_deterministically(config, operators, tmp_path):
+    # b != 0 takes the complex eigensolve (hetrd, unmqr) and probe layer end to end
+    with open(bundled_config(config)) as fh:
+        raw = json.load(fh)
+    raw["operators"] = operators
+    first = run_suites(parse_config(raw), out_dir=tmp_path / "first")
+    assert first.failures == []
+    assert json.loads((tmp_path / "first" / "manifest.json").read_text())["suites_skipped"] == []
+    report = json.loads((tmp_path / "first" / "assemble.json").read_text())["operators"]
+    assert [entry["complex"] for entry in report] == ["b" in spec for spec in operators]
+    again = run_suites(parse_config(raw), out_dir=tmp_path / "again")
+    assert again.outputs == first.outputs
+    for name in first.outputs:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
