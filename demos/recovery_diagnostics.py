@@ -24,6 +24,7 @@ from fracred.calculus import TimeQuadrature
 from fracred.diagnostics import (
     heat_bound_check,
     heatflow_rigidity_probe,
+    heatflow_rows,
     runge_rank,
     ucp_quotient,
 )
@@ -71,8 +72,9 @@ def main():
     quad = TimeQuadrature(s_max=4.0, n=200)
     datum = ExteriorData.hat(op, int(labels.w_nodes[0]))
     sigma = free[:5]
-    same = heatflow_rigidity_probe(op, op, 0.5, datum, quad, sigma)
-    diff = heatflow_rigidity_probe(op, pert, 0.5, datum, quad, sigma)
+    rows = heatflow_rows(op, 0.5, datum, quad, sigma)
+    same = heatflow_rigidity_probe(rows, rows)
+    diff = heatflow_rigidity_probe(rows, heatflow_rows(pert, 0.5, datum, quad, sigma))
     print(f"  op vs itself:              {same:.3e}")
     print(f"  op vs potential c = +5:    {diff:.3e}")
 

@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    suites = args.suites.split(",") if args.suites else None
+    suites = args.suites.split(",") if args.suites is not None else None
     try:
         result = run_suites(cfg, out_dir=args.out, suites=suites, seed=args.seed)
     except ConfigError as exc:

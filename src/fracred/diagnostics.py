@@ -14,7 +14,8 @@ finite-dimensional quantities:
 * heat_bound_check: ratio of the discrete heat kernel to the free
   Gaussian in the window where the comparison is meaningful.
 * heatflow_rigidity_probe: the time-moment of a difference of heat flows
-  against t^{-1-a}, cross-checked against the spectral flux gap.
+  against t^{-1-a}, cross-checked against the spectral flux gap; it
+  compares the rows at Sigma that heatflow_rows takes of each operator.
 
 Values are reported, not asserted, except where a contract is stated.
 """
@@ -38,8 +39,8 @@ from .calculus import (
     spectral_power,
 )
 from .dirichlet import ExteriorData, solve_exterior_value
-from .mesh import RegionLabels
-from .operators import CONTRACTS, DiscreteOperator, check, check_shared_exterior
+from .mesh import Mesh, RegionLabels
+from .operators import CONTRACTS, CoefficientField, DiscreteOperator, check, check_shared_exterior
 
 logger = logging.getLogger(__name__)
 
@@ -224,38 +225,58 @@ def heat_bound_check(
     )
 
 
-def heatflow_rigidity_probe(
-    op1: DiscreteOperator,
-    op2: DiscreteOperator,
+@dataclass(frozen=True)
+class HeatflowRows:
+    """One operator's rows of L^a f at Sigma: heat by the heat-semigroup
+    quadrature, flux by spectral calculus, one column per datum column;
+    mesh and coeffs are what ``check_shared_exterior`` reads."""
+
+    mesh: Mesh
+    coeffs: CoefficientField
+    a: float
+    sigma: np.ndarray
+    heat: np.ndarray
+    flux: np.ndarray
+
+
+def heatflow_rows(
+    op: DiscreteOperator,
     a: float,
     f,
     quad: TimeQuadrature,
     sigma_nodes,
-) -> float:
-    """Max over Sigma and datum columns of |sum_q w_q (U1 - U2)(x, t_q) t_q^{-1-a}|.
-
-    U_i is the heat flow of the exterior datum under op_i, so the sum is
-    |Gamma(-a)| times the gap of the heat-quadrature routes to L_i^a f.  It
-    must equal |Gamma(-a)| times the spectral flux gap |(L1^a - L2^a) f|
-    at the same nodes, verified here to the "rigidity disagreement" contract
-    (relative); identical operators give zero.
-    """
-    check_shared_exterior(op1, op2)
+) -> HeatflowRows:
+    """The ``HeatflowRows`` of op; Sigma must stay off the closure of the
+    datum's support (ValueError)."""
     sigma = np.atleast_1d(np.asarray(sigma_nodes, dtype=int))
     rows = f.values.reshape(f.values.shape[0], -1)
-    support_nodes = op1.free_nodes[np.flatnonzero(rows.any(axis=1))]
+    support_nodes = op.free_nodes[np.flatnonzero(rows.any(axis=1))]
     # closure of the support: every node sharing an element with it
-    mesh = op1.mesh
+    mesh = op.mesh
     closure = np.unique(mesh.elements[mesh.elements_touching(support_nodes)])
     if np.intersect1d(sigma, closure).size:
         raise ValueError("Sigma closure meets the datum support")
+    dofs = op.dofs_of_nodes(sigma)
+    heat = power_via_heat_quadrature(op, a, f.values, quad)[dofs]
+    return HeatflowRows(mesh, op.coeffs, a, sigma, heat, apply_power(op, a, f.values)[dofs])
 
-    heat, flux = [], []
-    for op in (op1, op2):
-        dofs = op.dofs_of_nodes(sigma)
-        heat.append(power_via_heat_quadrature(op, a, f.values, quad)[dofs])
-        flux.append(apply_power(op, a, f.values)[dofs])
-    value = abs(gamma_neg(a)) * float(np.abs(heat[0] - heat[1]).max())
-    spectral = abs(gamma_neg(a)) * float(np.abs(flux[0] - flux[1]).max())
+
+def heatflow_rigidity_probe(first: HeatflowRows, second: HeatflowRows) -> float:
+    """Max over Sigma and datum columns of |sum_q w_q (U1 - U2)(x, t_q) t_q^{-1-a}|.
+
+    U_i is the heat flow of the exterior datum under operator i, so the sum
+    is |Gamma(-a)| times the gap of the heat-quadrature rows of the two
+    ``heatflow_rows``.  It must equal |Gamma(-a)| times the gap of their
+    spectral rows |(L1^a - L2^a) f|, verified here to the "rigidity
+    disagreement" contract (relative); identical operators give zero.  The
+    rows must share the exponent, Sigma, the mesh and all non-OMEGA element
+    coefficients (``check_shared_exterior``).
+    """
+    check_shared_exterior(first, second)
+    if first.a != second.a or not np.array_equal(first.sigma, second.sigma):
+        raise ValueError("heat-flow rows taken at different exponents or Sigma nodes")
+    a = first.a
+    value = abs(gamma_neg(a)) * float(np.abs(first.heat - second.heat).max())
+    spectral = abs(gamma_neg(a)) * float(np.abs(first.flux - second.flux).max())
     check("rigidity disagreement", abs(value - spectral) / max(value, spectral, 1e-30), ArithmeticError, a)
     return value

@@ -603,17 +603,23 @@ def assemble(mesh: Mesh, coeffs: CoefficientField) -> DiscreteOperator:
     )
 
 
-def check_shared_exterior(op1: DiscreteOperator, op2: DiscreteOperator) -> None:
-    """Require a shared mesh and equal coefficients off op1's OMEGA elements."""
-    if op1.mesh is not op2.mesh and not (
-        np.array_equal(op1.mesh.nodes, op2.mesh.nodes)
-        and np.array_equal(op1.mesh.elements, op2.mesh.elements)
+def check_shared_exterior(first, second) -> None:
+    """Require a shared mesh and equal coefficients off first's OMEGA elements.
+
+    Reads only ``mesh`` and ``coeffs``, so it takes operators as well as the
+    per-operator records the pair probes compare.
+    """
+    if first.coeffs.labels is None:
+        raise ValueError("operator was assembled without region labels")
+    if first.mesh is not second.mesh and not (
+        np.array_equal(first.mesh.nodes, second.mesh.nodes)
+        and np.array_equal(first.mesh.elements, second.mesh.elements)
     ):
         raise ValueError("operators do not share a mesh")
     outside = np.setdiff1d(
-        np.arange(op1.mesh.element_count), op1.resolve_labels().omega_elements
+        np.arange(first.mesh.element_count), first.coeffs.labels.omega_elements
     )
-    c1, c2 = op1.coeffs, op2.coeffs
+    c1, c2 = first.coeffs, second.coeffs
     if not (
         np.array_equal(c1.A[outside], c2.A[outside])
         and np.array_equal(c1.b[outside], c2.b[outside])

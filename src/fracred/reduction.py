@@ -26,8 +26,8 @@ import scipy.linalg
 
 from .calculus import apply_inverse, apply_power
 from .dirichlet import CauchyData, ExteriorData, NonlocalSolution, cauchy_gap, cauchy_pair, solve_exterior_value
-from .mesh import RegionLabels
-from .operators import DiscreteOperator, check, check_shared_exterior, omega_interface, worst_relative
+from .mesh import Mesh, RegionLabels
+from .operators import CoefficientField, DiscreteOperator, check, check_shared_exterior, omega_interface, worst_relative
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,51 @@ def boundary_cauchy(op: DiscreteOperator, pair: LiftedPair) -> CauchyData:
     )
 
 
+@dataclass(frozen=True)
+class Theorem1Readings:
+    """One operator's two readings of an exterior datum block at exponent a:
+    the solution's Cauchy data (``cauchy_pair``) and its lift's
+    (``boundary_cauchy``), with the lift's residuals; mesh and coeffs are
+    what ``check_shared_exterior`` reads."""
+
+    mesh: Mesh
+    coeffs: CoefficientField
+    a: float
+    exterior: CauchyData
+    boundary: CauchyData
+    lift_residuals: dict
+
+
+def theorem1_readings(op: DiscreteOperator, a: float, f: ExteriorData) -> Theorem1Readings:
+    """Solve, lift and read the datum block f on one operator: one solve,
+    one lift and one extraction of each reading for all of f's columns."""
+    sol = solve_exterior_value(op, a, f)
+    pair = lift(op, a, sol)
+    return Theorem1Readings(
+        op.mesh, op.coeffs, a, cauchy_pair(op, a, sol), boundary_cauchy(op, pair), pair.residuals
+    )
+
+
+def theorem1_gaps(first: Theorem1Readings, second: Theorem1Readings) -> dict:
+    """Compare two operators' readings of the same datum block.
+
+    Returns {"exterior_gap", "boundary_gap", "lift_residuals"} where the
+    gaps are maxima of ``cauchy_gap`` over the datum columns and
+    lift_residuals holds the worst value per key of the two lifts.  The
+    readings must share the exponent, the mesh and all non-OMEGA element
+    coefficients (``check_shared_exterior``).
+    """
+    check_shared_exterior(first, second)
+    if first.a != second.a:
+        raise ValueError(f"readings taken at a={first.a} and a={second.a}")
+    res1, res2 = first.lift_residuals, second.lift_residuals
+    return {
+        "exterior_gap": float(cauchy_gap(first.exterior, second.exterior).max()),
+        "boundary_gap": float(cauchy_gap(first.boundary, second.boundary).max()),
+        "lift_residuals": {key: max(res1[key], res2[key]) for key in res1},
+    }
+
+
 def theorem1_probe(
     op1: DiscreteOperator,
     op2: DiscreteOperator,
@@ -95,30 +140,13 @@ def theorem1_probe(
 ) -> dict:
     """Compare exterior Cauchy data and reduced boundary data per probe.
 
-    The probes are stacked into one dof x k block, and each distinct
-    operator object takes one solve, one lift and one extraction of each
-    kind of data; when op2 is op1 those data are compared with themselves.
-    Returns {"exterior_gap", "boundary_gap", "lift_residuals"} where the
-    gaps are maxima of ``cauchy_gap`` over the probes and lift_residuals
-    holds the worst value per key over the lifted operators.  Requires both
-    operators to carry ``labels`` and to share the mesh and all non-OMEGA
-    element coefficients.
+    ``theorem1_gaps`` of the two operators' ``theorem1_readings`` of the
+    probes stacked into one dof x k block; when op2 is op1 the operator is
+    read once and its readings are compared with themselves.  Both
+    operators must carry ``labels``.
     """
     op1.resolve_labels(labels)
-    check_shared_exterior(op1, op2)
     op2.resolve_labels(labels)
     f = ExteriorData.stack(probes)
-
-    def evaluate(op):
-        sol = solve_exterior_value(op, a, f)
-        pair = lift(op, a, sol)
-        return cauchy_pair(op, a, sol), boundary_cauchy(op, pair), pair.residuals
-
-    ext1, bd1, res1 = evaluate(op1)
-    ext2, bd2, res2 = (ext1, bd1, res1) if op2 is op1 else evaluate(op2)
-    return {
-        "exterior_gap": float(cauchy_gap(ext1, ext2).max()),
-        "boundary_gap": float(cauchy_gap(bd1, bd2).max()),
-        "lift_residuals": {key: max(res1[key], res2[key]) for key in res1},
-    }
-
+    first = theorem1_readings(op1, a, f)
+    return theorem1_gaps(first, first if op2 is op1 else theorem1_readings(op2, a, f))

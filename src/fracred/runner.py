@@ -10,6 +10,13 @@ that makes sense); a scenario whose operator cannot be assembled at all
 aborts the remaining suites, which are then reported as skipped.  All output
 files are written with full-precision floats and no timestamps, so reruns
 with the same config and seed are byte-identical.
+
+A second operator is evaluated first: before any suite runs, operator 1 is
+assembled, the products the selected suites read of it are kept (see
+``_read_second``) and the operator is dropped, so operator 0's eigensolve
+runs with no other n x n eigenbasis resident.  An exception raised while
+operator 1 is read is raised where a suite reads that product, so a failing
+run fails in the same suite, with the same record, as one that held both.
 """
 
 from __future__ import annotations
@@ -22,12 +29,12 @@ import numpy as np
 
 from .calculus import apply_power, calibration_rows
 from .config import SUITE_NAMES, ConfigError, ExperimentConfig
-from .diagnostics import heat_bound_check, heatflow_rigidity_probe, is_plain_laplacian, runge_rank, ucp_quotient
+from .diagnostics import heat_bound_check, heatflow_rigidity_probe, heatflow_rows, is_plain_laplacian, runge_rank, ucp_quotient
 from .dirichlet import ExteriorData, solve_exterior_value, stability_constant
 from .gauge import gauge_invariance_check, pushforward_operator
 from .mesh import dump_json
 from .operators import AssemblyError, PositivityError, assemble, check
-from .reduction import theorem1_probe
+from .reduction import theorem1_gaps, theorem1_probe, theorem1_readings
 
 
 SUITE_DESCRIPTIONS = {
@@ -53,9 +60,13 @@ class RunResult:
 
 
 class RunContext:
-    """Scenario state shared by the suites of one run."""
+    """Scenario state shared by the suites of one run.
 
-    def __init__(self, cfg: ExperimentConfig, seed: int):
+    ``operator()`` is operator 0, assembled at first use and held for the
+    run; of operator 1, ``second`` returns what the selected suites read.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, seed: int, suites):
         self.cfg = cfg
         self.seed = seed
         self.mesh = cfg.build_mesh()
@@ -65,12 +76,86 @@ class RunContext:
         self.diffeo = cfg.build_diffeo(self.mesh)
         self.rng = np.random.default_rng(seed)
         self.outputs: dict[str, str] = {}
-        self._ops: dict[int, object] = {}
+        self._second = _read_second(self, suites)
+        self._op = None
 
-    def operator(self, i: int = 0):
-        if i not in self._ops:
-            self._ops[i] = assemble(self.mesh, self.fields[i])
-        return self._ops[i]
+    def operator(self):
+        if self._op is None:
+            self._op = assemble(self.mesh, self.fields[0])
+        return self._op
+
+    def second(self, suite: str, a=None):
+        """Operator 1's product for ``suite`` at exponent a (None for the
+        assemble row); an exception kept in its place is raised here."""
+        value = self._second[suite, a]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+
+def _assemble_row(i: int, op) -> dict:
+    return {
+        "operator": i,
+        "n_dofs": op.n_dofs,
+        "lambda_min": float(op.eigenvalues[0]),
+        "lambda_max": float(op.eigenvalues[-1]),
+        "ellipticity_bound": float(op.coeffs.bound),
+        "complex": not op.is_real,
+        "eigen_residual": op.eigen_residual,
+        "spectral_condition": op.lambda_max / op.lambda_min,
+    }
+
+
+def _rigidity_datum(op):
+    """The rigidity probe's datum, the hat at the first W dof, and its Sigma:
+    up to five WTILDE nodes off the hat's closure (WTILDE may coincide with W)."""
+    hat = op.free_nodes[op.region_dofs("W")[0]]
+    wt = op.free_nodes[op.region_dofs("WTILDE")]
+    mesh = op.mesh
+    sigma = wt[~np.isin(wt, mesh.elements[mesh.elements_touching(hat)])][:5]
+    if sigma.size == 0:
+        raise ValueError("every WTILDE node lies in the closure of the rigidity datum")
+    return ExteriorData.hat(op, hat), sigma
+
+
+def _read_second(ctx: RunContext, suites) -> dict:
+    """Operator 1's products read by the selected suites, keyed (suite, a):
+    its ``assemble.json`` row, and per exponent its Theorem-1 readings of
+    the W-hat block for ``reduce`` and its heat-flow rows at Sigma for
+    ``diagnostics``.
+
+    Empty without a second operator or a suite that reads it.  The row is
+    always taken, so that reading it raises an assembly failure, which
+    stands in for every product.  A suite's exponents are read up to the
+    first failure, where the suite itself stops.  A kept exception loses
+    its traceback, whose frames would keep operator 1 alive.
+    """
+    keys = [(s, a) for s in ("reduce", "diagnostics") if s in suites for a in ctx.cfg.exponents]
+    if len(ctx.fields) < 2 or not (keys or "assemble" in suites):
+        return {}
+    keys.insert(0, ("assemble", None))
+    try:
+        op = assemble(ctx.mesh, ctx.fields[1])
+    except Exception as exc:
+        return dict.fromkeys(keys, exc.with_traceback(None))
+
+    def product(suite, a):
+        if suite == "assemble":
+            return _assemble_row(1, op)
+        if suite == "reduce":
+            return theorem1_readings(op, a, ExteriorData.w_hats(op))
+        f, sigma = _rigidity_datum(op)
+        return heatflow_rows(op, a, f, ctx.quad, sigma)
+
+    second, failed = {}, set()
+    for suite, a in keys:
+        if suite not in failed:
+            try:
+                second[suite, a] = product(suite, a)
+            except Exception as exc:
+                second[suite, a] = exc.with_traceback(None)
+                failed.add(suite)
+    return second
 
 
 def _csv(rows: list, header: str) -> str:
@@ -86,7 +171,7 @@ def _csv(rows: list, header: str) -> str:
 
 
 def _suite_calibrate(ctx: RunContext) -> None:
-    op = ctx.operator(0)
+    op = ctx.operator()
     lam_min, lam_max = float(op.eigenvalues[0]), float(op.eigenvalues[-1])
     lambdas = np.unique(
         np.concatenate([np.geomspace(lam_min, lam_max, 9), [1.0, 10.0]])
@@ -111,26 +196,14 @@ def _suite_calibrate(ctx: RunContext) -> None:
 
 
 def _suite_assemble(ctx: RunContext) -> None:
-    report = []
-    for i in range(len(ctx.fields)):
-        op = ctx.operator(i)
-        report.append(
-            {
-                "operator": i,
-                "n_dofs": op.n_dofs,
-                "lambda_min": float(op.eigenvalues[0]),
-                "lambda_max": float(op.eigenvalues[-1]),
-                "ellipticity_bound": float(op.coeffs.bound),
-                "complex": not op.is_real,
-                "eigen_residual": op.eigen_residual,
-                "spectral_condition": op.lambda_max / op.lambda_min,
-            }
-        )
+    report = [_assemble_row(0, ctx.operator())]
+    if len(ctx.fields) == 2:
+        report.append(ctx.second("assemble"))
     ctx.outputs["assemble.json"] = dump_json({"operators": report}) + "\n"
 
 
 def _suite_direct(ctx: RunContext) -> None:
-    op = ctx.operator(0)
+    op = ctx.operator()
     w_nodes = op.free_nodes[op.region_dofs("W")]
     per_a = {}
     for a in ctx.cfg.exponents:
@@ -162,9 +235,10 @@ def _suite_direct(ctx: RunContext) -> None:
 
 
 def _suite_reduce(ctx: RunContext) -> None:
-    op = ctx.operator(0)
+    op = ctx.operator()
     labels = ctx.labels
-    probes = [ExteriorData.w_hats(op)]
+    f = ExteriorData.w_hats(op)
+    probes = [f]
     doc = {"per_a": {}}
     for a in ctx.cfg.exponents:
         self_probe = theorem1_probe(op, op, a, probes, labels)
@@ -176,8 +250,8 @@ def _suite_reduce(ctx: RunContext) -> None:
             "self_boundary_gap": self_probe["boundary_gap"],
         }
         if len(ctx.fields) == 2:
-            other = ctx.operator(1)
-            pair_probe = theorem1_probe(op, other, a, probes, labels)
+            other = ctx.second("reduce", a)
+            pair_probe = theorem1_gaps(theorem1_readings(op, a, f), other)
             entry["pair_exterior_gap"] = pair_probe["exterior_gap"]
             entry["pair_boundary_gap"] = pair_probe["boundary_gap"]
         doc["per_a"][str(a)] = entry
@@ -190,7 +264,7 @@ def _suite_gauge(ctx: RunContext) -> None:
             {"skipped": "no deformation configured"}
         ) + "\n"
         return
-    op = ctx.operator(0)
+    op = ctx.operator()
     moved = pushforward_operator(op, ctx.diffeo)
     km_dev = max(float(abs(op.K - moved.K).max()), float(abs(op.M - moved.M).max()))
     check("transport deviation", km_dev, ContractError)
@@ -225,7 +299,7 @@ def _heat_pairs(op) -> list:
 
 
 def _suite_diagnostics(ctx: RunContext) -> None:
-    op = ctx.operator(0)
+    op = ctx.operator()
     doc = {"per_a": {}}
     sval_rows = []
 
@@ -279,19 +353,12 @@ def _suite_diagnostics(ctx: RunContext) -> None:
         }
 
     if len(ctx.fields) == 2:
-        other = ctx.operator(1)
-        hat = op.free_nodes[op.region_dofs("W")[0]]
-        f = ExteriorData.hat(op, hat)
-        # WTILDE may coincide with W, so keep Sigma off the hat's closure
-        mesh = op.mesh
-        sigma = wt[~np.isin(wt, mesh.elements[mesh.elements_touching(hat)])][:5]
-        if sigma.size == 0:
-            raise ValueError("every WTILDE node lies in the closure of the rigidity datum")
+        ctx.second("assemble")  # operator 1's assembly failure comes before Sigma's
+        f, sigma = _rigidity_datum(op)
         per_a = {}
         for a in ctx.cfg.exponents:
-            per_a[str(a)] = heatflow_rigidity_probe(
-                op, other, a, f, ctx.quad, sigma
-            )
+            rows = heatflow_rows(op, a, f, ctx.quad, sigma)
+            per_a[str(a)] = heatflow_rigidity_probe(rows, ctx.second("diagnostics", a))
         doc["rigidity_probe"] = per_a
 
     ctx.outputs["diagnostics.json"] = dump_json(doc) + "\n"
@@ -330,12 +397,14 @@ def run_suites(
 ) -> RunResult:
     """Run the selected suites and write results under out_dir.
 
-    Raises ConfigError for invalid suite selections, a seed override that
-    is not a non-negative integer, and scenario construction failures;
-    numeric contract violations are collected into the failure manifest
-    instead.
+    Raises ConfigError for invalid suite selections (an empty or unknown
+    name), a seed override that is not a non-negative integer, and scenario
+    construction failures; numeric contract violations are collected into
+    the failure manifest instead.
     """
     selected = tuple(suites) if suites is not None else cfg.suites
+    if "" in selected:
+        raise ConfigError(f"empty suite name in the selection {','.join(selected)!r}")
     unknown = [s for s in selected if s not in SUITE_NAMES]
     if unknown:
         raise ConfigError(f"unknown suites: {', '.join(unknown)}")
@@ -343,7 +412,7 @@ def run_suites(
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
         raise ConfigError(f"seed override must be a non-negative integer, got {seed!r}")
 
-    ctx = RunContext(cfg, cfg.seed if seed is None else int(seed))
+    ctx = RunContext(cfg, cfg.seed if seed is None else int(seed), ordered)
     failures = []
     skipped = []
     abort = False

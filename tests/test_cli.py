@@ -132,6 +132,16 @@ class TestRunOptions:
         assert code == EXIT_CONFIG
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suites", ["", "reduce,", ",calibrate", "calibrate,,direct"])
+    def test_empty_suite_name_exit_config(self, suites, tmp_path, capsys):
+        # an empty --suites once ran every suite, and a trailing comma was
+        # reported as an unknown suite with a blank name
+        out = tmp_path / "o"
+        code = main(["run", "baseline-1d", "--out", str(out), "--suites", suites])
+        assert code == EXIT_CONFIG
+        assert f"empty suite name in the selection {suites!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exit_config(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["run", "baseline-1d", "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG

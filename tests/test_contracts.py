@@ -16,7 +16,7 @@ from conftest import bundled_config
 
 from fracred.calculus import QuadratureError, TimeQuadrature
 from fracred.config import load_config, parse_config
-from fracred.diagnostics import heatflow_rigidity_probe
+from fracred.diagnostics import heatflow_rigidity_probe, heatflow_rows
 from fracred.dirichlet import ExteriorData, solve_exterior_value
 from fracred.operators import CONTRACTS, AssemblyError, assemble
 from fracred.reduction import lift
@@ -39,7 +39,8 @@ def _rigidity(scn):
     op = scn.op
     f = ExteriorData.hat(op, op.free_nodes[op.region_dofs("W")[0]])
     sigma = op.free_nodes[op.region_dofs("WTILDE")][:5]
-    heatflow_rigidity_probe(op, op, 0.5, f, TimeQuadrature(), sigma)
+    rows = heatflow_rows(op, 0.5, f, TimeQuadrature(), sigma)
+    heatflow_rigidity_probe(rows, rows)
 
 
 #: contract -> (public call that checks it, exception type, exponent in the record)

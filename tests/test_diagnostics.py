@@ -17,11 +17,17 @@ from fracred.diagnostics import (
     SingularValueReport,
     heat_bound_check,
     heatflow_rigidity_probe,
+    heatflow_rows,
     runge_rank,
     ucp_quotient,
 )
 from fracred.operators import CoefficientField, assemble
 from fracred.runner import run_suites
+
+
+def rigidity(op1, op2, a, f, quad, sigma):
+    """The rigidity probe of two operators: the comparison of their heat-flow rows."""
+    return heatflow_rigidity_probe(*(heatflow_rows(op, a, f, quad, sigma) for op in (op1, op2)))
 
 
 def report(values, shape=(2, 4), tag="test"):
@@ -210,7 +216,7 @@ class TestRigidityProbe:
 
     def test_identical_operators_give_zero(self, base1d, quad):
         f = hat_probes(base1d)[0]
-        value = heatflow_rigidity_probe(
+        value = rigidity(
             base1d.op, base1d.op, 0.5, f, quad, self.sigma(base1d)
         )
         assert value == 0.0
@@ -218,7 +224,7 @@ class TestRigidityProbe:
     def test_zeroth_order_perturbation_regression(self, perturbed1d, base1d, quad):
         # frozen from the first verified run on the baseline geometry
         f = hat_probes(base1d)[0]
-        value = heatflow_rigidity_probe(
+        value = rigidity(
             perturbed1d.op1, perturbed1d.op2, 0.5, f, quad, self.sigma(base1d)
         )
         assert value == pytest.approx(1.4668820662714728e-3, rel=1e-9)
@@ -227,10 +233,10 @@ class TestRigidityProbe:
     def test_scales_linearly_in_the_datum(self, perturbed1d, base1d, quad):
         f = hat_probes(base1d)[0]
         doubled = ExteriorData(2.0 * f.values, f.w_dofs)
-        v1 = heatflow_rigidity_probe(
+        v1 = rigidity(
             perturbed1d.op1, perturbed1d.op2, 0.5, f, quad, self.sigma(base1d)
         )
-        v2 = heatflow_rigidity_probe(
+        v2 = rigidity(
             perturbed1d.op1, perturbed1d.op2, 0.5, doubled, quad, self.sigma(base1d)
         )
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
@@ -239,23 +245,26 @@ class TestRigidityProbe:
         probes = hat_probes(base1d)[:3]
         sigma = self.sigma(base1d)
         ops = (perturbed1d.op1, perturbed1d.op2)
-        block = heatflow_rigidity_probe(*ops, 0.5, ExteriorData.stack(probes), quad, sigma)
-        singles = [heatflow_rigidity_probe(*ops, 0.5, f, quad, sigma) for f in probes]
+        block = rigidity(*ops, 0.5, ExteriorData.stack(probes), quad, sigma)
+        singles = [rigidity(*ops, 0.5, f, quad, sigma) for f in probes]
         assert block == pytest.approx(max(singles), rel=1e-12)
 
     def test_sigma_near_support_rejected(self, perturbed1d, base1d, quad):
         f = hat_probes(base1d)[0]
         w_nodes = base1d.labels.node_set("W")
         with pytest.raises(ValueError, match="support"):
-            heatflow_rigidity_probe(
+            rigidity(
                 perturbed1d.op1, perturbed1d.op2, 0.5, f, quad, w_nodes[:2]
             )
 
-    def test_requires_labeled_operators(self, heat1d, base1d, quad):
+    def test_requires_labeled_operators(self, base1d, quad):
+        # rows of an unlabelled operator can be taken (on the datum's mesh),
+        # but not compared: it has no OMEGA to tell its exterior by
+        plain = assemble(base1d.mesh, CoefficientField.build(base1d.mesh))
         f = hat_probes(base1d)[0]
         with pytest.raises(ValueError, match="labels"):
-            heatflow_rigidity_probe(
-                heat1d.op, heat1d.op, 0.5, f, quad, self.sigma(base1d)
+            rigidity(
+                plain, plain, 0.5, f, quad, self.sigma(base1d)
             )
 
     def test_rejects_partner_with_other_exterior_weight(self, base1d, quad):
@@ -268,7 +277,18 @@ class TestRigidityProbe:
         partner = assemble(base1d.mesh, field)
         f = hat_probes(base1d)[0]
         with pytest.raises(ValueError, match="exterior coefficient mismatch"):
-            heatflow_rigidity_probe(base1d.op, partner, 0.5, f, quad, self.sigma(base1d))
+            rigidity(base1d.op, partner, 0.5, f, quad, self.sigma(base1d))
+
+    def test_rows_at_another_exponent_or_sigma_rejected(self, base1d, quad):
+        f = hat_probes(base1d)[0]
+        sigma = self.sigma(base1d)
+        rows = heatflow_rows(base1d.op, 0.5, f, quad, sigma)
+        for other in (
+            heatflow_rows(base1d.op, 0.25, f, quad, sigma),
+            heatflow_rows(base1d.op, 0.5, f, quad, sigma[:3]),
+        ):
+            with pytest.raises(ValueError, match="different exponents or Sigma"):
+                heatflow_rigidity_probe(rows, other)
 
     def test_runner_keeps_sigma_off_the_datum_when_windows_coincide(self, tmp_path):
         with open(bundled_config("perturbed-1d.json")) as fh:

@@ -11,7 +11,7 @@ from fracred.calculus import apply_inverse, apply_power
 from fracred.config import load_config
 from fracred.dirichlet import ExteriorData, cauchy_gap, cauchy_pair, solve_exterior_value
 from fracred.operators import CoefficientField, assemble, omega_interface
-from fracred.reduction import LiftedPair, boundary_cauchy, lift, theorem1_probe
+from fracred.reduction import LiftedPair, boundary_cauchy, lift, theorem1_gaps, theorem1_probe, theorem1_readings
 from fracred.runner import run_suites
 
 
@@ -273,6 +273,11 @@ class TestTheoremProbe:
             for o in ops
         ]
         assert rep["lift_residuals"] == {k: max(r[k] for r in per_op) for k in per_op[0]}
+
+    def test_gaps_reject_readings_at_another_exponent(self, base1d):
+        f = ExteriorData.stack(hat_probes(base1d)[:2])
+        with pytest.raises(ValueError, match="readings taken at a=0.5 and a=0.25"):
+            theorem1_gaps(theorem1_readings(base1d.op, 0.5, f), theorem1_readings(base1d.op, 0.25, f))
 
     def test_rejects_exterior_coefficient_mismatch(self, base1d):
         # same mesh, but c = 5 everywhere (not confined to Omega)
