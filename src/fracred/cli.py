@@ -62,17 +62,9 @@ def main(argv=None) -> int:
         print(list_suites())
         return EXIT_OK
 
-    try:
-        cfg = load_config(_resolve_config(args.config))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
     suites = args.suites.split(",") if args.suites is not None else None
     try:
+        cfg = load_config(_resolve_config(args.config))
         result = run_suites(cfg, out_dir=args.out, suites=suites, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,9 +85,7 @@ class ExteriorData:
     def w_hats(op: DiscreteOperator) -> "ExteriorData":
         """Block of unit hats, one column per W dof: the identity on W."""
         w_dofs = op.region_dofs("W")
-        hats = np.zeros((op.n_dofs, w_dofs.size))
-        hats[w_dofs, np.arange(w_dofs.size)] = 1.0
-        return ExteriorData(hats, w_dofs)
+        return ExteriorData.from_node_values(op, op.free_nodes[w_dofs], np.eye(w_dofs.size))
 
     @staticmethod
     def stack(data) -> "ExteriorData":

@@ -220,7 +220,8 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     Raises
     ------
     RegionError
-        If any region comes out empty, OMEGA touches the outer boundary,
+        If any region comes out empty, W, WTILDE or E has no node off the
+        outer boundary, OMEGA touches the outer boundary,
         or closure disjointness fails (including OMEGA/window overlap).
     """
     omega_box = _as_box(omega_box, mesh.dim)
@@ -261,6 +262,11 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     if not e_mask.any():
         raise RegionError("far region E is empty; enlarge the mesh box")
     e_nodes = np.unique(mesh.elements[e_mask])
+    # a region whose nodes all lie on the box boundary has no dof to hold data
+    boundary = mesh.boundary_nodes()
+    for name, nodes in ((W, w_nodes), (WTILDE, wtilde_nodes), (E, e_nodes)):
+        if np.isin(nodes, boundary).all():
+            raise RegionError(f"region {name} has no node off the box boundary")
 
     # boundary nodes of omega: in an OMEGA element and in a non-OMEGA element
     non_omega_nodes = np.unique(mesh.elements[~in_omega])

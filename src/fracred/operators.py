@@ -168,8 +168,6 @@ CONTRACTS = {
     "lift interior residual": 1e-9,  # weak (K Psi) on Omega-interior dofs over ||u||_M
     "rigidity disagreement": 1e-8,  # heat-quadrature moment against the spectral flux gap
     "linearity residual": 1e-12,  # ||u(alpha f + beta g) - alpha u(f) - beta u(g)|| / ||u||
-    "self exterior gap": 1e-10,  # exterior Cauchy data of an operator against itself
-    "self boundary gap": 1e-10,  # boundary Cauchy data of an operator against itself
     "transport deviation": 1e-12,  # K, M against their transport: element integration is exact
     "gauge deviation": 1e-10,  # exterior Cauchy data moved by the deformation
     "Runge row condition": 1e10,  # sigma_1 / sigma_|E| of the Runge map: rank threshold 1e-10

@@ -97,8 +97,8 @@ def _assemble_row(i: int, op) -> dict:
     return {
         "operator": i,
         "n_dofs": op.n_dofs,
-        "lambda_min": float(op.eigenvalues[0]),
-        "lambda_max": float(op.eigenvalues[-1]),
+        "lambda_min": op.lambda_min,
+        "lambda_max": op.lambda_max,
         "ellipticity_bound": float(op.coeffs.bound),
         "complex": not op.is_real,
         "eigen_residual": op.eigen_residual,
@@ -172,7 +172,7 @@ def _csv(rows: list, header: str) -> str:
 
 def _suite_calibrate(ctx: RunContext) -> None:
     op = ctx.operator()
-    lam_min, lam_max = float(op.eigenvalues[0]), float(op.eigenvalues[-1])
+    lam_min, lam_max = op.lambda_min, op.lambda_max
     lambdas = np.unique(
         np.concatenate([np.geomspace(lam_min, lam_max, 9), [1.0, 10.0]])
     )
@@ -236,22 +236,18 @@ def _suite_direct(ctx: RunContext) -> None:
 
 def _suite_reduce(ctx: RunContext) -> None:
     op = ctx.operator()
-    labels = ctx.labels
     f = ExteriorData.w_hats(op)
-    probes = [f]
     doc = {"per_a": {}}
     for a in ctx.cfg.exponents:
-        self_probe = theorem1_probe(op, op, a, probes, labels)
-        check("self exterior gap", self_probe["exterior_gap"], ContractError, a)
-        check("self boundary gap", self_probe["boundary_gap"], ContractError, a)
+        # operator 0 against itself: its gaps are 0.0 by construction, reported but not checked
+        self_probe = theorem1_probe(op, op, a, [f], ctx.labels)
         entry = {
             "lift_residuals": self_probe["lift_residuals"],
             "self_exterior_gap": self_probe["exterior_gap"],
             "self_boundary_gap": self_probe["boundary_gap"],
         }
         if len(ctx.fields) == 2:
-            other = ctx.second("reduce", a)
-            pair_probe = theorem1_gaps(theorem1_readings(op, a, f), other)
+            pair_probe = theorem1_gaps(theorem1_readings(op, a, f), ctx.second("reduce", a))
             entry["pair_exterior_gap"] = pair_probe["exterior_gap"]
             entry["pair_boundary_gap"] = pair_probe["boundary_gap"]
         doc["per_a"][str(a)] = entry
@@ -397,8 +393,8 @@ def run_suites(
 ) -> RunResult:
     """Run the selected suites and write results under out_dir.
 
-    Raises ConfigError for invalid suite selections (an empty or unknown
-    name), a seed override that is not a non-negative integer, and scenario
+    Raises ConfigError for invalid suite selections (an empty, unknown or
+    repeated name), a seed override that is not a non-negative integer, and scenario
     construction failures; numeric contract violations are collected into
     the failure manifest instead.
     """
@@ -408,6 +404,9 @@ def run_suites(
     unknown = [s for s in selected if s not in SUITE_NAMES]
     if unknown:
         raise ConfigError(f"unknown suites: {', '.join(unknown)}")
+    repeated = [s for s in SUITE_NAMES if selected.count(s) > 1]
+    if repeated:
+        raise ConfigError(f"repeated suites: {', '.join(repeated)}")
     ordered = [s for s in SUITE_NAMES if s in selected]
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
         raise ConfigError(f"seed override must be a non-negative integer, got {seed!r}")

@@ -94,6 +94,20 @@ class TestRunContract:
         assert "not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_without_a_free_node_exit_config(self, tmp_path, capsys):
+        # W is the top-left corner triangle, all three of its nodes on the
+        # box boundary: no datum can live there
+        with open(bundled_config("baseline-2d.json")) as fh:
+            raw = json.load(fh)
+        raw["operators"] = [{}, {"c": 5.0}]
+        raw["regions"]["w"] = [[-1.99, -1.9], [1.9, 1.99]]
+        cfg = tmp_path / "corner.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "region W has no node off the box boundary" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_io(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["run", missing, "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -140,6 +154,14 @@ class TestRunOptions:
         code = main(["run", "baseline-1d", "--out", str(out), "--suites", suites])
         assert code == EXIT_CONFIG
         assert f"empty suite name in the selection {suites!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_suite_name_exit_config(self, tmp_path, capsys):
+        # a config's "suites" may not repeat a name either (uniqueItems)
+        out = tmp_path / "o"
+        code = main(["run", "baseline-1d", "--out", str(out), "--suites", "reduce,reduce"])
+        assert code == EXIT_CONFIG
+        assert "repeated suites: reduce" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_exit_config(self, tmp_path, capsys):

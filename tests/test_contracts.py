@@ -3,10 +3,14 @@
 Each entry of ``CONTRACTS`` is driven through the public call that checks
 it with its bound set to -1, which no measured value meets; the original
 exception type must be raised carrying the record (name, value, bound, a),
-and a failed run must copy that record into its manifest.
+and a failed run must copy that record into its manifest.  Each runner
+contract must also fail through its value, under its own bound, when an
+input to that value is broken: a value that is 0 by construction fails
+only the first way.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import scipy.linalg
 from conftest import bundled_config
 
 from fracred.calculus import QuadratureError, TimeQuadrature
+from fracred import gauge, runner
 from fracred.config import load_config, parse_config
 from fracred.diagnostics import heatflow_rigidity_probe, heatflow_rows
 from fracred.dirichlet import ExteriorData, solve_exterior_value
@@ -62,8 +67,6 @@ LIBRARY_CHECKS = {
 #: contract -> (runner suite that checks it, exponent in the record)
 RUNNER_CHECKS = {
     "linearity residual": ("direct", 0.25),
-    "self exterior gap": ("reduce", 0.25),
-    "self boundary gap": ("reduce", 0.25),
     "transport deviation": ("gauge", None),
     "gauge deviation": ("gauge", 0.25),
     "Runge row condition": ("diagnostics", 0.25),
@@ -72,6 +75,8 @@ RUNNER_CHECKS = {
 
 def test_every_contract_is_driven_here():
     assert sorted({**LIBRARY_CHECKS, **RUNNER_CHECKS}) == sorted(CONTRACTS)
+    # the Runge row condition fails through its value on the interval-400 rung
+    assert sorted(VALUE_BREAKS) == sorted(set(RUNNER_CHECKS) - {"Runge row condition"})
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_CHECKS))
@@ -96,6 +101,80 @@ def test_runner_contract_writes_its_record(name, tmp_path, monkeypatch):
     assert (failure["suite"], failure["name"], failure["bound"], failure["a"]) == (suite, name, -1.0, a)
     assert failure["value"] >= 0.0
     assert json.loads((tmp_path / "manifest.json").read_text())["failures"] == [failure]
+
+
+def _break_linearity(monkeypatch):
+    # the block's third column, alpha f + beta g, moves by 1e-9 relative
+    solve = runner.solve_exterior_value
+
+    def perturbed(op, a, f):
+        sol = solve(op, a, f)
+        u = sol.u.copy()
+        u[:, 2] *= 1 + 1e-9
+        return replace(sol, u=u)
+
+    monkeypatch.setattr(runner, "solve_exterior_value", perturbed)
+
+
+def _transported(monkeypatch, change):
+    push = runner.pushforward_operator
+
+    def changed(op, F):
+        moved = push(op, F)
+        change(moved)
+        return moved
+
+    monkeypatch.setattr(runner, "pushforward_operator", changed)
+
+
+def _break_transport(monkeypatch):
+    def scale_k(moved):
+        moved.K = moved.K * (1 + 1e-9)
+
+    _transported(monkeypatch, scale_k)
+
+
+def _break_gauge(monkeypatch):
+    # the transported operator's exterior flux moves by 1e-6
+    moved_ops = []
+    _transported(monkeypatch, moved_ops.append)
+    pair = gauge.cauchy_pair
+
+    def offset(op, a, sol):
+        data = pair(op, a, sol)
+        return replace(data, flux=data.flux + 1e-6) if any(op is m for m in moved_ops) else data
+
+    monkeypatch.setattr(gauge, "cauchy_pair", offset)
+
+
+#: runner contract -> the monkeypatch that breaks an input of its measured value
+VALUE_BREAKS = {
+    "linearity residual": _break_linearity,
+    "transport deviation": _break_transport,
+    "gauge deviation": _break_gauge,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_BREAKS))
+def test_runner_contract_fails_through_its_value(name, tmp_path, monkeypatch):
+    suite, a = RUNNER_CHECKS[name]
+    VALUE_BREAKS[name](monkeypatch)
+    result = run_suites(load_config(bundled_config("baseline-1d.json")), out_dir=tmp_path, suites=[suite])
+    [failure] = result.failures
+    assert (failure["suite"], failure["kind"], failure["name"], failure["a"]) == (suite, "ContractError", name, a)
+    assert failure["bound"] == CONTRACTS[name] < failure["value"]
+    assert json.loads((tmp_path / "manifest.json").read_text())["failures"] == [failure]
+
+
+@pytest.mark.parametrize("name", ["baseline-1d.json", "baseline-2d.json", "perturbed-1d.json"])
+def test_self_gaps_are_reported_as_exact_zeros(name, tmp_path):
+    # operator 0's Cauchy data against themselves: 0.0 by construction, so
+    # the gaps are written for the record and bound by no contract
+    result = run_suites(load_config(bundled_config(name)), out_dir=tmp_path, suites=["reduce"])
+    assert result.ok
+    per_a = json.loads((tmp_path / "cauchy_gap.json").read_text())["per_a"]
+    for entry in per_a.values():
+        assert entry["self_exterior_gap"] == 0.0 and entry["self_boundary_gap"] == 0.0
 
 
 def bundled_raw(name="baseline-1d.json", **changes) -> dict:

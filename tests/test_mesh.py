@@ -99,6 +99,24 @@ class TestLabelRegions:
         with pytest.raises(RegionError, match="far region E is empty"):
             label_regions(mesh, (-1, 1), (1.05, 1.95), (-1.95, -1.05))
 
+    CORNER = [[-2.9, -2.5], [2.5, 2.9]]  # holds only the top-left corner triangle of a 6 x 6 grid
+
+    @pytest.mark.parametrize(
+        "region, boxes",
+        [
+            ("W", [[[-1, 1], [-1, 1]], CORNER, [[-2.9, -1.9], [-1, 1]]]),
+            ("WTILDE", [[[-1, 1], [-1, 1]], [[1.9, 2.9], [-1, 1]], CORNER]),
+            # every element but that corner triangle touches a region node
+            ("E", [[[-2.1, 1.0], [-2.2, 2.2]], [[2.2, 3.0], [-1.7, 1.4]], [[2.2, 3.0], [2.6, 3.0]]]),
+        ],
+    )
+    def test_region_on_the_box_boundary_rejected(self, region, boxes):
+        # all three nodes of a corner triangle lie on the box boundary, so a
+        # region made of it alone has no dof
+        mesh = build_rect_mesh([[-3, 3], [-3, 3]], 6, 6)
+        with pytest.raises(RegionError, match=f"region {region} has no node off the box boundary"):
+            label_regions(mesh, *boxes)
+
     def test_omega_boundary_split(self):
         mesh = build_rect_mesh([[-2, 2], [-2, 2]], 20, 20)
         labels = label_regions(
