@@ -287,39 +287,6 @@ def _closures_meet(one: np.ndarray, other: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
-    """One coefficient set, already shaped for the mesh dimension."""
-
-    A: np.ndarray | float
-    b: np.ndarray | None
-    c: float
-
-    @staticmethod
-    def parse(raw: dict, dim: int) -> "OperatorSpec":
-        A = raw.get("A", 1.0)
-        if isinstance(A, list):
-            if len(A) != dim or any(len(row) != dim for row in A):
-                raise ConfigError(f"conductivity matrix must be {dim}x{dim}")
-            A = np.asarray(A, dtype=float)
-            if not np.allclose(A, A.T, rtol=0.0, atol=0.0):
-                raise ConfigError("conductivity matrix must be symmetric")
-        b = raw.get("b")
-        if b is not None:
-            if len(b) != dim:
-                raise ConfigError(f"magnetic coefficient must have {dim} components")
-            b = np.asarray(b, dtype=float)
-        return OperatorSpec(A=A, b=b, c=raw.get("c", 0.0))
-
-    def build_field(self, mesh: Mesh, labels: RegionLabels) -> CoefficientField:
-        try:
-            return CoefficientField.build(
-                mesh, A=self.A, b=self.b, c=self.c, labels=labels
-            )
-        except (CoefficientError, ValueError) as exc:
-            raise ConfigError(f"coefficient spec rejected: {exc}") from exc
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description, ready to build the scenario."""
 
@@ -351,14 +318,20 @@ class ExperimentConfig:
             raise ConfigError(f"region boxes rejected: {exc}") from exc
 
     def build_fields(self, mesh: Mesh, labels: RegionLabels) -> list:
-        return [spec.build_field(mesh, labels) for spec in self.operator_specs]
+        try:
+            return [CoefficientField.build(mesh, labels, **spec) for spec in self.operator_specs]
+        except (CoefficientError, ValueError) as exc:
+            raise ConfigError(f"coefficient spec rejected: {exc}") from exc
 
-    def build_diffeo(self, mesh: Mesh) -> Diffeo | None:
+    def build_diffeo(self, mesh: Mesh, labels: RegionLabels) -> Diffeo | None:
+        """The deformation, which may move OMEGA-interior nodes only."""
         if self.diffeo_spec is None:
             return None
-        return Diffeo.radial_shrink(
-            mesh, self.diffeo_spec["rho"], self.diffeo_spec["factor"]
-        )
+        F = Diffeo.radial_shrink(mesh, self.diffeo_spec["rho"], self.diffeo_spec["factor"])
+        moved = np.flatnonzero(np.any(F.mapped_nodes != mesh.nodes, axis=1))
+        if not np.isin(moved, labels.omega_interior_nodes).all():
+            raise ConfigError("deformation moves a node outside the interior of OMEGA")
+        return F
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -389,7 +362,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if np.any(box[:, 0] < mesh_box[:, 0]) or np.any(box[:, 1] > mesh_box[:, 1]):
             raise ConfigError(f"{name} box leaves the mesh box")
 
-    specs = tuple(OperatorSpec.parse(op, dim) for op in raw["operators"])
+    for op in raw["operators"]:
+        A = op.get("A")
+        if isinstance(A, list):
+            if len(A) != dim or any(len(row) != dim for row in A):
+                raise ConfigError(f"conductivity matrix must be {dim}x{dim}")
+            if not np.array_equal(A, np.transpose(A)):
+                raise ConfigError("conductivity matrix must be symmetric")
+        if "b" in op and len(op["b"]) != dim:
+            raise ConfigError(f"magnetic coefficient must have {dim} components")
 
     quad_raw = raw.get("quad", {})
     try:
@@ -407,9 +388,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         mesh_spec=raw["mesh"],
-        region_boxes={"omega": raw["regions"]["omega"], "w": raw["regions"]["w"],
-                      "wtilde": raw["regions"]["wtilde"]},
-        operator_specs=specs,
+        region_boxes=raw["regions"],
+        operator_specs=tuple(raw["operators"]),
         exponents=tuple(float(a) for a in raw["a"]),
         quad=quad,
         diffeo_spec=diffeo,

@@ -213,24 +213,20 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     An element is OMEGA/W/WTILDE iff its barycenter lies in the open box; E
     collects the elements that share no node with any of those (one buffer
     element away from everything); the elements in between belong to no
-    region.  OMEGA must be strictly inside the mesh box and its closure must
-    be disjoint from both window closures, i.e. the element sets share no
-    node.  W and WTILDE may overlap each other.
+    region.  No OMEGA element may have a node on the outer box boundary, and
+    the OMEGA closure must be disjoint from both window closures, i.e. the
+    element sets share no node.  W and WTILDE may overlap each other.
 
     Raises
     ------
     RegionError
         If any region comes out empty, W, WTILDE or E has no node off the
-        outer boundary, OMEGA touches the outer boundary,
+        outer boundary, an OMEGA element has a node on the outer boundary,
         or closure disjointness fails (including OMEGA/window overlap).
     """
     omega_box = _as_box(omega_box, mesh.dim)
     w_box = _as_box(w_box, mesh.dim)
     wtilde_box = _as_box(wtilde_box, mesh.dim)
-    if np.any(omega_box[:, 0] <= mesh.box[:, 0]) or np.any(
-        omega_box[:, 1] >= mesh.box[:, 1]
-    ):
-        raise RegionError("omega box must be strictly inside the mesh box")
 
     bary = mesh.element_barycenters()
     in_omega = _inside(bary, omega_box)
@@ -247,6 +243,9 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     omega_nodes = np.unique(mesh.elements[omega_elements])
     w_nodes = np.unique(mesh.elements[in_w])
     wtilde_nodes = np.unique(mesh.elements[in_wt])
+    boundary = mesh.boundary_nodes()
+    if np.intersect1d(omega_nodes, boundary).size:
+        raise RegionError("an OMEGA element has a node on the box boundary")
 
     # discrete closure disjointness: one element in no region must separate
     # omega from each window, so their node sets may not intersect
@@ -263,7 +262,6 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
         raise RegionError("far region E is empty; enlarge the mesh box")
     e_nodes = np.unique(mesh.elements[e_mask])
     # a region whose nodes all lie on the box boundary has no dof to hold data
-    boundary = mesh.boundary_nodes()
     for name, nodes in ((W, w_nodes), (WTILDE, wtilde_nodes), (E, e_nodes)):
         if np.isin(nodes, boundary).all():
             raise RegionError(f"region {name} has no node off the box boundary")

@@ -73,7 +73,7 @@ class RunContext:
         self.labels = cfg.build_labels(self.mesh)
         self.fields = cfg.build_fields(self.mesh, self.labels)
         self.quad = cfg.quad
-        self.diffeo = cfg.build_diffeo(self.mesh)
+        self.diffeo = cfg.build_diffeo(self.mesh, self.labels)
         self.rng = np.random.default_rng(seed)
         self.outputs: dict[str, str] = {}
         self._second = _read_second(self, suites)
@@ -393,12 +393,14 @@ def run_suites(
 ) -> RunResult:
     """Run the selected suites and write results under out_dir.
 
-    Raises ConfigError for invalid suite selections (an empty, unknown or
-    repeated name), a seed override that is not a non-negative integer, and scenario
-    construction failures; numeric contract violations are collected into
-    the failure manifest instead.
+    Raises ConfigError for invalid suite selections (no name, or an empty,
+    unknown or repeated one), a seed override that is not a non-negative
+    integer, and scenario construction failures; numeric contract
+    violations are collected into the failure manifest instead.
     """
     selected = tuple(suites) if suites is not None else cfg.suites
+    if not selected:
+        raise ConfigError("empty suite selection")
     if "" in selected:
         raise ConfigError(f"empty suite name in the selection {','.join(selected)!r}")
     unknown = [s for s in selected if s not in SUITE_NAMES]

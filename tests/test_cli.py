@@ -108,6 +108,31 @@ class TestRunContract:
         assert "region W has no node off the box boundary" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_omega_element_on_the_box_boundary_exit_config(self, tmp_path, capsys):
+        # the omega box lies inside the mesh box, but its first element holds
+        # the boundary node -2.0, which carries no dof
+        def edge(raw):
+            raw["regions"].update(omega=[-1.99, 1.0], wtilde=[1.15, 1.8])
+
+        cfg = write_config(tmp_path, edge)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "OMEGA element has a node on the box boundary" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deformation_off_the_omega_interior_exit_config(self, tmp_path, capsys):
+        # the ball lies inside the omega box, but moves node 0.95 of the
+        # non-OMEGA element [0.95, 1.0]
+        def reach(raw):
+            raw["regions"]["omega"] = [-1.0, 0.96]
+            raw["diffeo"] = {"rho": 0.955, "factor": 0.8}
+
+        cfg = write_config(tmp_path, reach)
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "deformation moves a node outside" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_io(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["run", missing, "--out", str(tmp_path / "o")]) == EXIT_IO

@@ -5,6 +5,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import bundled_config
@@ -324,7 +325,7 @@ class TestSemanticChecks:
         # sign constraints on c belong to assembly, not the schema
         raw = valid_raw()
         raw["operators"] = [{"c": -0.5}]
-        assert parse_config(raw).operator_specs[0].c == -0.5
+        assert parse_config(raw).operator_specs[0]["c"] == -0.5
 
 
 class TestDefaults:
@@ -355,10 +356,25 @@ class TestDefaults:
 
     def test_operator_defaults(self):
         cfg = parse_config(valid_raw())
-        spec = cfg.operator_specs[0]
-        assert spec.A == 1.0
-        assert spec.b is None
-        assert spec.c == 0.0
+        mesh = cfg.build_mesh()
+        (field,) = cfg.build_fields(mesh, cfg.build_labels(mesh))
+        ne = mesh.element_count
+        assert np.array_equal(field.A, np.broadcast_to(np.eye(1), (ne, 1, 1)))
+        assert np.array_equal(field.b, np.zeros((ne, 1)))
+        assert np.array_equal(field.c, np.zeros(ne))
+        assert np.array_equal(field.w, np.ones(ne))
+
+    def test_stated_defaults_build_the_same_field(self):
+        # the defaults live in CoefficientField.build alone: stating them
+        # changes no bit of the field
+        with open(bundled_config("baseline-2d.json")) as fh:
+            raw = json.load(fh)
+        raw["operators"] = [{}, {"A": 1.0, "c": 0.0}]
+        cfg = parse_config(raw)
+        mesh = cfg.build_mesh()
+        left, stated = cfg.build_fields(mesh, cfg.build_labels(mesh))
+        for name in ("A", "b", "c", "w"):
+            assert getattr(left, name).tobytes() == getattr(stated, name).tobytes()
 
 
 class TestBuilders:
@@ -398,12 +414,24 @@ class TestBuilders:
 
     def test_build_diffeo(self):
         cfg = parse_config(valid_raw())
-        assert cfg.build_diffeo(cfg.build_mesh()) is None
+        mesh = cfg.build_mesh()
+        assert cfg.build_diffeo(mesh, cfg.build_labels(mesh)) is None
         raw = valid_raw()
         raw["diffeo"] = {"rho": 0.8, "factor": 0.8}
         cfg = parse_config(raw)
-        F = cfg.build_diffeo(cfg.build_mesh())
+        F = cfg.build_diffeo(mesh, cfg.build_labels(mesh))
         assert F is not None and F.det.min() > 0
+
+    def test_deformation_moving_a_node_off_the_omega_interior_rejected(self):
+        # the ball lies inside the omega box, but it moves node 0.95, whose
+        # element [0.95, 1.0] has its barycenter outside omega
+        raw = valid_raw()
+        raw["regions"]["omega"] = [-1.0, 0.96]
+        raw["diffeo"] = {"rho": 0.955, "factor": 0.8}
+        cfg = parse_config(raw)
+        mesh = cfg.build_mesh()
+        with pytest.raises(ConfigError, match="deformation moves a node outside"):
+            cfg.build_diffeo(mesh, cfg.build_labels(mesh))
 
 
 class TestLoadConfig:

@@ -87,6 +87,25 @@ class TestLabelRegions:
         with pytest.raises(RegionError):
             label_regions(mesh, (-2.0, 1), (1.05, 1.8), (-1.95, -1.05))
 
+    @pytest.mark.parametrize(
+        "mesh, boxes",
+        [
+            # the barycenter -1.975 of [-2.0, -1.95] lies in the OMEGA box
+            (build_interval_mesh(-2.0, 2.0, 80), [(-1.99, 1), (1.05, 1.8), (1.15, 1.8)]),
+            # the bottom row of triangles has barycenters at y = -1.933 and -1.867
+            (
+                build_rect_mesh([[-2, 2], [-2, 2]], 20, 20),
+                [[[-1, 1], [-1.95, 1]], [[1.4, 1.75], [-0.6, 0.6]], [[-1.75, -1.4], [-0.6, 0.6]]],
+            ),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_omega_element_on_outer_boundary_rejected(self, mesh, boxes):
+        # each OMEGA box lies inside the mesh box, but an element whose
+        # barycenter it holds has a node on the box boundary
+        with pytest.raises(RegionError, match="OMEGA element has a node on the box boundary"):
+            label_regions(mesh, *boxes)
+
     def test_empty_region_rejected(self):
         mesh = build_interval_mesh(-2.0, 2.0, 80)
         # barycenters sit at 0.025 + 0.05 k, none inside (1.81, 1.82)

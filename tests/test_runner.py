@@ -10,13 +10,15 @@ import gc
 import json
 import weakref
 
+import pytest
+
 from conftest import bundled_config
 
 import fracred.diagnostics
 import fracred.operators
 import fracred.reduction
 import fracred.runner
-from fracred.config import parse_config
+from fracred.config import ConfigError, parse_config
 from fracred.operators import check
 from fracred.runner import run_suites
 
@@ -120,3 +122,11 @@ def test_second_operator_failures_are_raised_where_the_suites_read_them(monkeypa
         '["assemble.json", "calibration.csv", "calibration.json", "direct.json", '
         '"gauge_check.json"]}\n'
     )
+
+
+def test_empty_suite_selection_rejected(tmp_path):
+    # a config's "suites" needs at least one name (minItems), and so does
+    # the selection passed to run_suites
+    with pytest.raises(ConfigError, match="empty suite selection"):
+        run_suites(config("perturbed-1d.json"), out_dir=tmp_path / "o", suites=[])
+    assert not (tmp_path / "o").exists()
