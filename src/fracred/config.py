@@ -372,11 +372,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if "b" in op and len(op["b"]) != dim:
             raise ConfigError(f"magnetic coefficient must have {dim} components")
 
-    quad_raw = raw.get("quad", {})
+    cast = {"s_max": float, "n": int}
     try:
-        quad = TimeQuadrature(
-            s_max=float(quad_raw.get("s_max", 4.0)), n=int(quad_raw.get("n", 200))
-        )
+        quad = TimeQuadrature(**{k: cast[k](v) for k, v in raw["quad"].items()})
     except QuadratureError as exc:
         raise ConfigError(f"quadrature rejected: {exc}") from exc
 

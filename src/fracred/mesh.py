@@ -285,34 +285,17 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization, 17 significant digits so floats round-trip exactly
+# JSON serialization: floats as json writes them, the shortest text that
+# reads back to the same double, so an integral float stays a float
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"non-finite value {x} in serialization")
-    return format(float(x), ".17g")
+def _numpy_to_python(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dump_json(obj) -> str:
-    """Serialize nested dict/list/scalar data with full-precision floats."""
-    if isinstance(obj, dict):
-        items = ", ".join(
-            f"{json.dumps(str(k))}: {dump_json(v)}" for k, v in obj.items()
-        )
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dump_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return dump_json(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    """Serialize nested dict/list/scalar data, numpy values included; a
+    non-finite float raises ValueError."""
+    return json.dumps(obj, allow_nan=False, default=_numpy_to_python)

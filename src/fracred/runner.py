@@ -7,9 +7,10 @@ Suites execute in the declared order
 each appending rows to the output set.  Contract violations inside a suite
 are collected as failures (the run continues with the remaining suites where
 that makes sense); a scenario whose operator cannot be assembled at all
-aborts the remaining suites, which are then reported as skipped.  All output
-files are written with full-precision floats and no timestamps, so reruns
-with the same config and seed are byte-identical.
+aborts the remaining suites, which are then reported as skipped.  Every
+float in an output file, JSON or CSV, is written as ``json.dumps`` writes it,
+the shortest text that reads back to the same double, and no file holds a
+timestamp, so reruns with the same config and seed are byte-identical.
 
 A second operator is evaluated first: before any suite runs, operator 1 is
 assembled, the products the selected suites read of it are kept (see
@@ -64,6 +65,8 @@ class RunContext:
 
     ``operator()`` is operator 0, assembled at first use and held for the
     run; of operator 1, ``second`` returns what the selected suites read.
+    ``rigidity`` is the datum node and Sigma of the two-operator rigidity
+    probe, or None when ``diagnostics`` does not run one.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, suites):
@@ -76,6 +79,8 @@ class RunContext:
         self.diffeo = cfg.build_diffeo(self.mesh, self.labels)
         self.rng = np.random.default_rng(seed)
         self.outputs: dict[str, str] = {}
+        runs_rigidity_probe = len(self.fields) == 2 and "diagnostics" in suites
+        self.rigidity = _rigidity_nodes(self.mesh, self.labels) if runs_rigidity_probe else None
         self._second = _read_second(self, suites)
         self._op = None
 
@@ -106,16 +111,20 @@ def _assemble_row(i: int, op) -> dict:
     }
 
 
-def _rigidity_datum(op):
-    """The rigidity probe's datum, the hat at the first W dof, and its Sigma:
-    up to five WTILDE nodes off the hat's closure (WTILDE may coincide with W)."""
-    hat = op.free_nodes[op.region_dofs("W")[0]]
-    wt = op.free_nodes[op.region_dofs("WTILDE")]
-    mesh = op.mesh
+def _rigidity_nodes(mesh, labels):
+    """The rigidity probe's datum node, the first W node off the box boundary,
+    and its Sigma: up to five such WTILDE nodes off the hat's closure (WTILDE
+    may coincide with W).  A scenario with no Sigma is a ConfigError."""
+    boundary = mesh.boundary_nodes()
+    hat = labels.w_nodes[~np.isin(labels.w_nodes, boundary)][0]
+    wt = labels.wtilde_nodes[~np.isin(labels.wtilde_nodes, boundary)]
     sigma = wt[~np.isin(wt, mesh.elements[mesh.elements_touching(hat)])][:5]
     if sigma.size == 0:
-        raise ValueError("every WTILDE node lies in the closure of the rigidity datum")
-    return ExteriorData.hat(op, hat), sigma
+        raise ConfigError(
+            "no rigidity Sigma: every WTILDE node off the box boundary lies in "
+            "the closure of the hat at the first W node"
+        )
+    return hat, sigma
 
 
 def _read_second(ctx: RunContext, suites) -> dict:
@@ -144,8 +153,8 @@ def _read_second(ctx: RunContext, suites) -> dict:
             return _assemble_row(1, op)
         if suite == "reduce":
             return theorem1_readings(op, a, ExteriorData.w_hats(op))
-        f, sigma = _rigidity_datum(op)
-        return heatflow_rows(op, a, f, ctx.quad, sigma)
+        hat, sigma = ctx.rigidity
+        return heatflow_rows(op, a, ExteriorData.hat(op, hat), ctx.quad, sigma)
 
     second, failed = {}, set()
     for suite, a in keys:
@@ -160,11 +169,7 @@ def _read_second(ctx: RunContext, suites) -> dict:
 
 def _csv(rows: list, header: str) -> str:
     def cell(v):
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, str):
-            return v
-        return format(float(v), ".17g")
+        return str(v) if isinstance(v, (str, int, np.integer)) else repr(float(v))
 
     lines = [header] + [",".join(cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
@@ -349,8 +354,9 @@ def _suite_diagnostics(ctx: RunContext) -> None:
         }
 
     if len(ctx.fields) == 2:
-        ctx.second("assemble")  # operator 1's assembly failure comes before Sigma's
-        f, sigma = _rigidity_datum(op)
+        ctx.second("assemble")  # operator 1's assembly failure comes before operator 0's rows
+        hat, sigma = ctx.rigidity
+        f = ExteriorData.hat(op, hat)
         per_a = {}
         for a in ctx.cfg.exponents:
             rows = heatflow_rows(op, a, f, ctx.quad, sigma)

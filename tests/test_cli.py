@@ -62,6 +62,15 @@ class TestRunContract:
             "calibrate", "assemble", "direct", "reduce", "gauge", "diagnostics",
         ]
 
+    def test_integral_floats_stay_floats(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", "baseline-1d", "--suites", "calibrate,assemble", "--out", str(out)]) == EXIT_OK
+        (row,) = json.loads((out / "assemble.json").read_text())["operators"]
+        calibration = json.loads((out / "calibration.json").read_text())
+        assert row["ellipticity_bound"] == 1.0 and type(row["ellipticity_bound"]) is float
+        assert calibration["s_max"] == 4.0 and type(calibration["s_max"]) is float
+        assert type(calibration["n"]) is int
+
     def test_overlapping_regions_exit_config(self, tmp_path, capsys):
         def overlap(raw):
             raw["regions"]["w"] = [0.5, 1.8]
@@ -131,6 +140,21 @@ class TestRunContract:
         out = tmp_path / "o"
         assert main(["run", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "deformation moves a node outside" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_operators_without_a_rigidity_sigma_exit_config(self, tmp_path, capsys):
+        # every WTILDE dof lies in the closure of the hat at the first W dof,
+        # so the diagnostics rigidity probe has no Sigma
+        with open(bundled_config("perturbed-1d.json")) as fh:
+            raw = json.load(fh)
+        raw["mesh"]["n_cells"] = 28
+        raw["regions"] = {"omega": [-1.0, 1.0], "w": [-1.553, -1.249], "wtilde": [-1.581, -1.441]}
+        cfg = tmp_path / "no_sigma.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no rigidity Sigma" in err and "WTILDE" in err and "W node" in err
         assert not out.exists()
 
     def test_missing_config_exit_io(self, tmp_path, capsys):

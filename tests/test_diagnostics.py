@@ -10,7 +10,7 @@ import pytest
 
 from conftest import bundled_config, hat_probes
 
-from fracred.config import parse_config
+from fracred.config import ConfigError, parse_config
 from fracred.dirichlet import ExteriorData
 from fracred.diagnostics import (
     HeatRatioReport,
@@ -296,9 +296,8 @@ class TestRigidityProbe:
         raw["regions"]["wtilde"] = [1.05, 1.8]
         result = run_suites(parse_config(raw), out_dir=tmp_path / "same", suites=["diagnostics"])
         assert result.failures == []
-        # WTILDE nodes 61 and 62 both touch the hat at node 61
+        # WTILDE nodes 61 and 62 both touch the hat at node 61: no Sigma, an invalid scenario
         raw["regions"]["wtilde"] = [1.05, 1.1]
-        result = run_suites(parse_config(raw), out_dir=tmp_path / "none", suites=["diagnostics"])
-        [failure] = result.failures
-        assert failure["kind"] == "ValueError"
-        assert "closure of the rigidity datum" in failure["message"]
+        with pytest.raises(ConfigError, match="no rigidity Sigma"):
+            run_suites(parse_config(raw), out_dir=tmp_path / "none", suites=["diagnostics"])
+        assert not (tmp_path / "none").exists()

@@ -167,7 +167,7 @@ class TestLabelRegions:
 class TestSerialization:
     def test_dump_json_full_precision(self):
         x = 1.0 / 3.0
-        assert dump_json({"x": x}) == '{"x": 0.33333333333333331}'
+        assert dump_json({"x": x}) == '{"x": 0.3333333333333333}'
 
     def test_dump_json_deterministic(self):
         doc = {"a": [1, 2.5, True, None], "b": {"c": np.float64(0.1)}}

@@ -116,7 +116,7 @@ def test_second_operator_failures_are_raised_where_the_suites_read_them(monkeypa
         '["calibrate", "assemble", "direct", "reduce", "gauge", "diagnostics"], '
         '"suites_skipped": [], "failures": [{"suite": "reduce", "kind": "ArithmeticError", '
         '"message": "lift phi residual 1.000e+00 out of contract: bound 1.000e-10 at a=0.25", '
-        '"name": "lift phi residual", "value": 1, "bound": 1e-10, "a": 0.25}, '
+        '"name": "lift phi residual", "value": 1.0, "bound": 1e-10, "a": 0.25}, '
         '{"suite": "diagnostics", "kind": "ArithmeticError", '
         '"message": "second operator heat rows at a=0.5"}], "outputs": '
         '["assemble.json", "calibration.csv", "calibration.json", "direct.json", '
