@@ -22,11 +22,12 @@ Phi^H M Phi = I is computed densely at assembly time.  Desk scale only
 eigensolve reduces the pencil by the band Cholesky factor of M, so M is
 never densified; K is densified once, and that one n x n buffer is
 overwritten in place until it is reduced to a tridiagonal matrix, whose
-eigenvectors are taken back to Phi in a second n x n buffer.  At most 2.5
-n^2 entries are live in the eigensolve.  The local problem on the OMEGA
-patch is read through ``omega_interface``: its interface dofs, the
-OMEGA-only stiffness rows there and the factored P1 facet mass of the
-interface.
+eigenvectors are taken back to Phi in a second n x n buffer; the three
+banded triangular solves run in place on column blocks of those buffers,
+in level-3 BLAS.  At most 2.5 n^2 entries are live in the eigensolve.
+The local problem on the OMEGA patch is read through ``omega_interface``:
+its interface dofs, the OMEGA-only stiffness rows there and the factored
+P1 facet mass of the interface.
 """
 
 from __future__ import annotations
@@ -418,9 +419,8 @@ def lower_band(A) -> np.ndarray:
     """The lower band of a Hermitian sparse matrix in LAPACK band storage.
 
     Row d holds the d-th subdiagonal, ``band[d, j] = A[j + d, j]``, in
-    Fortran order: the layout of ``?pbtrf`` and ``?tbtrs`` with the lower
-    triangle and of ``scipy.linalg.solveh_banded(..., lower=True)``.  The
-    bandwidth follows the node order: 1 on intervals, about nx on an
+    Fortran order: the layout of ``?pbtrf`` with the lower triangle and of
+    ``scipy.linalg.solveh_banded(..., lower=True)``.  The bandwidth follows the node order: 1 on intervals, about nx on an
     nx x ny rectangle.
     """
     dia = A.todia()
@@ -441,6 +441,10 @@ def _lapack(what: str, result):
 #: rows and columns per block of the in-place conjugate transpose
 _TRANSPOSE_BLOCK = 64
 
+#: columns per block of the band solve: one solve at n = 1521 took 0.011 s
+#: with 32 against 0.016 s with 64, while the transpose is faster with 64
+_SOLVE_BLOCK = 32
+
 
 def _conjugate_transpose(A: np.ndarray) -> None:
     """Overwrite the square A with A^H, one pair of blocks at a time, so that
@@ -460,6 +464,46 @@ def _conjugate_transpose(A: np.ndarray) -> None:
         np.conjugate(A, out=A)
 
 
+def _solve_band(L: np.ndarray, A: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Overwrite the Fortran-ordered A with A L^-H (``adjoint``) or A L^-1,
+    for the lower triangular L in LAPACK lower band storage, and return it.
+
+    Column block J of the result couples only to the at most kd solved
+    columns next to it, before J for L^-H and after J for L^-1, so each
+    block is one ``?gemm`` against those and one ``?trsm`` with the
+    diagonal block of L, both read from a dense strip of L built for the
+    block alone: level-3 BLAS on contiguous column blocks of A, where
+    ``?tbtrs`` runs one level-2 ``?tbsv`` per column.
+    """
+    gemm, trsm = scipy.linalg.get_blas_funcs(("gemm", "trsm"), (L, A))
+    kd, n, size = L.shape[0] - 1, A.shape[1], _SOLVE_BLOCK
+    # the strip is L[J, J.start - kd : J.stop] for L^-H and
+    # L[J.start : J.stop + kd, J]^T for L^-1: entry (i, m) is band entry
+    # (d, J.start + col), at flat offset offsets[m, i] from column J.start
+    m, i = np.ogrid[: kd + size, :size]
+    d, col = (i - m + kd, m - kd) if adjoint else (m - i, i)
+    inside = (d >= 0) & (d <= kd)
+    offsets = d + col * (kd + 1)
+    band = L.reshape(-1, order="F")
+    trans = 2 if adjoint else 1
+    starts = range(0, n, size)
+    for j in starts if adjoint else reversed(starts):
+        J = slice(j, min(j + size, n))
+        w = J.stop - j
+        # offsets off the matrix are clipped; they land only outside the slices below
+        strip = np.where(inside, band.take(offsets + j * (kd + 1), mode="clip"), 0).T
+        if adjoint:  # A[:, J] L[J, J]^H = A[:, J] - A[:, near] L[J, near]^H
+            near = slice(max(j - kd, 0), j)
+            coupling, diagonal = strip[:w, near.start - j + kd : kd], strip[:w, kd : kd + w]
+        else:  # A[:, J] L[J, J] = A[:, J] - A[:, near] L[near, J]
+            near = slice(J.stop, min(J.stop + kd, n))
+            coupling, diagonal = strip[:w, w : w + near.stop - J.stop], strip[:w, :w]
+        if near.start < near.stop:
+            gemm(-1.0, A[:, near], coupling, 1.0, A[:, J], trans_b=trans, overwrite_c=1)
+        trsm(1.0, diagonal, A[:, J], side=1, lower=int(adjoint), trans_a=trans, overwrite_b=1)
+    return A
+
+
 def _tail_slices(n: int):
     """(column i, slice of the packed buffer) for each Householder tail
     A[i + 2:, i] that ``?sytrd``/``?hetrd`` leaves below the subdiagonal of
@@ -477,13 +521,14 @@ def _band_eigh(K, M):
 
     With M = L L^H from ``?pbtrf`` on M's lower band, the pencil has the
     eigenvalues of C = L^-1 K L^-H, and Phi = L^-H Z is M-orthonormal for
-    the orthonormal eigenvectors Z of C.  Since K is Hermitian, C = L^-1 Y^H
-    with Y = L^-1 K.  One Fortran-ordered dense copy of K is overwritten in
-    turn by Y, Y^H and C: each banded triangular solve (``?tbtrs``) costs
-    O(n^2 kd) for bandwidth kd, and M is never densified.  The lower factor
-    keeps the eigenpair residual at that of the dense ``?sygvd`` route
-    (9.61e-11 against 9.48e-11 at interval 1600); reducing by the upper
-    one, M = U^H U, gave 1.57e-10 there, past the contract bound.
+    the orthonormal eigenvectors Z of C.  Since K is Hermitian, K L^-H =
+    (L^-1 K)^H.  One Fortran-ordered dense copy of K is overwritten in turn
+    by K L^-H, its conjugate transpose L^-1 K, and C = (L^-1 K) L^-H: each
+    banded triangular solve (``_solve_band``) costs O(n^2 kd) for bandwidth
+    kd in level-3 BLAS, and M is never densified.  The lower factor keeps
+    the eigenpair residual at that of the dense ``?sygvd`` route (9.56e-11
+    against 9.48e-11 at interval 1600); reducing by the upper one,
+    M = U^H U, gave 1.57e-10 there, past the contract bound.
 
     C is solved by the kernels of ``?syevd``, reordered to hold less at
     once: ``?sytrd``/``?hetrd`` reduces C to
@@ -492,21 +537,28 @@ def _band_eigh(K, M):
     conquer (``dstevd``) gives the eigenvectors of T, with the packed tails,
     those eigenvectors and the n^2 divide-and-conquer workspace the peak,
     2.5 n^2 against the 3 n^2 of ``?syevd`` on C.  ``?ormqr``/``?unmqr``
-    then overwrites them with Z = Q Z_T, and an untransposed upper
-    ``?tbtrs`` turns Z into Phi.
+    then overwrites their transpose with Z^H = Z_T^T Q^H, the reflectors
+    are dropped, Phi^H = Z^H L^-1 is solved in place and one more in-place
+    conjugate transpose gives Phi.
+
+    No dense block of L lives through ``?sytrd``, ``?stevd`` or ``?ormqr``:
+    each solve builds its blocks one at a time and drops them.  A variant
+    that kept the reduction's blocks alive until the back-solve read
+    spectral-2d ``ru_maxrss`` 124.3-134.9 MB in 10 of 38 processes against
+    at most 117.7 MB in 18 of 18 with ``?tbtrs``: one more n^2 of fresh
+    pages where the reflectors are unpacked, heap fragmentation around the
+    live blocks.
     """
     factor = lower_band(M).astype(K.dtype)
     real = not np.iscomplexobj(factor)
     names = ("sytrd", "sytrd_lwork", "ormqr") if real else ("hetrd", "hetrd_lwork", "unmqr")
-    pbtrf, tbtrs, trd, trd_lwork, mqr = scipy.linalg.get_lapack_funcs(
-        ("pbtrf", "tbtrs", *names), (factor,)
-    )
+    pbtrf, trd, trd_lwork, mqr = scipy.linalg.get_lapack_funcs(("pbtrf", *names), (factor,))
     stevd = scipy.linalg.get_lapack_funcs("stevd", dtype=float)
     L = _lapack("band Cholesky of the mass matrix", pbtrf(factor, lower=True, overwrite_ab=True))
-    # each step overwrites the Fortran-ordered copy of K that LAPACK is handed
-    A = _lapack("L^-1 K", tbtrs(L, K.toarray(order="F"), uplo="L", overwrite_b=True))
+    # each step overwrites the Fortran-ordered copy of K: K L^-H, L^-1 K, C
+    A = _solve_band(L, K.toarray(order="F"), adjoint=True)
     _conjugate_transpose(A)
-    A = _lapack("L^-1 K L^-H", tbtrs(L, A, uplo="L", overwrite_b=True))
+    _solve_band(L, A, adjoint=True)
     n = A.shape[0]
     # the queried workspace selects the blocked reduction; the default n, the unblocked one
     lwork = int(_lapack("tridiagonal workspace query", trd_lwork(n, lower=True)).real)
@@ -519,25 +571,24 @@ def _band_eigh(K, M):
     del A
     # dstevd takes an off-diagonal of length max(n - 1, 1)
     vals, Z = _lapack("tridiagonal eigensolve", stevd(diag, np.pad(off, (0, int(n == 1)))))
+    # the back-transform runs on Z^H = Z_T^T Q^H, so Phi^H = Z^H L^-1 is
+    # solved on column blocks; Z_T is real, so its transpose is the cheap one
+    _conjugate_transpose(Z)
     Z = Z.astype(K.dtype, copy=False)
     # reflector i of the reduction has its implicit unit at row i + 1, so in
     # column j = i + 1 it is QR reflector j; reflector 0 is the identity
-    # (tau 0), and Q then applies to all of Z, which a row slice would copy
+    # (tau 0), and Q^H then applies to all of Z_T^T, with no slice of V to copy
     V = np.zeros((n, n), dtype=K.dtype, order="F")
     for i, part in _tail_slices(n):
         V[i + 2 :, i + 1] = tails[part]
     del tails  # before ?ormqr/?unmqr allocates its n x nb workspace
     tau = np.concatenate([np.zeros(1, dtype=tau.dtype), tau])
-    _, work = _lapack("Q Z workspace query", mqr("L", "N", V, tau, Z, -1, overwrite_c=True))
-    Z, _ = _lapack("Q Z", mqr("L", "N", V, tau, Z, int(work[0].real), overwrite_c=True))
-    # L^H in upper band storage, row kd - d holding conj(L[j + d, j]) at
-    # column j + d: the untransposed upper solve takes half the time of the
-    # transposed lower one (0.05 s against 0.10 s at n = 1521)
-    kd = L.shape[0] - 1
-    LH = np.zeros_like(L)
-    for d in range(kd + 1):
-        LH[kd - d, d:] = L[d, : n - d].conj()
-    Z = _lapack("L^-H Z", tbtrs(LH, Z, uplo="U", overwrite_b=True))
+    trans = "T" if real else "C"
+    _, work = _lapack("Z^H workspace query", mqr("R", trans, V, tau, Z, -1, overwrite_c=True))
+    Z, _ = _lapack("Z^H", mqr("R", trans, V, tau, Z, int(work[0].real), overwrite_c=True))
+    del V
+    _solve_band(L, Z, adjoint=False)
+    _conjugate_transpose(Z)
     return vals, Z
 
 

@@ -1,6 +1,6 @@
 """Module layering: no fracred module reaches into another's private names,
-K is copied to dense only as the buffer the eigensolve's first banded
-triangular solve overwrites and M never, no eigensolver driver with a 2 n^2
+K is copied to dense only as the buffer the eigensolve's first blocked band
+solve overwrites in place and M never, no eigensolver driver with a 2 n^2
 eigenvector workspace is called, L^a and G are formed only at the rows a
 caller reads, every tolerance bound lives in the contract table, and
 importing the package to load a config adds no third-party module to what
@@ -40,12 +40,12 @@ def test_no_cross_module_private_imports():
     assert offenders == []
 
 
-#: the one LAPACK call that may take a dense copy of K or M: the argument
-#: position, the slot it overwrites and the one matrix a copy there may come
-#: from.  K is densified once, as the right-hand side of the first banded
-#: triangular solve of the eigensolve, and M never: it is read through its band
-FACTORIZATIONS = {
-    "tbtrs": {1: ("b", "K")},
+#: the one call that may take a dense copy of K or M: the argument position
+#: it overwrites in place and the one matrix a copy there may come from.  K
+#: is densified once, as the buffer the first blocked band solve of the
+#: eigensolve overwrites, and M never: it is read through its band
+IN_PLACE = {
+    "_solve_band": (1, "K"),
 }
 
 
@@ -65,10 +65,9 @@ def call_name(node):
 
 def dense_copies(path: Path) -> list:
     """``.toarray()`` of K or M in one source file other than a Fortran-ordered
-    copy (``order="F"``) of K passed as ``b`` to the file's first ``tbtrs``
-    call, which overwrites it (``overwrite_b=True``); LAPACK copies any
-    other array before it works on it, and every later solve reads the
-    buffer the first one returned."""
+    copy (``order="F"``) of K passed as the buffer of the file's first
+    ``_solve_band`` call, which overwrites it; any other array is copied or
+    kept, and every later solve reads the buffer the first one returned."""
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = sorted(
         (node for node in ast.walk(tree) if isinstance(node, ast.Call)),
@@ -78,16 +77,12 @@ def dense_copies(path: Path) -> list:
     seen = set()
     for node in calls:
         name = call_name(node)
-        if name not in FACTORIZATIONS or name in seen:
+        if name not in IN_PLACE or name in seen:
             continue
         seen.add(name)
-        overwritten = {
-            kw.arg for kw in node.keywords
-            if isinstance(kw.value, ast.Constant) and kw.value.value is True
-        }
-        for position, (slot, matrix) in FACTORIZATIONS[name].items():
-            if position < len(node.args) and f"overwrite_{slot}" in overwritten:
-                consumed[node.args[position]] = matrix
+        position, matrix = IN_PLACE[name]
+        if position < len(node.args):
+            consumed[node.args[position]] = matrix
     found = []
     for node in calls:
         if getattr(node.func, "attr", None) == "toarray":
@@ -102,7 +97,7 @@ def dense_copies(path: Path) -> list:
 
 
 def test_k_and_m_are_densified_only_for_lapack():
-    # K only for the eigensolve's first banded triangular solve, M never
+    # K only for the eigensolve's first blocked band solve, M never
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     offenders = [hit for path in sources for hit in dense_copies(path)]
@@ -112,8 +107,9 @@ def test_k_and_m_are_densified_only_for_lapack():
 @pytest.mark.parametrize(
     "source, hits",
     [
-        ("Y, info = tbtrs(L, K.toarray(order='F'), uplo='L', overwrite_b=True)", 0),
-        ("Y, info = tbtrs(L, op.K.toarray(order='F'), overwrite_b=True)", 0),
+        # the retired ?tbtrs route: K densified for it is no longer exempt
+        ("Y, info = tbtrs(L, K.toarray(order='F'), uplo='L', overwrite_b=True)", 1),
+        ("Y, info = tbtrs(L, op.K.toarray(order='F'), overwrite_b=True)", 1),
         ("Y, info = tbtrs(L, K.toarray(order='F'))", 1),
         ("Y, info = tbtrs(L, K.toarray(order='F'), overwrite_b=False)", 1),
         ("Y, info = tbtrs(L, K.toarray(), overwrite_b=True)", 1),
@@ -121,6 +117,15 @@ def test_k_and_m_are_densified_only_for_lapack():
         ("Y, info = tbtrs(K.toarray(order='F'), B, overwrite_b=True)", 1),
         ("Y, info = tbtrs(L, A, overwrite_b=True)\n"
          "Z, info = tbtrs(L, K.toarray(order='F'), overwrite_b=True)", 1),
+        ("A = _solve_band(L, K.toarray(order='F'), adjoint=True)", 0),
+        ("A = operators._solve_band(L, op.K.toarray(order='F'), True)", 0),
+        ("A = _solve_band(L, K.toarray(order='F').copy(), adjoint=True)", 1),
+        ("Y = solve_triangular(L, K.toarray(order='F'), overwrite_b=True)", 1),
+        ("A = _solve_band(L, K.toarray(), adjoint=True)", 1),
+        ("A = _solve_band(L, M.toarray(order='F'), adjoint=True)", 1),
+        ("A = _solve_band(K.toarray(order='F'), B, adjoint=True)", 1),
+        ("_solve_band(L, A, adjoint=True)\n"
+         "Z = _solve_band(L, K.toarray(order='F'), adjoint=False)", 1),
         ("w, v = eigh(K.toarray(order='F'), M.toarray(order='F'), "
          "overwrite_a=True, overwrite_b=True)", 2),
         ("w, v = eigh(M.toarray(order='F'), K.toarray(order='F'), "

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from conftest import bundled_config
 
@@ -31,7 +32,7 @@ from fracred.dirichlet import (
     stability_constant,
 )
 from fracred.gauge import Diffeo, pushforward_operator
-from fracred.mesh import build_interval_mesh
+from fracred.mesh import build_interval_mesh, build_rect_mesh
 from fracred.operators import (
     AssemblyError,
     CoefficientField,
@@ -251,6 +252,69 @@ class TestCsrTwins:
             assert entry["spectral_condition"] == pytest.approx(
                 entry["lambda_max"] / entry["lambda_min"], rel=1e-15
             )
+
+
+def hpd_band_factor(n, kd, dtype, rng):
+    """The ``?pbtrf`` factor, in lower band storage, of a random Hermitian
+    positive definite n x n matrix of bandwidth kd, and the dense L."""
+    H = rng.standard_normal((n, n)).astype(dtype)
+    if np.issubdtype(dtype, np.complexfloating):
+        H += 1j * rng.standard_normal((n, n))
+    rows, cols = np.indices((n, n))
+    H[np.abs(rows - cols) > kd] = 0
+    H = H + H.conj().T + 4 * (kd + 1) * np.eye(n)
+    band = operators.lower_band(scipy.sparse.csr_array(H))
+    assert band.shape == (kd + 1, n)
+    pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", (band,))
+    L, info = pbtrf(band, lower=1)
+    assert info == 0
+    dense = np.zeros((n, n), dtype=dtype)
+    for d in range(kd + 1):
+        j = np.arange(n - d)
+        dense[j + d, j] = L[d, : n - d]
+    return L, dense
+
+
+BLOCK = operators._SOLVE_BLOCK
+#: (n, kd): one block and its edges, several blocks with a ragged last one,
+#: and bandwidths below, at and above the block; the 1 x 1 pencil has kd 0
+BAND_SHAPES = [(1, 0)] + [
+    (n, kd)
+    for n in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+    for kd in (1, BLOCK - 1, BLOCK, BLOCK + 7)
+    if kd < n
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("adjoint", [True, False])
+@pytest.mark.parametrize("n, kd", BAND_SHAPES)
+def test_blocked_band_solve_matches_solve_triangular(n, kd, adjoint, dtype):
+    rng = np.random.default_rng(n * 100 + kd)
+    L, dense = hpd_band_factor(n, kd, dtype, rng)
+    A = np.asfortranarray(rng.standard_normal((n, n)).astype(dtype))
+    # A L^-H = (L^-1 A^H)^H and A L^-1 = (L^-H A^H)^H
+    want = scipy.linalg.solve_triangular(
+        dense, A.conj().T, lower=True, trans=0 if adjoint else "C"
+    ).conj().T
+    got = operators._solve_band(L, A, adjoint=adjoint)
+    assert got is A and np.shares_memory(got, A)
+    # both solves are backward stable: they differ by a small multiple of
+    # eps kappa(L), relative
+    error = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert error <= 10 * np.finfo(float).eps * np.linalg.cond(dense)
+
+
+@pytest.mark.parametrize("b", [None, [0.3, -0.5]])
+def test_band_eigensolve_with_bandwidth_past_one_block(b):
+    # ny = BLOCK + 7 cells give bandwidth BLOCK + 7 on the node order, and
+    # (nx - 1) (ny - 1) = 190 dofs leave a ragged last block
+    mesh = build_rect_mesh([[-0.5, 0.5], [-2.0, 2.0]], 6, BLOCK + 7)
+    op = assemble(mesh, CoefficientField.build(mesh, b=b))
+    assert operators.lower_band(op.M).shape[0] - 1 > BLOCK
+    assert op.n_dofs % BLOCK != 0
+    assert op.is_real == (b is None)
+    assert_matches_dense_eigh(op)
 
 
 @pytest.mark.parametrize("a", [0.25, 0.75])
