@@ -337,7 +337,7 @@ class ExperimentConfig:
         if self.diffeo_spec is None:
             return None
         F = Diffeo.radial_shrink(mesh, self.diffeo_spec["rho"], self.diffeo_spec["factor"])
-        moved = np.flatnonzero(np.any(F.mapped_nodes != mesh.nodes, axis=1))
+        moved = np.flatnonzero(np.any(F.mapped.nodes != mesh.nodes, axis=1))
         if not np.isin(moved, labels.omega_interior_nodes).all():
             raise ConfigError("deformation moves a node outside the interior of OMEGA")
         return F

@@ -1,19 +1,20 @@
 """Change-of-variables transport of operators and the gauge invariance check.
 
-A diffeomorphism is specified by its values at mesh nodes and extended
-piecewise-linearly, so its Jacobian DF is constant on each element and the
-weak-form change of variables is an exact finite-dimensional identity: the
-stiffness and mass assembled from the transported data
+A deformation is its mapped mesh: the image F(node) of every node, with the
+source mesh's elements and box, so F is piecewise linear and its Jacobian DF
+is constant on each element.  DF and det DF are derived from the two meshes'
+element edge matrices, never given separately, and the weak-form change of
+variables is an exact finite-dimensional identity: the stiffness and mass
+assembled on the mapped mesh from the transported data
 
     A'   = DF^T A DF / det DF      (conductivity)
     w'   = w / det DF              (mass weight)
     b'   = DF^T b / det DF         (magnetic-type term)
     c'   = c / det DF              (potential)
 
-on the mapped mesh coincide entrywise with the original matrices under
-nodal identification.  DF is stored in gradient layout, DF[i, j] =
-d F_j / d x_i, which is what makes the formulas above literal matrix
-products per element.
+coincide entrywise with the original matrices under nodal identification.
+DF is stored in gradient layout, DF[i, j] = d F_j / d x_i, which is what
+makes the formulas above literal matrix products per element.
 
 Exterior Cauchy data is therefore invariant under interior deformations
 that fix the windows, which gauge_invariance_check verifies on a block of
@@ -22,12 +23,12 @@ probes with one solve per operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dirichlet import ExteriorData, cauchy_gap, cauchy_pair, solve_exterior_value
-from .mesh import Mesh, MeshError, RegionLabels
+from .mesh import Mesh, RegionLabels
 from .operators import CoefficientField, DiscreteOperator, assemble
 
 
@@ -37,62 +38,67 @@ class DiffeoError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Diffeo:
-    """Piecewise-linear deformation of a mesh, identity outside B_rho.
+    """Piecewise-linear deformation of a mesh, given by its mapped mesh.
+
+    The deformation is the pair of meshes and nothing else: DF and det are
+    derived from them at construction, where an element that the mapping
+    inverts, flattens or sends to a non-finite place is refused.
 
     Attributes
     ----------
     mesh : Mesh
-        The source mesh the nodal values refer to.
-    mapped_nodes : ndarray, shape (n_nodes, dim)
-        Target coordinates per node.
+        The source mesh.
+    mapped : Mesh
+        The image mesh: F(node) for every source node, sharing the source's
+        elements and box.
     DF : ndarray, shape (n_elements, dim, dim)
-        Per-element Jacobian in gradient layout, DF[i, j] = dF_j/dx_i.
-        Exactly the identity on elements whose nodes all stay put.
+        Per-element Jacobian in gradient layout, DF[i, j] = dF_j/dx_i: the
+        solution of J_source DF = J_mapped for the element edge matrices
+        (``Mesh.element_edges``).  Exactly the identity on elements whose
+        nodes all stay put.
     det : ndarray, shape (n_elements,)
-        det DF per element, positive.
+        det DF per element, |F(T)| / |T|: finite and positive, exactly 1
+        where DF is the identity.
     """
 
     mesh: Mesh
-    mapped_nodes: np.ndarray
-    DF: np.ndarray
-    det: np.ndarray
+    mapped: Mesh
+    DF: np.ndarray = field(init=False)
+    det: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.mapped_nodes.setflags(write=False)
-        self.DF.setflags(write=False)
-        self.det.setflags(write=False)
-        if not self.det.min() > 0:
-            raise DiffeoError(f"deformation inverts an element (min det {self.det.min():.3e})")
+        src, dst = self.mesh, self.mapped
+        if not (
+            dst.nodes.shape == src.nodes.shape
+            and np.array_equal(dst.elements, src.elements)
+            and np.array_equal(dst.box, src.box)
+        ):
+            raise DiffeoError("mapped mesh must share the source's node count, elements and box")
+        if not np.isfinite(dst.nodes).all():
+            raise DiffeoError("mapped nodes must be finite")
+        moved = np.flatnonzero(np.any(dst.nodes != src.nodes, axis=1))
+        touched = src.elements_touching(moved)
+        DF = np.tile(np.eye(src.dim), (src.element_count, 1, 1))
+        DF[touched] = np.linalg.solve(src.element_edges()[touched], dst.element_edges()[touched])
+        det = np.ones(src.element_count)
+        det[touched] = np.linalg.det(DF[touched])
+        if not det.min() > 0:
+            raise DiffeoError(f"deformation inverts an element (min det {det.min():.3e})")
+        DF.setflags(write=False)
+        det.setflags(write=False)
+        object.__setattr__(self, "DF", DF)
+        object.__setattr__(self, "det", det)
 
     @staticmethod
     def build(mesh: Mesh, mapped_nodes, rho: float) -> "Diffeo":
-        """Validate nodal target positions (every node at distance >= rho from
-        the origin stays put) and derive per-element Jacobians."""
-        mapped = np.array(mapped_nodes, dtype=float)
-        if mapped.shape != mesh.nodes.shape:
-            raise DiffeoError("mapped node array does not match the mesh")
-        if not np.all(np.isfinite(mapped)):
-            raise DiffeoError("mapped nodes must be finite")
-        r = np.linalg.norm(mesh.nodes, axis=1)
-        moved = np.any(mapped != mesh.nodes, axis=1)
-        if np.any(moved & (r >= rho)):
+        """The deformation moving each node to its row of ``mapped_nodes``;
+        every node at distance >= rho from the origin must stay put."""
+        nodes = np.array(mapped_nodes, dtype=float)
+        F = Diffeo(mesh, Mesh(mesh.dim, nodes, mesh.elements, mesh.box))
+        moved = np.any(F.mapped.nodes != mesh.nodes, axis=1)
+        if np.any(moved & (np.linalg.norm(mesh.nodes, axis=1) >= rho)):
             raise DiffeoError(f"deformation moves nodes outside B_{rho}")
-
-        el = mesh.elements
-        X = mesh.nodes[el]
-        Y = mapped[el]
-        d = mesh.dim
-        # standard Jacobians J[i, j] = dF_i/dx_j from edge-vector ratios
-        EX = np.stack([X[:, k + 1] - X[:, 0] for k in range(d)], axis=2)
-        EY = np.stack([Y[:, k + 1] - Y[:, 0] for k in range(d)], axis=2)
-        J = EY @ np.linalg.inv(EX)
-        DF = np.swapaxes(J, 1, 2)
-        # elements with every vertex fixed carry the exact identity
-        untouched = ~mesh.elements_touching(np.flatnonzero(moved))
-        DF[untouched] = np.eye(d)
-        det = np.linalg.det(DF)
-        det[untouched] = 1.0
-        return Diffeo(mesh=mesh, mapped_nodes=mapped, DF=DF, det=det)
+        return F
 
     @staticmethod
     def radial_shrink(mesh: Mesh, rho: float, factor: float) -> "Diffeo":
@@ -115,40 +121,28 @@ class Diffeo:
         return Diffeo.build(mesh, mapped, rho)
 
 
-def map_mesh(mesh: Mesh, F: Diffeo) -> Mesh:
-    """Move nodes to F(node), keep connectivity and bounding box."""
+def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:
+    """Transport a whole operator: mapped mesh, transported coefficients.
+
+    The operator is assembled on F.mapped, with the coefficients of the
+    module docstring read from F.DF and F.det (positive by construction of
+    Diffeo).  The result has the same exterior structure (F fixes it) and,
+    by the exactness of the piecewise-linear change of variables, identical
+    K and M matrices under nodal identification.  F must be a deformation
+    of the operator's mesh: same nodes and connectivity.
+    """
+    mesh = op.mesh
     if F.mesh is not mesh and not (
         np.array_equal(F.mesh.nodes, mesh.nodes) and np.array_equal(F.mesh.elements, mesh.elements)
     ):
         raise DiffeoError("deformation was built for a different mesh")
-    mapped = Mesh(
-        dim=mesh.dim,
-        nodes=F.mapped_nodes.copy(),
-        elements=mesh.elements.copy(),
-        box=mesh.box.copy(),
-    )
-    if not mapped.element_measures().min() > 0:
-        raise MeshError("mapped mesh has a degenerate element")
-    return mapped
-
-
-def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:
-    """Transport a whole operator: mapped mesh, transported coefficients.
-
-    The coefficients follow the formulas of the module docstring, read from
-    F.DF and F.det (positive by construction of Diffeo).  The result has the
-    same exterior structure (F fixes it) and, by the exactness of the
-    piecewise-linear change of variables, identical K and M matrices under
-    nodal identification.
-    """
-    mesh2 = map_mesh(op.mesh, F)
     DF, det = F.DF, F.det
     A2 = np.einsum("eji,ejk,ekl->eil", DF, op.coeffs.A, DF) / det[:, None, None]
     A2 = 0.5 * (A2 + np.swapaxes(A2, 1, 2))
     b2 = np.einsum("eji,ej->ei", DF, op.coeffs.b) / det[:, None]
     c2 = op.coeffs.c / det
     w2 = (1.0 / det) * op.coeffs.w
-    return assemble(mesh2, CoefficientField(A=A2, b=b2, c=c2, w=w2, labels=op.labels))
+    return assemble(F.mapped, CoefficientField(A=A2, b=b2, c=c2, w=w2, labels=op.labels))
 
 
 def gauge_invariance_check(

@@ -70,14 +70,19 @@ class Mesh:
     def element_count(self) -> int:
         return self.elements.shape[0]
 
-    def element_measures(self) -> np.ndarray:
-        """Length (1D) or area (2D) of every element."""
+    def element_edges(self) -> np.ndarray:
+        """Edge matrix of every element, shape (n_elements, dim, dim): row k
+        is vertex k+1 minus vertex 0."""
         pts = self.nodes[self.elements]
+        return pts[:, 1:] - pts[:, :1]
+
+    def element_measures(self) -> np.ndarray:
+        """Length (1D) or area (2D) of every element: the determinant of its
+        edge matrix, halved in 2D."""
+        J = self.element_edges()
         if self.dim == 1:
-            return pts[:, 1, 0] - pts[:, 0, 0]
-        d1 = pts[:, 1] - pts[:, 0]
-        d2 = pts[:, 2] - pts[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            return J[:, 0, 0]
+        return 0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
 
     def element_barycenters(self) -> np.ndarray:
         return self.nodes[self.elements].mean(axis=1)

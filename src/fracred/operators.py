@@ -214,13 +214,12 @@ def element_geometry(mesh: Mesh):
         grads[e, i] is the constant gradient of basis function i on
         element e.
     """
-    pts = mesh.nodes[mesh.elements]
     measures = mesh.element_measures()
     if np.any(measures <= 0):
         raise ValueError("element with non-positive measure")
     # rows of J are the edge vectors; dX/dxi = J^T, so grad_x = J^{-1} grad_xi,
     # with the barycentric gradients of the reference simplex as grad_xi
-    J = pts[:, 1:] - pts[:, :1]
+    J = mesh.element_edges()
     reference = np.vstack([-np.ones(mesh.dim), np.eye(mesh.dim)])
     grads = np.einsum("id,edk->eik", reference, np.swapaxes(np.linalg.inv(J), 1, 2))
     return measures, grads

@@ -421,6 +421,22 @@ class TestBuilders:
         cfg = parse_config(raw)
         F = cfg.build_diffeo(mesh, cfg.build_labels(mesh))
         assert F is not None and F.det.min() > 0
+        moved = np.any(F.mapped.nodes != mesh.nodes, axis=1)
+        assert moved.any() and np.all(np.linalg.norm(mesh.nodes[moved], axis=1) < 0.8)
+
+    def test_built_diffeo_shares_elements_and_box(self):
+        # the mapped mesh holds new nodes only: the connectivity and the box
+        # are the source's own read-only arrays, not copies
+        raw = valid_raw()
+        raw["diffeo"] = {"rho": 0.8, "factor": 0.8}
+        cfg = parse_config(raw)
+        mesh = cfg.build_mesh()
+        F = cfg.build_diffeo(mesh, cfg.build_labels(mesh))
+        assert F.mesh is mesh
+        assert F.mapped.elements is mesh.elements and F.mapped.box is mesh.box
+        assert F.mapped.nodes is not mesh.nodes
+        for array in (F.mapped.nodes, F.mapped.elements, F.mapped.box, F.DF, F.det):
+            assert not array.flags.writeable
 
     def test_deformation_moving_a_node_off_the_omega_interior_rejected(self):
         # the ball lies inside the omega box, but it moves node 0.95, whose
