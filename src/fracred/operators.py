@@ -101,19 +101,20 @@ class CoefficientField:
     ) -> "CoefficientField":
         """Broadcast scalar or single-matrix inputs to per-element arrays.
 
-        A may be None (identity), a scalar or a (dim, dim) matrix; b a (dim,)
-        vector or stack; c a scalar or per-element array; w is 1.  When
-        labels are given, A, b and c inputs are applied on OMEGA elements
-        only.  An asymmetric or indefinite A raises CoefficientError here,
-        before any assembly.
+        A may be None (identity), a scalar or a (dim, dim) matrix; b None or
+        a (dim,) vector; c None or a scalar; w is 1.  When labels are given,
+        A, b and c inputs are applied on OMEGA elements only.  An input of
+        another shape, or an asymmetric or indefinite A, raises
+        CoefficientError here, before any assembly.
         """
         ne, d = mesh.element_count, mesh.dim
+        for name, value, shapes in (("A", A, ((), (d, d))), ("b", b, ((d,),)), ("c", c, ((),))):
+            if value is not None and np.shape(value) not in shapes:
+                raise CoefficientError(f"bad {name} shape {np.shape(value)}")
         target = labels.omega_elements if labels is not None else slice(None)
         A_full = np.broadcast_to(np.eye(d), (ne, d, d)).copy()
         if A is not None:
             A_arr = np.asarray(A, dtype=float)
-            if A_arr.shape not in ((), (d, d)):
-                raise CoefficientError(f"bad A shape {A_arr.shape}")
             A_full[target] = A_arr if A_arr.ndim == 2 else A_arr * np.eye(d)
         b_full = np.zeros((ne, d))
         if b is not None:

@@ -4,18 +4,22 @@ Suites execute in the declared order
 
     calibrate -> assemble -> direct -> reduce -> gauge -> diagnostics
 
-each appending rows to the output set.  Contract violations inside a suite
-are collected as failures (the run continues with the remaining suites where
-that makes sense); a scenario whose operator cannot be assembled at all
-aborts the remaining suites, which are then reported as skipped.  Every
-float in an output file, JSON or CSV, is written as ``json.dumps`` writes it,
-the shortest text that reads back to the same double, and no file holds a
-timestamp, so reruns with the same config and seed are byte-identical.
+A suite reads the scenario through ``RunContext`` and returns its artifacts,
+{file name: document} with a dict written as JSON and a str as CSV text,
+which ``run_suites`` writes, so a failing suite writes none by construction.
+Contract violations inside a suite are collected as failures (the run
+continues with the remaining suites where that makes sense); a scenario
+whose operator cannot be assembled at all aborts the remaining suites,
+which are then reported as skipped.  Every float in an output file, JSON or
+CSV, is written as ``json.dumps`` writes it, the shortest text that reads
+back to the same double, and no file holds a timestamp, so reruns with the
+same config and seed are byte-identical.
 
 A second operator is evaluated first: before any suite runs, operator 1 is
 assembled, the products the selected suites read of it are kept (see
 ``_read_second``) and the operator is dropped, so operator 0's eigensolve
-runs with no other n x n eigenbasis resident.  An exception raised while
+runs with no other n x n eigenbasis resident.  Both sides of a comparison
+are read by one function, ``_product``.  An exception raised while
 operator 1 is read is raised where a suite reads that product, so a failing
 run fails in the same suite, with the same record, as one that held both.
 """
@@ -63,7 +67,7 @@ class RunContext:
     """Scenario state shared by the suites of one run.
 
     ``operator()`` is operator 0, assembled at first use and held for the
-    run; of operator 1, ``second`` returns what the selected suites read.
+    run; ``product(i, suite, a)`` is what a comparison reads of operator i.
     ``rigidity`` is the datum node and Sigma of the two-operator rigidity
     probe, or None when ``diagnostics`` does not run one.
     """
@@ -76,8 +80,6 @@ class RunContext:
         self.fields = cfg.build_fields(self.mesh, self.labels)
         self.quad = cfg.quad
         self.diffeo = cfg.build_diffeo(self.mesh, self.labels)
-        self.rng = np.random.default_rng(seed)
-        self.outputs: dict[str, str] = {}
         runs_rigidity_probe = len(self.fields) == 2 and "diagnostics" in suites
         self.rigidity = _rigidity_nodes(self.mesh, self.labels) if runs_rigidity_probe else None
         self._second = _read_second(self, suites)
@@ -88,26 +90,37 @@ class RunContext:
             self._op = assemble(self.mesh, self.fields[0])
         return self._op
 
-    def second(self, suite: str, a=None):
-        """Operator 1's product for ``suite`` at exponent a (None for the
-        assemble row); an exception kept in its place is raised here."""
+    def product(self, i: int, suite: str, a=None):
+        """Operator i's ``_product`` for ``suite`` at exponent a: operator 0's
+        is read now, operator 1's from the store, raising a kept exception."""
+        if i == 0:
+            return _product(self, self.operator(), 0, suite, a)
         value = self._second[suite, a]
         if isinstance(value, Exception):
             raise value
         return value
 
 
-def _assemble_row(i: int, op) -> dict:
-    return {
-        "operator": i,
-        "n_dofs": op.n_dofs,
-        "lambda_min": op.lambda_min,
-        "lambda_max": op.lambda_max,
-        "ellipticity_bound": float(op.coeffs.bound),
-        "complex": not op.is_real,
-        "eigen_residual": op.eigen_residual,
-        "spectral_condition": op.lambda_max / op.lambda_min,
-    }
+def _product(ctx: RunContext, op, i: int, suite: str, a=None):
+    """What a comparison of ``suite`` reads of operator i (op): its
+    ``assemble.json`` row, or at exponent a its Theorem-1 readings of the
+    W-hat block (``reduce``) or its heat-flow rows at Sigma of the rigidity
+    node's hat (``diagnostics``)."""
+    if suite == "assemble":
+        return {
+            "operator": i,
+            "n_dofs": op.n_dofs,
+            "lambda_min": op.lambda_min,
+            "lambda_max": op.lambda_max,
+            "ellipticity_bound": float(op.coeffs.bound),
+            "complex": not op.is_real,
+            "eigen_residual": op.eigen_residual,
+            "spectral_condition": op.lambda_max / op.lambda_min,
+        }
+    if suite == "reduce":
+        return theorem1_readings(op, a, ExteriorData.w_hats(op))
+    hat, sigma = ctx.rigidity
+    return heatflow_rows(op, a, ExteriorData.hat(op, hat), ctx.quad, sigma)
 
 
 def _rigidity_nodes(mesh, labels):
@@ -127,10 +140,9 @@ def _rigidity_nodes(mesh, labels):
 
 
 def _read_second(ctx: RunContext, suites) -> dict:
-    """Operator 1's products read by the selected suites, keyed (suite, a):
-    its ``assemble.json`` row, and per exponent its Theorem-1 readings of
-    the W-hat block for ``reduce`` and its heat-flow rows at Sigma for
-    ``diagnostics``.
+    """Operator 1's ``_product`` for each selected suite that reads one,
+    keyed (suite, a): the assemble row (a None) and, per exponent, the
+    readings for ``reduce`` and the heat-flow rows for ``diagnostics``.
 
     Empty without a second operator or a suite that reads it.  The row is
     always taken, so that reading it raises an assembly failure, which
@@ -146,20 +158,11 @@ def _read_second(ctx: RunContext, suites) -> dict:
         op = assemble(ctx.mesh, ctx.fields[1])
     except Exception as exc:
         return dict.fromkeys(keys, exc.with_traceback(None))
-
-    def product(suite, a):
-        if suite == "assemble":
-            return _assemble_row(1, op)
-        if suite == "reduce":
-            return theorem1_readings(op, a, ExteriorData.w_hats(op))
-        hat, sigma = ctx.rigidity
-        return heatflow_rows(op, a, ExteriorData.hat(op, hat), ctx.quad, sigma)
-
     second, failed = {}, set()
     for suite, a in keys:
         if suite not in failed:
             try:
-                second[suite, a] = product(suite, a)
+                second[suite, a] = _product(ctx, op, 1, suite, a)
             except Exception as exc:
                 second[suite, a] = exc.with_traceback(None)
                 failed.add(suite)
@@ -174,7 +177,7 @@ def _csv(rows: list, header: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _suite_calibrate(ctx: RunContext) -> None:
+def _suite_calibrate(ctx: RunContext) -> dict:
     op = ctx.operator()
     lam_min, lam_max = op.lambda_min, op.lambda_max
     lambdas = np.unique(
@@ -186,33 +189,30 @@ def _suite_calibrate(ctx: RunContext) -> None:
         for lam, exact, approx, rel in calibration_rows(ctx.quad, lambdas, a):
             rows.append((a, lam, exact, approx, rel))
         worst[a] = ctx.quad.ensure_calibrated(lam_min, lam_max, a)
-    ctx.outputs["calibration.csv"] = _csv(
-        rows, "a,lambda,exact,quadrature,rel_error"
-    )
-    ctx.outputs["calibration.json"] = dump_json(
-        {
+    return {
+        "calibration.csv": _csv(rows, "a,lambda,exact,quadrature,rel_error"),
+        "calibration.json": {
             "s_max": ctx.quad.s_max,
             "n": ctx.quad.n,
             "spectrum": [lam_min, lam_max],
             "worst_rel_error": {str(a): worst[a] for a in ctx.cfg.exponents},
-        }
-    ) + "\n"
+        },
+    }
 
 
-def _suite_assemble(ctx: RunContext) -> None:
-    report = [_assemble_row(0, ctx.operator())]
-    if len(ctx.fields) == 2:
-        report.append(ctx.second("assemble"))
-    ctx.outputs["assemble.json"] = dump_json({"operators": report}) + "\n"
+def _suite_assemble(ctx: RunContext) -> dict:
+    report = [ctx.product(i, "assemble") for i in range(len(ctx.fields))]
+    return {"assemble.json": {"operators": report}}
 
 
-def _suite_direct(ctx: RunContext) -> None:
+def _suite_direct(ctx: RunContext) -> dict:
     op = ctx.operator()
     w_nodes = op.free_nodes[op.region_dofs("W")]
+    rng = np.random.default_rng(ctx.seed)
     per_a = {}
     for a in ctx.cfg.exponents:
-        f = ctx.rng.standard_normal(w_nodes.size)
-        g = ctx.rng.standard_normal(w_nodes.size)
+        f = rng.standard_normal(w_nodes.size)
+        g = rng.standard_normal(w_nodes.size)
         alpha, beta = 0.7, -1.3
         c_stab = stability_constant(op, a)
         # one block solve, columns: f, g, alpha f + beta g
@@ -235,13 +235,13 @@ def _suite_direct(ctx: RunContext) -> None:
             "interior_weak_residual": res,
             "solve_residual": sol.residual,
         }
-    ctx.outputs["direct.json"] = dump_json({"per_a": per_a}) + "\n"
+    return {"direct.json": {"per_a": per_a}}
 
 
-def _suite_reduce(ctx: RunContext) -> None:
+def _suite_reduce(ctx: RunContext) -> dict:
     op = ctx.operator()
     f = ExteriorData.w_hats(op)
-    doc = {"per_a": {}}
+    per_a = {}
     for a in ctx.cfg.exponents:
         # operator 0 against itself: its gaps are 0.0 by construction, reported but not checked
         self_probe = theorem1_probe(op, op, a, [f], ctx.labels)
@@ -251,19 +251,16 @@ def _suite_reduce(ctx: RunContext) -> None:
             "self_boundary_gap": self_probe["boundary_gap"],
         }
         if len(ctx.fields) == 2:
-            pair_probe = theorem1_gaps(theorem1_readings(op, a, f), ctx.second("reduce", a))
+            pair_probe = theorem1_gaps(ctx.product(0, "reduce", a), ctx.product(1, "reduce", a))
             entry["pair_exterior_gap"] = pair_probe["exterior_gap"]
             entry["pair_boundary_gap"] = pair_probe["boundary_gap"]
-        doc["per_a"][str(a)] = entry
-    ctx.outputs["cauchy_gap.json"] = dump_json(doc) + "\n"
+        per_a[str(a)] = entry
+    return {"cauchy_gap.json": {"per_a": per_a}}
 
 
-def _suite_gauge(ctx: RunContext) -> None:
+def _suite_gauge(ctx: RunContext) -> dict:
     if ctx.diffeo is None:
-        ctx.outputs["gauge_check.json"] = dump_json(
-            {"skipped": "no deformation configured"}
-        ) + "\n"
-        return
+        return {"gauge_check.json": {"skipped": "no deformation configured"}}
     op = ctx.operator()
     moved = pushforward_operator(op, ctx.diffeo)
     km_dev = max(float(abs(op.K - moved.K).max()), float(abs(op.M - moved.M).max()))
@@ -274,15 +271,15 @@ def _suite_gauge(ctx: RunContext) -> None:
     for a in ctx.cfg.exponents:
         dev = gauge_invariance_check(op, moved, a, ctx.labels, probes)
         per_a[str(a)] = check("gauge deviation", dev, ContractError, a)
-    ctx.outputs["gauge_check.json"] = dump_json(
-        {
+    return {
+        "gauge_check.json": {
             "rho": ctx.cfg.diffeo_spec["rho"],
             "factor": ctx.cfg.diffeo_spec["factor"],
             "matrix_deviation": km_dev,
             "coefficient_difference": coeff_diff,
             "cauchy_deviation_per_a": per_a,
         }
-    ) + "\n"
+    }
 
 
 def _heat_pairs(op) -> list:
@@ -298,7 +295,7 @@ def _heat_pairs(op) -> list:
     return [(nodes[0], n) for n in nodes]
 
 
-def _suite_diagnostics(ctx: RunContext) -> None:
+def _suite_diagnostics(ctx: RunContext) -> dict:
     op = ctx.operator()
     doc = {"per_a": {}}
     sval_rows = []
@@ -353,17 +350,15 @@ def _suite_diagnostics(ctx: RunContext) -> None:
         }
 
     if len(ctx.fields) == 2:
-        ctx.second("assemble")  # operator 1's assembly failure comes before operator 0's rows
-        hat, sigma = ctx.rigidity
-        f = ExteriorData.hat(op, hat)
-        per_a = {}
-        for a in ctx.cfg.exponents:
-            rows = heatflow_rows(op, a, f, ctx.quad, sigma)
-            per_a[str(a)] = heatflow_rigidity_probe(rows, ctx.second("diagnostics", a))
-        doc["rigidity_probe"] = per_a
+        ctx.product(1, "assemble")  # operator 1's assembly failure comes before operator 0's rows
+        doc["rigidity_probe"] = {
+            str(a): heatflow_rigidity_probe(
+                ctx.product(0, "diagnostics", a), ctx.product(1, "diagnostics", a)
+            )
+            for a in ctx.cfg.exponents
+        }
 
-    ctx.outputs["diagnostics.json"] = dump_json(doc) + "\n"
-    ctx.outputs["svals.csv"] = _csv(sval_rows, "report,index,value")
+    return {"diagnostics.json": doc, "svals.csv": _csv(sval_rows, "report,index,value")}
 
 
 _SUITE_FNS = {
@@ -400,7 +395,8 @@ def run_suites(
 
     Raises ConfigError for an override that breaks the schema rule of the
     config key it replaces and for scenario construction failures; numeric
-    contract violations are collected into the failure manifest instead.
+    contract violations, and a non-finite float in a suite's document, are
+    collected into the failure manifest instead.
     """
     for key, override in (("suites", suites), ("seed", seed), ("out_dir", out_dir)):
         if override is not None:
@@ -410,13 +406,17 @@ def run_suites(
     ctx = RunContext(cfg, cfg.seed if seed is None else int(seed), ordered)
     failures = []
     skipped = []
+    texts = {}
     abort = False
     for name in ordered:
         if abort:
             skipped.append(name)
             continue
         try:
-            _SUITE_FNS[name](ctx)
+            texts.update({
+                fname: doc if isinstance(doc, str) else dump_json(doc) + "\n"
+                for fname, doc in _SUITE_FNS[name](ctx).items()
+            })
         except (PositivityError, AssemblyError) as exc:
             failures.append(_failure(name, exc))
             abort = True
@@ -425,18 +425,16 @@ def run_suites(
 
     target = Path(out_dir if out_dir is not None else cfg.out_dir)
     target.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fname in sorted(ctx.outputs):
-        (target / fname).write_text(ctx.outputs[fname])
-        written.append(fname)
-    manifest = {
+    written = sorted(texts)
+    texts["manifest.json"] = dump_json({
         "ok": not failures,
         "seed": ctx.seed,
         "suites_run": [s for s in ordered if s not in skipped],
         "suites_skipped": skipped,
         "failures": failures,
         "outputs": written,
-    }
-    (target / "manifest.json").write_text(dump_json(manifest) + "\n")
+    }) + "\n"
     written.append("manifest.json")
+    for fname in written:
+        (target / fname).write_text(texts[fname])
     return RunResult(ok=not failures, failures=failures, outputs=written, out_dir=target)

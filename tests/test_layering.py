@@ -2,9 +2,9 @@
 K is copied to dense only as the buffer the eigensolve's first blocked band
 solve overwrites in place and M never, no eigensolver driver with a 2 n^2
 eigenvector workspace is called, L^a and G are formed only at the rows a
-caller reads, every tolerance bound lives in the contract table, and
-importing the package to load a config adds no third-party module to what
-numpy and scipy load."""
+caller reads, every tolerance bound lives in the contract table, no suite writes into
+its run context, and importing the package to load a config adds no
+third-party module to what numpy and scipy load."""
 
 import ast
 import re
@@ -446,6 +446,59 @@ def test_contract_use_check_finds_its_targets(tmp_path, source, checked, constan
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
     assert contract_uses(path) == (checked, constants)
+
+
+def context_writes(path: Path) -> list:
+    """Stores into, or deletions from, the first argument of a top-level
+    ``_suite_*`` function in one source file: an attribute of it
+    (``ctx.rng = ...``) or a subscript of one (``ctx.outputs[name] = ...``),
+    in any target position; rebinding the argument's own name is no write."""
+    found = []
+    for func in ast.parse(path.read_text(), filename=str(path)).body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_suite_") and func.args.args):
+            continue
+        ctx = func.args.args[0].arg
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                base = node
+                while isinstance(base, (ast.Attribute, ast.Subscript)):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id == ctx:
+                    found.append(f"{path.name}:{node.lineno} {func.name} writes into {ctx}")
+    return found
+
+
+def test_suites_return_their_artifacts_and_write_nothing_into_the_context():
+    # a suite hands its artifacts to run_suites, the one writer; the context
+    # is read-only scenario state
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert "def _suite_" in (PACKAGE / "runner.py").read_text()
+    offenders = [hit for path in sources for hit in context_writes(path)]
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ('def _suite_x(ctx):\n    ctx.outputs["x.json"] = "{}"', 1),
+        ("def _suite_x(ctx):\n    ctx.rng = rng", 1),
+        ('def _suite_x(ctx):\n    ctx.store.files["x.json"] = doc', 1),
+        ("def _suite_x(ctx):\n    ctx.count += 1", 1),
+        ("def _suite_x(ctx):\n    ctx.doc: dict = {}", 1),
+        ("def _suite_x(ctx):\n    ctx.first, ctx.second = 1, 2", 2),
+        ("def _suite_x(ctx):\n    for ctx.i in range(3):\n        pass", 1),
+        ('def _suite_x(ctx):\n    del ctx.outputs["x.json"]', 1),
+        ('def _suite_x(run):\n    run.outputs["x.json"] = doc', 1),
+        ('def _suite_x(ctx):\n    doc = {}\n    doc[ctx.seed] = 1\n    return {"x.json": doc}', 0),
+        ("def _suite_x(ctx):\n    ctx = other", 0),
+        ('def _suite_x(ctx):\n    return {"x.json": {"seed": ctx.seed}}', 0),
+        ('def helper(ctx):\n    ctx.outputs["x.json"] = doc', 0),
+    ],
+)
+def test_context_write_check_finds_its_targets(tmp_path, source, hits):
+    path = tmp_path / "probe.py"
+    path.write_text(source + "\n")
+    assert len(context_writes(path)) == hits
 
 
 #: in a fresh interpreter: the top-level modules that importing fracred and

@@ -142,6 +142,26 @@ class TestCoefficientValidation:
         field = CoefficientField.build(mesh, A=4.0)
         assert field.bound == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("dim, name, value, shape", [
+        (2, "b", 0.5, "()"),
+        (2, "b", [0.5], r"\(1,\)"),
+        (2, "b", [0.1, 0.2, 0.3], r"\(3,\)"),
+        (2, "b", np.zeros((32, 2)), r"\(32, 2\)"),
+        (1, "b", 0.7, "()"),
+        (2, "c", [1.0, 2.0], r"\(2,\)"),
+        (2, "c", np.ones(32), r"\(32,\)"),
+        (1, "c", [3.0], r"\(1,\)"),
+        (2, "A", np.eye(3), r"\(3, 3\)"),
+    ], ids=["b-scalar", "b-one-entry", "b-long", "b-stack", "b-scalar-1d", "c-pair",
+            "c-per-element", "c-one-entry-1d", "A-3x3"])
+    def test_malformed_coefficient_shape_rejected(self, dim, name, value, shape):
+        # b must be one (dim,) vector and c one scalar: a scalar or one-entry
+        # b was broadcast to every component, and a c of another length
+        # escaped as numpy's broadcast ValueError
+        mesh = build_rect_mesh([[0, 1], [0, 1]], 4, 4) if dim == 2 else build_interval_mesh(0.0, 1.0, 8)
+        with pytest.raises(CoefficientError, match=f"bad {name} shape {shape}"):
+            CoefficientField.build(mesh, **{name: value})
+
     def test_coefficients_confined_to_omega(self):
         mesh = build_interval_mesh(-2.0, 2.0, 80)
         labels = label_regions(mesh, (-1, 1), (1.05, 1.8), (-1.95, -1.05))

@@ -130,3 +130,36 @@ def test_empty_suite_selection_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"schema violation at suites: \[\] has fewer than 1 items"):
         run_suites(config("perturbed-1d.json"), out_dir=tmp_path / "o", suites=[])
     assert not (tmp_path / "o").exists()
+
+
+RECT12 = {"kind": "rect", "box": [[-2.0, 2.0], [-2.0, 2.0]], "nx": 12, "ny": 12}
+
+
+@pytest.mark.parametrize(
+    "name, changes",
+    [("perturbed-1d.json", {}), ("baseline-2d.json", {"mesh": RECT12})],
+    ids=["perturbed-1d", "rect-12x12"],
+)
+def test_identical_operators_compare_at_exactly_zero(name, changes, tmp_path):
+    # the two sides of a comparison are read by one function, so two copies
+    # of one operator give bitwise equal readings and every pair value is 0.0
+    result = run_suites(config(name, operators=[{}, {}], **changes), out_dir=tmp_path)
+    assert result.ok
+    gaps = json.loads((tmp_path / "cauchy_gap.json").read_text())["per_a"]
+    probe = json.loads((tmp_path / "diagnostics.json").read_text())["rigidity_probe"]
+    assert sorted(gaps) == sorted(probe) and gaps
+    for a, entry in gaps.items():
+        assert (entry["pair_exterior_gap"], entry["pair_boundary_gap"], probe[a]) == (0.0, 0.0, 0.0)
+
+
+def test_non_finite_document_fails_its_suite_and_writes_nothing(monkeypatch, tmp_path):
+    # the stability constant is reported, not checked: a NaN one reaches the
+    # direct suite's document, which JSON cannot hold, so that suite fails
+    # with no artifact and the suites after it still run
+    monkeypatch.setattr(fracred.runner, "stability_constant", lambda op, a: float("nan"))
+    result = run_suites(config("baseline-1d.json"), out_dir=tmp_path, suites=["calibrate", "direct", "reduce"])
+    [failure] = result.failures
+    assert (failure["suite"], failure["kind"]) == ("direct", "ValueError")
+    assert failure["message"].startswith("Out of range float values are not JSON compliant")
+    assert result.outputs == ["calibration.csv", "calibration.json", "cauchy_gap.json", "manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(result.outputs)
