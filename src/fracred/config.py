@@ -6,10 +6,12 @@ interior deformation, and the suite selection.  ``CONFIG_SCHEMA`` states the
 format in JSON Schema (draft 7); a small checker in this module gives its
 keywords their draft-7 meaning, so validation needs no third-party
 validator, and it refuses to run on a keyword it does not implement.
-Validation is strict (unknown keys are rejected) and happens before any
-numerics; geometric sanity checks that the schema language cannot express
-(box ordering, region separation, coefficient shapes) are applied
-immediately after.
+``parse_config`` checks the schema only (unknown keys are rejected), before
+any numerics.  The scenario rules that the schema language cannot express
+(box shape, ordering and separation, coefficient shape and symmetry, a
+deformation that moves OMEGA-interior nodes only) are each checked once,
+by the builder of the object they constrain, when ``ExperimentConfig``
+builds the scenario; a refusal there is a ConfigError too.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .calculus import QuadratureError, TimeQuadrature
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: schema violation or failed semantic check."""
+    """Invalid configuration: a schema violation, or a scenario its builders refuse."""
 
 
 SUITE_NAMES = ("calibrate", "assemble", "direct", "reduce", "gauge", "diagnostics")
@@ -278,26 +280,10 @@ def check_key(key: str, value) -> None:
     _check(value, CONFIG_SCHEMA["properties"][key], (key,))
 
 
-def _as_boxes(raw, dim: int, name: str) -> np.ndarray:
-    box = np.asarray(raw, dtype=float).reshape(-1, 2) if dim > 1 else np.asarray(
-        [raw], dtype=float
-    )
-    if box.shape != (dim, 2):
-        raise ConfigError(f"{name} box does not match mesh dimension {dim}")
-    if np.any(box[:, 0] >= box[:, 1]):
-        raise ConfigError(f"{name} box has a non-increasing axis")
-    return box
-
-
-def _closures_meet(one: np.ndarray, other: np.ndarray) -> bool:
-    return bool(
-        np.all(np.maximum(one[:, 0], other[:, 0]) <= np.minimum(one[:, 1], other[:, 1]))
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, ready to build the scenario."""
+    """Schema-checked experiment description; each ``build_*`` method checks
+    the scenario rules of its object and raises a refusal as ConfigError."""
 
     mesh_spec: dict
     region_boxes: dict
@@ -329,11 +315,13 @@ class ExperimentConfig:
     def build_fields(self, mesh: Mesh, labels: RegionLabels) -> list:
         try:
             return [CoefficientField.build(mesh, labels, **spec) for spec in self.operator_specs]
-        except (CoefficientError, ValueError) as exc:
+        except CoefficientError as exc:
             raise ConfigError(f"coefficient spec rejected: {exc}") from exc
 
     def build_diffeo(self, mesh: Mesh, labels: RegionLabels) -> Diffeo | None:
-        """The deformation, which may move OMEGA-interior nodes only."""
+        """The deformation, which may move OMEGA-interior nodes only: no
+        element off OMEGA has such a node, so DF is the identity off OMEGA
+        and the boundary of OMEGA and the exterior stay fixed."""
         if self.diffeo_spec is None:
             return None
         F = Diffeo.radial_shrink(mesh, self.diffeo_spec["rho"], self.diffeo_spec["factor"])
@@ -344,13 +332,13 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict and return the typed configuration.
+    """Check a raw config dict against the schema and return the typed
+    configuration.
 
     Values that are not JSON are rejected first, NaN and +-Infinity among
-    them (NaN passes every bound).  Schema validation follows (unknown keys
-    rejected), then the semantic checks: box ordering and dimensions, strict
-    separation of the closed Omega box from each window box, coefficient
-    shapes, and containment of the deformation ball in Omega.
+    them (NaN passes every bound); schema validation follows (unknown keys
+    rejected), and the quadrature is built.  The scenario rules are checked
+    when the scenario is built, by the ``ExperimentConfig`` builders.
     """
     try:
         json.dumps(raw, allow_nan=False)
@@ -358,40 +346,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check(raw, CONFIG_SCHEMA)
 
-    dim = 1 if raw["mesh"]["kind"] == "interval" else 2
-    omega = _as_boxes(raw["regions"]["omega"], dim, "omega")
-    w = _as_boxes(raw["regions"]["w"], dim, "w")
-    wtilde = _as_boxes(raw["regions"]["wtilde"], dim, "wtilde")
-    for name, window in (("w", w), ("wtilde", wtilde)):
-        if _closures_meet(omega, window):
-            raise ConfigError(f"omega and {name} boxes must have disjoint closures")
-
-    mesh_box = _as_boxes(raw["mesh"]["box"], dim, "mesh")
-    for name, box in (("omega", omega), ("w", w), ("wtilde", wtilde)):
-        if np.any(box[:, 0] < mesh_box[:, 0]) or np.any(box[:, 1] > mesh_box[:, 1]):
-            raise ConfigError(f"{name} box leaves the mesh box")
-
-    for op in raw["operators"]:
-        A = op.get("A")
-        if isinstance(A, list):
-            if len(A) != dim or any(len(row) != dim for row in A):
-                raise ConfigError(f"conductivity matrix must be {dim}x{dim}")
-            if not np.array_equal(A, np.transpose(A)):
-                raise ConfigError("conductivity matrix must be symmetric")
-        if "b" in op and len(op["b"]) != dim:
-            raise ConfigError(f"magnetic coefficient must have {dim} components")
-
     cast = {"s_max": float, "n": int}
     try:
         quad = TimeQuadrature(**{k: cast[k](v) for k, v in raw["quad"].items()})
     except QuadratureError as exc:
         raise ConfigError(f"quadrature rejected: {exc}") from exc
-
-    diffeo = raw.get("diffeo")
-    if diffeo is not None:
-        rho = diffeo["rho"]
-        if np.any(omega[:, 0] >= -rho) or np.any(omega[:, 1] <= rho):
-            raise ConfigError("deformation ball must sit strictly inside omega")
 
     return ExperimentConfig(
         mesh_spec=raw["mesh"],
@@ -399,7 +358,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         operator_specs=tuple(raw["operators"]),
         exponents=tuple(float(a) for a in raw["a"]),
         quad=quad,
-        diffeo_spec=diffeo,
+        diffeo_spec=raw.get("diffeo"),
         suites=tuple(raw.get("suites", SUITE_NAMES)),
         out_dir=raw.get("out_dir", "out"),
         seed=int(raw["seed"]),

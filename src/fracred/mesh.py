@@ -32,7 +32,7 @@ class MeshError(ValueError):
 
 
 class RegionError(ValueError):
-    """Region boxes violate emptiness or closure-disjointness requirements."""
+    """Region boxes violate shape, containment, emptiness or closure-disjointness rules."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +161,15 @@ def build_rect_mesh(box, nx: int, ny: int) -> Mesh:
     return Mesh(2, nodes, elements, box)
 
 
-def _as_box(box, dim: int) -> np.ndarray:
-    b = np.asarray(box, dtype=float).reshape(dim, 2)
+def _as_box(box, mesh: Mesh) -> np.ndarray:
+    b = np.asarray(box, dtype=float)
+    if b.size != 2 * mesh.dim:
+        raise RegionError(f"box {b.tolist()} does not fit a {mesh.dim}-D mesh")
+    b = b.reshape(mesh.dim, 2)
     if np.any(b[:, 0] >= b[:, 1]):
         raise RegionError(f"empty or inverted box {b.tolist()}")
+    if np.any(b[:, 0] < mesh.box[:, 0]) or np.any(b[:, 1] > mesh.box[:, 1]):
+        raise RegionError(f"box {b.tolist()} leaves the mesh box")
     return b
 
 
@@ -225,21 +230,20 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
     Raises
     ------
     RegionError
-        If any region comes out empty, W, WTILDE or E has no node off the
-        outer boundary, an OMEGA element has a node on the outer boundary,
-        or closure disjointness fails (including OMEGA/window overlap).
+        If a box does not fit mesh.dim, is inverted or leaves mesh.box, any
+        region comes out empty, W, WTILDE or E has no node off the outer
+        boundary, an OMEGA element has a node on the outer boundary, or
+        closure disjointness fails (including OMEGA/window overlap).
     """
-    omega_box = _as_box(omega_box, mesh.dim)
-    w_box = _as_box(w_box, mesh.dim)
-    wtilde_box = _as_box(wtilde_box, mesh.dim)
+    omega_box = _as_box(omega_box, mesh)
+    w_box = _as_box(w_box, mesh)
+    wtilde_box = _as_box(wtilde_box, mesh)
 
     bary = mesh.element_barycenters()
     in_omega = _inside(bary, omega_box)
     in_w = _inside(bary, w_box)
     in_wt = _inside(bary, wtilde_box)
 
-    if np.any(in_omega & in_w) or np.any(in_omega & in_wt):
-        raise RegionError("omega overlaps a data window")
     for name, mask in ((OMEGA, in_omega), (W, in_w), (WTILDE, in_wt)):
         if not mask.any():
             raise RegionError(f"region {name} is empty")
@@ -253,11 +257,11 @@ def label_regions(mesh: Mesh, omega_box, w_box, wtilde_box) -> RegionLabels:
         raise RegionError("an OMEGA element has a node on the box boundary")
 
     # discrete closure disjointness: one element in no region must separate
-    # omega from each window, so their node sets may not intersect
-    if np.intersect1d(omega_nodes, w_nodes).size:
-        raise RegionError("omega and W closures touch (no buffer element)")
-    if np.intersect1d(omega_nodes, wtilde_nodes).size:
-        raise RegionError("omega and WTILDE closures touch (no buffer element)")
+    # omega from each window, so their node sets may not intersect (an
+    # element in omega and a window shares all its nodes)
+    for name, nodes in ((W, w_nodes), (WTILDE, wtilde_nodes)):
+        if np.intersect1d(omega_nodes, nodes).size:
+            raise RegionError(f"omega and {name} closures touch (no buffer element)")
 
     # every region element touches its own nodes, so this also excludes them
     e_mask = ~mesh.elements_touching(

@@ -103,25 +103,33 @@ class CoefficientField:
 
         A may be None (identity), a scalar or a (dim, dim) matrix; b None or
         a (dim,) vector; c None or a scalar; w is 1.  When labels are given,
-        A, b and c inputs are applied on OMEGA elements only.  An input of
-        another shape, or an asymmetric or indefinite A, raises
-        CoefficientError here, before any assembly.
+        A, b and c inputs are applied on OMEGA elements only.  A ragged or
+        non-numeric input, an input of another shape, a stated A that is not
+        exactly symmetric, or an indefinite A raises CoefficientError here,
+        before any assembly.
         """
         ne, d = mesh.element_count, mesh.dim
+        given = {}
         for name, value, shapes in (("A", A, ((), (d, d))), ("b", b, ((d,),)), ("c", c, ((),))):
-            if value is not None and np.shape(value) not in shapes:
-                raise CoefficientError(f"bad {name} shape {np.shape(value)}")
+            if value is None:
+                continue
+            try:
+                given[name] = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise CoefficientError(f"{name} is not a numeric array: {exc}") from exc
+            if given[name].shape not in shapes:
+                raise CoefficientError(f"bad {name} shape {given[name].shape}")
         target = labels.omega_elements if labels is not None else slice(None)
         A_full = np.broadcast_to(np.eye(d), (ne, d, d)).copy()
-        if A is not None:
-            A_arr = np.asarray(A, dtype=float)
+        if "A" in given:
+            A_arr = given["A"]
+            if not np.array_equal(A_arr, A_arr.T, equal_nan=True):
+                raise CoefficientError("A must be symmetric")
             A_full[target] = A_arr if A_arr.ndim == 2 else A_arr * np.eye(d)
         b_full = np.zeros((ne, d))
-        if b is not None:
-            b_full[target] = np.asarray(b, dtype=float)
+        b_full[target] = given.get("b", 0.0)
         c_full = np.zeros(ne)
-        if c is not None:
-            c_full[target] = np.asarray(c, dtype=float)
+        c_full[target] = given.get("c", 0.0)
         observed_ellipticity(A_full)
         return cls(A=A_full, b=b_full, c=c_full, w=np.ones(ne), labels=labels)
 

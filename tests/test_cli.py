@@ -85,7 +85,7 @@ class TestRunContract:
 
         cfg = write_config(tmp_path, overlap)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "disjoint closures" in capsys.readouterr().err
+        assert "omega and W closures touch" in capsys.readouterr().err
 
     def test_unknown_key_exit_config(self, tmp_path, capsys):
         def unknown(raw):

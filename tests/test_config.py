@@ -1,4 +1,4 @@
-"""Config schema validation, semantic checks, and scenario construction."""
+"""Config schema validation, the builders' scenario checks, and scenario construction."""
 
 import copy
 import json
@@ -18,6 +18,7 @@ from fracred.config import (
     load_config,
     parse_config,
 )
+from fracred.runner import run_suites
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -255,69 +256,100 @@ class TestSchemaChecker:
             parse_config(valid_raw())
 
 
+def rect_raw():
+    raw = valid_raw()
+    raw["mesh"] = {
+        "kind": "rect",
+        "box": [[-2.0, 2.0], [-2.0, 2.0]],
+        "nx": 8,
+        "ny": 8,
+    }
+    raw["regions"] = {
+        "omega": [[-1.0, 1.0], [-1.0, 1.0]],
+        "w": [[1.4, 1.75], [-0.6, 0.6]],
+        "wtilde": [[-1.75, -1.4], [-0.6, 0.6]],
+    }
+    return raw
+
+
+def refuse_at_build(raw, out, match):
+    """``raw`` passes the schema, and ``run_suites`` refuses its scenario
+    with ConfigError before it writes anything."""
+    cfg = parse_config(raw)
+    with pytest.raises(ConfigError, match=match):
+        run_suites(cfg, out_dir=out)
+    assert not out.exists()
+
+
 class TestSemanticChecks:
-    def test_window_touching_omega_rejected(self):
+    # parse_config checks the schema only; each scenario rule is checked by
+    # the builder of its object when run_suites builds the scenario
+    def test_window_touching_omega_rejected(self, tmp_path):
         raw = valid_raw()
         raw["regions"]["w"] = [1.0, 1.8]
-        reject(raw, match="disjoint closures")
+        refuse_at_build(raw, tmp_path / "o", "omega and W closures touch")
 
-    def test_window_overlapping_omega_rejected(self):
+    def test_window_overlapping_omega_rejected(self, tmp_path):
         raw = valid_raw()
         raw["regions"]["wtilde"] = [-1.2, -0.8]
-        reject(raw, match="disjoint closures")
+        refuse_at_build(raw, tmp_path / "o", "omega and WTILDE closures touch")
 
-    def test_region_leaving_mesh_box_rejected(self):
+    def test_region_leaving_mesh_box_rejected(self, tmp_path):
         raw = valid_raw()
         raw["regions"]["w"] = [1.05, 2.5]
-        reject(raw, match="leaves the mesh box")
+        refuse_at_build(raw, tmp_path / "o", "leaves the mesh box")
 
-    def test_degenerate_box_rejected(self):
+    def test_2d_window_leaving_mesh_box_rejected(self, tmp_path):
+        # only label_regions holds a box to the mesh box: without the rule
+        # this window builds
+        raw = rect_raw()
+        raw["regions"]["w"] = [[1.4, 2.5], [-0.6, 0.6]]
+        refuse_at_build(raw, tmp_path / "o", "leaves the mesh box")
+
+    def test_degenerate_box_rejected(self, tmp_path):
         raw = valid_raw()
         raw["regions"]["omega"] = [1.0, -1.0]
-        reject(raw, match="non-increasing")
+        refuse_at_build(raw, tmp_path / "o", "empty or inverted box")
 
-    def test_dimension_mismatch_rejected(self):
+    def test_dimension_mismatch_rejected(self, tmp_path):
         raw = valid_raw()
         raw["regions"]["omega"] = [[-1.0, 1.0], [-1.0, 1.0]]
-        reject(raw, match="dimension")
+        refuse_at_build(raw, tmp_path / "o", "does not fit a 1-D mesh")
 
-    def test_asymmetric_conductivity_rejected(self):
-        raw = valid_raw()
-        raw["mesh"] = {
-            "kind": "rect",
-            "box": [[-2.0, 2.0], [-2.0, 2.0]],
-            "nx": 8,
-            "ny": 8,
-        }
-        raw["regions"] = {
-            "omega": [[-1.0, 1.0], [-1.0, 1.0]],
-            "w": [[1.4, 1.75], [-0.6, 0.6]],
-            "wtilde": [[-1.75, -1.4], [-0.6, 0.6]],
-        }
+    def test_asymmetric_conductivity_rejected(self, tmp_path):
+        raw = rect_raw()
         raw["operators"] = [{"A": [[2.0, 0.3], [0.0, 1.0]]}]
-        reject(raw, match="symmetric")
+        refuse_at_build(raw, tmp_path / "o", "symmetric")
 
-    def test_conductivity_shape_mismatch_rejected(self):
+    def test_nearly_symmetric_conductivity_rejected(self, tmp_path):
+        # within observed_ellipticity's roundoff tolerance for computed
+        # stacks, but a stated A must be exactly symmetric
+        raw = rect_raw()
+        raw["operators"] = [{"A": [[2.0, 0.3], [0.3 + 1e-15, 1.0]]}]
+        refuse_at_build(raw, tmp_path / "o", "A must be symmetric")
+
+    def test_conductivity_shape_mismatch_rejected(self, tmp_path):
         raw = valid_raw()
         raw["operators"] = [{"A": [[1.0, 0.0], [0.0, 1.0]]}]
-        reject(raw, match="1x1")
+        refuse_at_build(raw, tmp_path / "o", r"bad A shape \(2, 2\)")
 
-    def test_ragged_conductivity_rejected(self):
+    def test_ragged_conductivity_rejected(self, tmp_path):
         # passes the schema, and numpy refuses to build an array from it
         with open(bundled_config("baseline-2d.json")) as fh:
             raw = json.load(fh)
         raw["operators"] = [{"A": [[1.0], [0.0, 1.0]]}]
-        reject(raw, match="2x2")
+        refuse_at_build(raw, tmp_path / "o", "A is not a numeric array")
 
-    def test_magnetic_length_mismatch_rejected(self):
+    def test_magnetic_length_mismatch_rejected(self, tmp_path):
         raw = valid_raw()
         raw["operators"] = [{"b": [0.1, 0.2]}]
-        reject(raw, match="components")
+        refuse_at_build(raw, tmp_path / "o", r"bad b shape \(2,\)")
 
-    def test_diffeo_ball_must_sit_inside_omega(self):
+    def test_diffeo_ball_must_sit_inside_omega(self, tmp_path):
+        # a ball past omega's box moves nodes off the interior of omega
         raw = valid_raw()
         raw["diffeo"] = {"rho": 1.5, "factor": 0.8}
-        reject(raw, match="inside omega")
+        refuse_at_build(raw, tmp_path / "o", "deformation moves a node outside")
         raw["diffeo"] = {"rho": 0.8, "factor": 0.8}
         assert parse_config(raw).diffeo_spec == {"rho": 0.8, "factor": 0.8}
 

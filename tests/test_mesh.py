@@ -90,6 +90,27 @@ class TestLabelRegions:
     @pytest.mark.parametrize(
         "mesh, boxes",
         [
+            (
+                build_rect_mesh([[-2, 2], [-2, 2]], 8, 8),
+                [(-1, 1), [[1.4, 1.75], [-0.6, 0.6]], [[-1.75, -1.4], [-0.6, 0.6]]],
+            ),
+            (build_interval_mesh(-2.0, 2.0, 80), [[[-1, 1], [-1, 1]], (1.05, 1.8), (-1.95, -1.05)]),
+        ],
+        ids=["1d-box-on-rect", "2d-box-on-interval"],
+    )
+    def test_box_of_another_dimension_rejected(self, mesh, boxes):
+        with pytest.raises(RegionError, match=f"does not fit a {mesh.dim}-D mesh"):
+            label_regions(mesh, *boxes)
+
+    def test_window_leaving_mesh_box_rejected(self):
+        mesh = build_rect_mesh([[-2, 2], [-2, 2]], 8, 8)
+        boxes = [[[-1, 1], [-1, 1]], [[1.4, 2.5], [-0.6, 0.6]], [[-1.75, -1.4], [-0.6, 0.6]]]
+        with pytest.raises(RegionError, match="leaves the mesh box"):
+            label_regions(mesh, *boxes)
+
+    @pytest.mark.parametrize(
+        "mesh, boxes",
+        [
             # the barycenter -1.975 of [-2.0, -1.95] lies in the OMEGA box
             (build_interval_mesh(-2.0, 2.0, 80), [(-1.99, 1), (1.05, 1.8), (1.15, 1.8)]),
             # the bottom row of triangles has barycenters at y = -1.933 and -1.867

@@ -152,14 +152,21 @@ class TestCoefficientValidation:
         (2, "c", np.ones(32), r"\(32,\)"),
         (1, "c", [3.0], r"\(1,\)"),
         (2, "A", np.eye(3), r"\(3, 3\)"),
+        (2, "b", [[1.0], [1.0, 2.0]], None),
+        (2, "b", ["x", "y"], None),
+        (2, "c", "x", None),
+        (2, "A", [[1.0], [0.0, 1.0]], None),
     ], ids=["b-scalar", "b-one-entry", "b-long", "b-stack", "b-scalar-1d", "c-pair",
-            "c-per-element", "c-one-entry-1d", "A-3x3"])
+            "c-per-element", "c-one-entry-1d", "A-3x3", "b-ragged", "b-strings", "c-string",
+            "A-ragged"])
     def test_malformed_coefficient_shape_rejected(self, dim, name, value, shape):
         # b must be one (dim,) vector and c one scalar: a scalar or one-entry
         # b was broadcast to every component, and a c of another length
-        # escaped as numpy's broadcast ValueError
+        # escaped as numpy's broadcast ValueError; a ragged or non-numeric
+        # input (shape None) escaped as numpy's ValueError too
         mesh = build_rect_mesh([[0, 1], [0, 1]], 4, 4) if dim == 2 else build_interval_mesh(0.0, 1.0, 8)
-        with pytest.raises(CoefficientError, match=f"bad {name} shape {shape}"):
+        match = f"{name} is not a numeric array" if shape is None else f"bad {name} shape {shape}"
+        with pytest.raises(CoefficientError, match=match):
             CoefficientField.build(mesh, **{name: value})
 
     def test_coefficients_confined_to_omega(self):

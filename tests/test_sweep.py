@@ -5,11 +5,12 @@ Each draw is a config over the mesh box [-2, 2]^d: a 1-D mesh of 16-120
 cells or a 2-D mesh of 6-16 cells a side, random OMEGA, W and WTILDE boxes,
 an optional second operator with random A, b and c, one to three exponents
 in (0.05, 0.95), and a deformation half of the time.  The property:
-``parse_config`` or ``run_suites`` raises ConfigError and nothing is
-written; or the run finishes, each manifest failure names a ``CONTRACTS``
-entry or is a PositivityError (a negative c), and every JSON artifact
-parses.  A draw that breaks it becomes a regression test of its own; the
-seed and the ranges stay as they are.
+``parse_config`` refuses a schema violation and nothing else; or
+``run_suites`` refuses the scenario, which its builders check, with a
+ConfigError and nothing written; or the run finishes, each manifest failure
+names a ``CONTRACTS`` entry or is a PositivityError (a negative c), and
+every JSON artifact parses.  A draw that breaks it becomes a regression test
+of its own; the seed and the ranges stay as they are.
 """
 
 import json
@@ -84,8 +85,8 @@ def draw_config(rng) -> dict:
 
 
 def sweep(out_root):
-    """Run every draw; return the outcome of each: "parse", "run" (refused
-    there) or the run's failures."""
+    """Run every draw; return the outcome of each: "parse" (a schema
+    violation), "run" (a scenario refused there) or the run's failures."""
     rng = np.random.default_rng(SEED)
     outcomes = []
     for i in range(DRAWS):
@@ -93,7 +94,8 @@ def sweep(out_root):
         out = out_root / str(i)
         try:
             cfg = parse_config(raw)
-        except ConfigError:
+        except ConfigError as exc:
+            assert str(exc).startswith("schema violation"), (i, raw, exc)
             outcomes.append("parse")
             continue
         try:
@@ -121,3 +123,24 @@ def test_every_scenario_is_refused_or_fails_by_a_named_contract(tmp_path):
     assert unnamed == []
     ran = sum(isinstance(failures, list) for failures in outcomes)
     assert 0 < ran < DRAWS
+
+
+def test_ball_leaving_omega_box_moves_omega_interior_nodes_only(tmp_path):
+    # draw 142 of draw_config under default_rng(5): B_rho reaches past the
+    # OMEGA box (0.947 > 0.927), but every node it moves is an OMEGA-interior
+    # node, so DF is the identity off OMEGA and the exterior Cauchy data must
+    # not move
+    raw = {
+        "mesh": {"kind": "interval", "box": [-2.0, 2.0], "n_cells": 65},
+        "regions": {"omega": [-1.511, 0.927], "w": [0.998, 1.794], "wtilde": [1.075, 1.679]},
+        "operators": [{}],
+        "a": [0.861, 0.31],
+        "quad": {},
+        "seed": 1192988506,
+        "diffeo": {"rho": 0.947, "factor": 0.43},
+    }
+    result = run_suites(parse_config(raw), out_dir=tmp_path, suites=["gauge"])
+    assert result.ok, result.failures
+    check = json.loads((tmp_path / "gauge_check.json").read_text())
+    assert check["coefficient_difference"] > 0
+    assert max(check["cauchy_deviation_per_a"].values()) < CONTRACTS["gauge deviation"]
