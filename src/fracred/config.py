@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gauge import Diffeo
+from .gauge import Diffeo, DiffeoError
 from .mesh import (
     Mesh,
     MeshError,
@@ -324,7 +324,10 @@ class ExperimentConfig:
         and the boundary of OMEGA and the exterior stay fixed."""
         if self.diffeo_spec is None:
             return None
-        F = Diffeo.radial_shrink(mesh, self.diffeo_spec["rho"], self.diffeo_spec["factor"])
+        try:
+            F = Diffeo.radial_shrink(mesh, self.diffeo_spec["rho"], self.diffeo_spec["factor"])
+        except DiffeoError as exc:
+            raise ConfigError(f"deformation rejected: {exc}") from exc
         moved = np.flatnonzero(np.any(F.mapped.nodes != mesh.nodes, axis=1))
         if not np.isin(moved, labels.omega_interior_nodes).all():
             raise ConfigError("deformation moves a node outside the interior of OMEGA")

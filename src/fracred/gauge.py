@@ -42,7 +42,9 @@ class Diffeo:
 
     The deformation is the pair of meshes and nothing else: DF and det are
     derived from them at construction, where an element that the mapping
-    inverts, flattens or sends to a non-finite place is refused.
+    inverts, flattens or sends to a non-finite place is refused, and so is a
+    moved node of the box boundary: ``Mesh.boundary_nodes`` finds the
+    Dirichlet set by coordinate, so the mapped mesh would lose it.
 
     Attributes
     ----------
@@ -77,6 +79,8 @@ class Diffeo:
         if not np.isfinite(dst.nodes).all():
             raise DiffeoError("mapped nodes must be finite")
         moved = np.flatnonzero(np.any(dst.nodes != src.nodes, axis=1))
+        if np.isin(moved, src.boundary_nodes()).any():
+            raise DiffeoError("deformation moves a node of the box boundary")
         touched = src.elements_touching(moved)
         DF = np.tile(np.eye(src.dim), (src.element_count, 1, 1))
         DF[touched] = np.linalg.solve(src.element_edges()[touched], dst.element_edges()[touched])
@@ -90,19 +94,9 @@ class Diffeo:
         object.__setattr__(self, "det", det)
 
     @staticmethod
-    def build(mesh: Mesh, mapped_nodes, rho: float) -> "Diffeo":
-        """The deformation moving each node to its row of ``mapped_nodes``;
-        every node at distance >= rho from the origin must stay put."""
-        nodes = np.array(mapped_nodes, dtype=float)
-        F = Diffeo(mesh, Mesh(mesh.dim, nodes, mesh.elements, mesh.box))
-        moved = np.any(F.mapped.nodes != mesh.nodes, axis=1)
-        if np.any(moved & (np.linalg.norm(mesh.nodes, axis=1) >= rho)):
-            raise DiffeoError(f"deformation moves nodes outside B_{rho}")
-        return F
-
-    @staticmethod
     def radial_shrink(mesh: Mesh, rho: float, factor: float) -> "Diffeo":
-        """Shrink toward the origin inside B_rho, identity outside.
+        """Shrink toward the origin inside B_rho, identity outside; a ball
+        that reaches a node of the box boundary is refused.
 
         The radial profile m(r) = r (factor + (1 - factor) (r/rho)^2) is
         quadratic rather than linear: a linear profile is nearly conformal
@@ -118,7 +112,7 @@ class Diffeo:
         inside = r < rho
         scale = factor + (1.0 - factor) * (r[inside] / rho) ** 2
         mapped[inside] = mesh.nodes[inside] * scale[:, None]
-        return Diffeo.build(mesh, mapped, rho)
+        return Diffeo(mesh, Mesh(mesh.dim, mapped, mesh.elements, mesh.box))
 
 
 def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:

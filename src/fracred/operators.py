@@ -59,9 +59,13 @@ class AssemblyError(RuntimeError):
     """The assembled pencil broke a contract, or LAPACK failed on it."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Per-element coefficients (A, b, c, w) and their ellipticity bound.
+    """Per-element coefficients (A, b, c, w), checked once, when made.
+
+    A, b, c and w must agree in shape and be finite, w positive and A
+    symmetric positive definite, or CoefficientError is raised; the arrays
+    are read-only after.
 
     Attributes
     ----------
@@ -77,6 +81,8 @@ class CoefficientField:
         When present, coefficient support rules are enforced: A is the
         identity, b and c vanish and w is 1 on every element not tagged
         OMEGA.
+    bound : float
+        Ellipticity constant: the largest of ||A||_2 and ||A^{-1}||_2 over the elements.
     """
 
     A: np.ndarray
@@ -84,11 +90,29 @@ class CoefficientField:
     c: np.ndarray
     w: np.ndarray
     labels: RegionLabels | None = None
+    bound: float = field(init=False)
 
-    @property
-    def bound(self) -> float:
-        """Ellipticity constant: the largest of ||A||_2 and ||A^{-1}||_2 over the elements."""
-        return observed_ellipticity(self.A)
+    def __post_init__(self):
+        ne, d = self.w.size, self.A.shape[-1] if self.A.ndim else 0
+        shapes = (self.A.shape, self.b.shape, self.c.shape, self.w.shape)
+        if shapes != ((ne, d, d), (ne, d), (ne,), (ne,)):
+            raise CoefficientError(f"A, b, c and w shapes {shapes} disagree")
+        for name in ("A", "b", "c", "w"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise CoefficientError(f"{name} must be finite")
+        if not np.all(self.w > 0):
+            raise CoefficientError("mass weight w must be positive")
+        object.__setattr__(self, "bound", observed_ellipticity(self.A))
+        if self.labels is not None:
+            outside = np.setdiff1d(np.arange(ne), self.labels.omega_elements)
+            if not np.all(self.A[outside] == np.eye(d)):
+                raise CoefficientError("A must be the identity off OMEGA")
+            if np.any(self.b[outside] != 0) or np.any(self.c[outside] != 0):
+                raise CoefficientError("b and c must vanish off OMEGA")
+            if np.any(self.w[outside] != 1):
+                raise CoefficientError("w must be 1 off OMEGA")
+        for name in ("A", "b", "c", "w"):
+            getattr(self, name).setflags(write=False)
 
     @classmethod
     def build(
@@ -130,32 +154,7 @@ class CoefficientField:
         b_full[target] = given.get("b", 0.0)
         c_full = np.zeros(ne)
         c_full[target] = given.get("c", 0.0)
-        observed_ellipticity(A_full)
         return cls(A=A_full, b=b_full, c=c_full, w=np.ones(ne), labels=labels)
-
-    def validate(self, mesh: Mesh) -> None:
-        ne, d = mesh.element_count, mesh.dim
-        if self.A.shape != (ne, d, d):
-            raise CoefficientError(
-                f"A shape {self.A.shape} does not match mesh ({ne}, {d}, {d})"
-            )
-        if self.b.shape != (ne, d) or self.c.shape != (ne,) or self.w.shape != (ne,):
-            raise CoefficientError("b, c or w shape does not match mesh")
-        for name in ("A", "b", "c", "w"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise CoefficientError(f"{name} must be finite")
-        if not np.all(self.w > 0):
-            raise CoefficientError("mass weight w must be positive")
-        observed_ellipticity(self.A)
-        if self.labels is not None:
-            outside = np.setdiff1d(np.arange(ne), self.labels.omega_elements)
-            eye = np.eye(d)
-            if not np.all(self.A[outside] == eye):
-                raise CoefficientError("A must be the identity off OMEGA")
-            if np.any(self.b[outside] != 0) or np.any(self.c[outside] != 0):
-                raise CoefficientError("b and c must vanish off OMEGA")
-            if np.any(self.w[outside] != 1):
-                raise CoefficientError("w must be 1 off OMEGA")
 
 
 def worst_relative(res, scale) -> float:
@@ -611,12 +610,13 @@ def assemble(mesh: Mesh, coeffs: CoefficientField) -> DiscreteOperator:
     ----------
     mesh : Mesh
     coeffs : CoefficientField
-        Validated before any numerics (shapes, symmetric positive definite
-        A, positive w, and, when labels are attached, coefficient support
-        rules).
+        Checked when it was made; A must hold one dim x dim block per
+        element of ``mesh``.
 
     Raises
     ------
+    CoefficientError
+        If A does not hold one dim x dim block per element of ``mesh``.
     PositivityError
         If the smallest generalized eigenvalue is not positive (potential
         too negative).
@@ -624,7 +624,8 @@ def assemble(mesh: Mesh, coeffs: CoefficientField) -> DiscreteOperator:
         If the stiffness or the eigenpairs break their contracts, or the
         eigensolve fails (M not positive definite, no convergence).
     """
-    coeffs.validate(mesh)
+    if coeffs.A.shape != (mesh.element_count, mesh.dim, mesh.dim):
+        raise CoefficientError(f"A shape {coeffs.A.shape} does not match mesh")
     k_loc, m_loc = local_matrices(mesh, coeffs)
     boundary = mesh.boundary_nodes()
     free = np.setdiff1d(np.arange(mesh.node_count), boundary)

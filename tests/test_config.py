@@ -353,6 +353,12 @@ class TestSemanticChecks:
         raw["diffeo"] = {"rho": 0.8, "factor": 0.8}
         assert parse_config(raw).diffeo_spec == {"rho": 0.8, "factor": 0.8}
 
+    def test_diffeo_ball_reaching_box_boundary_rejected(self, tmp_path):
+        # B_2.5 moves the Dirichlet nodes at -2 and 2, which Diffeo refuses
+        raw = valid_raw()
+        raw["diffeo"] = {"rho": 2.5, "factor": 0.8}
+        refuse_at_build(raw, tmp_path / "o", "deformation moves a node of the box boundary")
+
     def test_negative_potential_is_a_runtime_concern(self):
         # sign constraints on c belong to assembly, not the schema
         raw = valid_raw()

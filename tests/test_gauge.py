@@ -45,22 +45,35 @@ class TestDiffeoConstruction:
         with pytest.raises(DiffeoError, match="rho"):
             Diffeo.radial_shrink(base1d.mesh, float("nan"), 0.8)
 
-    def test_build_rejects_moves_outside_ball(self, base1d):
-        mapped = base1d.mesh.nodes.copy()
-        mapped[-1] += 0.01
-        with pytest.raises(DiffeoError):
-            Diffeo.build(base1d.mesh, mapped, rho=0.8)
+    def test_rejects_moved_box_boundary_node(self, base1d):
+        # the last node, x = 2.0, carries the Dirichlet condition, which
+        # Mesh.boundary_nodes finds by coordinate: moved, the mapped mesh
+        # would lose it
+        mesh = base1d.mesh
+        assert mesh.nodes[-1, 0] == 2.0
+        mapped = mesh.nodes.copy()
+        mapped[-1] -= 0.01
+        with pytest.raises(DiffeoError, match="box boundary"):
+            Diffeo(mesh, Mesh(1, mapped, mesh.elements, mesh.box))
+
+    def test_radial_shrink_reaching_box_boundary_rejected(self):
+        # a ball past the box corners moves all 48 boundary nodes
+        mesh = build_rect_mesh([[-2, 2], [-2, 2]], 12, 12)
+        assert mesh.boundary_nodes().size == 48
+        with pytest.raises(DiffeoError, match="box boundary"):
+            Diffeo.radial_shrink(mesh, 10.0, 0.8)
 
     def test_build_rejects_non_finite_nodes(self, base2d):
-        # a NaN node inside B_rho would give NaN dets, which fail no `<=` test
-        mapped = base2d.mesh.nodes.copy()
-        mapped[np.argmin(np.linalg.norm(mapped, axis=1))] = np.nan
+        # a NaN in one coordinate of one node would give NaN dets, which
+        # fail no `<=` test
+        mesh = base2d.mesh
+        mapped = mesh.nodes.copy()
+        mapped[np.argmin(np.linalg.norm(mapped, axis=1)), 1] = np.nan
         with pytest.raises(DiffeoError, match="finite"):
-            Diffeo.build(base2d.mesh, mapped, rho=0.8)
+            Diffeo(mesh, Mesh(2, mapped, mesh.elements, mesh.box))
 
     def test_nan_det_rejected(self, base2d):
-        # a mapped mesh handed to Diffeo directly, with no radius to check:
-        # its NaN node would make NaN dets, so the node itself is refused
+        # a NaN node would make NaN dets, so the node itself is refused
         mesh = base2d.mesh
         mapped = mesh.nodes.copy()
         mapped[np.argmin(np.linalg.norm(mapped, axis=1))] = np.nan
@@ -79,16 +92,19 @@ class TestDiffeoConstruction:
             Diffeo(mesh, image)
 
     def test_build_rejects_inverted_elements(self, base1d):
-        mapped = base1d.mesh.nodes.copy()
+        mesh = base1d.mesh
+        mapped = mesh.nodes.copy()
         # push a node past its neighbour; h = 0.05, so 0.1 flips the cell
-        inside = np.flatnonzero(np.linalg.norm(base1d.mesh.nodes, axis=1) < 0.5)
+        inside = np.flatnonzero(np.linalg.norm(mesh.nodes, axis=1) < 0.5)
         mapped[inside[0]] += 0.1
-        with pytest.raises(DiffeoError):
-            Diffeo.build(base1d.mesh, mapped, rho=0.8)
+        with pytest.raises(DiffeoError, match="inverts"):
+            Diffeo(mesh, Mesh(1, mapped, mesh.elements, mesh.box))
 
     def test_build_rejects_shape_mismatch(self, base1d):
-        with pytest.raises(DiffeoError):
-            Diffeo.build(base1d.mesh, base1d.mesh.nodes[:-1], rho=0.8)
+        mesh = base1d.mesh
+        mapped = Mesh(1, mesh.nodes[:-1].copy(), mesh.elements, mesh.box)
+        with pytest.raises(DiffeoError, match="node count"):
+            Diffeo(mesh, mapped)
 
     def test_map_mesh_rejects_foreign_deformation(self, base1d, fine1d, base2d):
         # pushforward_operator refuses a deformation of another mesh
@@ -144,9 +160,9 @@ class TestPushforwardFormulas:
         assert np.abs(F.DF[moved] - np.eye(1)).max() > 0.05
 
     def test_transport_rejects_flipped_jacobian(self, base2d):
-        # the transport divides by F.det, so a mapped mesh handed to Diffeo
-        # directly meets the same det > 0 condition as Diffeo.build: here a
-        # mirror image of the disc r < 0.5, det = -1 on the elements inside
+        # the transport divides by F.det, which Diffeo requires positive:
+        # here a mirror image of the disc r < 0.5, det = -1 on the elements
+        # inside
         mesh = base2d.mesh
         mapped = mesh.nodes.copy()
         mapped[np.linalg.norm(mapped, axis=1) < 0.5, 0] *= -1.0
@@ -248,13 +264,15 @@ class TestGaugeInvariance:
         assert gap < 1e-10
 
     def test_rejects_deformed_window(self, base1d):
-        # a legal diffeo (inside B_2) that moves a W node must be refused;
-        # note transporting through pushforward_operator already fails at
-        # assembly (A != I off OMEGA), so build the comparison bare
+        # a legal diffeo (the box boundary fixed) that moves a W node must
+        # be refused; note transporting through pushforward_operator already
+        # fails on its coefficients (A != I off OMEGA), so build the
+        # comparison bare
+        mesh = base1d.mesh
         w_node = int(base1d.labels.w_nodes[0])
-        mapped = base1d.mesh.nodes.copy()
+        mapped = mesh.nodes.copy()
         mapped[w_node] += 0.01
-        F = Diffeo.build(base1d.mesh, mapped, rho=2.5)
+        F = Diffeo(mesh, Mesh(1, mapped, mesh.elements, mesh.box))
         moved = assemble(F.mapped, CoefficientField.build(base1d.mesh))
         with pytest.raises(DiffeoError):
             gauge_invariance_check(

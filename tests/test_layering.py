@@ -280,15 +280,23 @@ def referenced_names(path: Path) -> set:
 
 
 def unreached_names(modules, references) -> list:
-    """Public top-level functions and classes of ``modules`` that no file in
-    ``references`` refers to; imports, definitions and docstrings do not count."""
+    """Public top-level functions and classes of ``modules``, and public
+    methods of those classes, that no file in ``references`` refers to;
+    imports, definitions and docstrings do not count."""
     used = set().union(*map(referenced_names, references))
     found = []
     for path in modules:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            if defines and not node.name.startswith("_") and node.name not in used:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in used:
                 found.append(f"{path.stem}.{node.name}")
+            methods = node.body if isinstance(node, ast.ClassDef) else ()
+            found += [
+                f"{path.stem}.{node.name}.{item.name}" for item in methods
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.startswith("_") and item.name not in used
+            ]
     return found
 
 
@@ -303,8 +311,8 @@ def program_references() -> list:
 
 
 def test_no_public_name_only_tests_reach():
-    """Every public function and class is used by the program, a demo or the
-    benchmark, or is named by the acceptance test."""
+    """Every public function, class and method is used by the program, a demo
+    or the benchmark, or is named by the acceptance test."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert unreached_names(modules, program_references()) == []
@@ -322,6 +330,31 @@ def test_no_public_name_only_tests_reach():
     ids=["orphan", "called-in-demo", "attribute-in-demo", "docstring-only", "private"],
 )
 def test_unreached_name_check_finds_its_targets(tmp_path, module, demo, unreached):
+    lib, script = tmp_path / "lib.py", tmp_path / "demo.py"
+    lib.write_text(module)
+    script.write_text(demo)
+    assert unreached_names([lib], [lib, script]) == unreached
+
+
+@pytest.mark.parametrize(
+    "module, demo, unreached",
+    [
+        ("class Box:\n    def orphan(self):\n        pass\n", "Box()\n", ["lib.Box.orphan"]),
+        ("class Box:\n    def shown(self):\n        pass\n", "Box().shown()\n", []),
+        ("class Box:\n    @staticmethod\n    def make():\n        pass\n", "Box.make()\n", []),
+        ("class Box:\n    @property\n    def width(self):\n        return 1\n",
+         "print(Box().width)\n", []),
+        ("class Box:\n    def named(self):\n        pass\n",
+         'Box()\n"""Calls box.named() in prose only."""\n', ["lib.Box.named"]),
+        ("class Box:\n    def _private(self):\n        pass\n    def __len__(self):\n        return 0\n",
+         "Box()\n", []),
+        ("class _Hidden:\n    def orphan(self):\n        pass\n", "", []),
+        ("class Box:\n    def orphan(self):\n        pass\n", "", ["lib.Box", "lib.Box.orphan"]),
+    ],
+    ids=["orphan", "called-in-demo", "staticmethod", "property", "docstring-only", "private-and-dunder",
+         "private-class", "unreached-class"],
+)
+def test_unreached_method_check_finds_its_targets(tmp_path, module, demo, unreached):
     lib, script = tmp_path / "lib.py", tmp_path / "demo.py"
     lib.write_text(module)
     script.write_text(demo)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracred import operators
 from fracred.mesh import build_interval_mesh, build_rect_mesh, label_regions
 from fracred.operators import (
     CoefficientError,
     CoefficientField,
     PositivityError,
     assemble,
+    observed_ellipticity,
 )
 
 
@@ -188,9 +190,9 @@ class TestCoefficientValidation:
     ])
     def test_bad_mass_weight_rejected(self, w, match):
         mesh = build_interval_mesh(-2.0, 2.0, 80)
-        field = dataclasses.replace(CoefficientField.build(mesh), w=w)
+        field = CoefficientField.build(mesh)
         with pytest.raises(CoefficientError, match=match):
-            field.validate(mesh)
+            dataclasses.replace(field, w=w)
 
     @pytest.mark.parametrize("name, value", [
         ("A", np.nan), ("b", np.inf), ("c", np.nan), ("w", np.inf),
@@ -212,8 +214,60 @@ class TestCoefficientValidation:
         field = CoefficientField.build(mesh, labels=labels)
         inside = field.w.copy()
         inside[labels.omega_elements] = 2.0
-        dataclasses.replace(field, w=inside).validate(mesh)
+        dataclasses.replace(field, w=inside)
         outside = field.w.copy()
         outside[np.setdiff1d(np.arange(80), labels.omega_elements)[0]] = 2.0
         with pytest.raises(CoefficientError, match="w must be 1 off OMEGA"):
-            assemble(mesh, dataclasses.replace(field, w=outside))
+            dataclasses.replace(field, w=outside)
+
+    def test_ellipticity_bound_computed_once(self, monkeypatch):
+        # the field's one check computes the bound; assembly and the
+        # assemble.json row read it
+        calls = []
+
+        def counted(A):
+            calls.append(A.shape)
+            return observed_ellipticity(A)
+
+        monkeypatch.setattr(operators, "observed_ellipticity", counted)
+        mesh = build_interval_mesh(0.0, 1.0, 8)
+        op = assemble(mesh, CoefficientField.build(mesh, A=4.0))
+        assert op.coeffs.bound == pytest.approx(4.0)
+        assert calls == [(8, 1, 1)]
+
+    def test_arrays_are_read_only(self):
+        mesh = build_interval_mesh(0.0, 1.0, 8)
+        field = CoefficientField.build(mesh, A=2.0, c=1.0)
+        for name in ("A", "b", "c", "w"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(field, name)[0] = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            field.w = np.full(8, 2.0)
+
+    def test_field_of_another_mesh_rejected(self):
+        field = CoefficientField.build(build_interval_mesh(0.0, 1.0, 8))
+        with pytest.raises(CoefficientError, match="does not match mesh"):
+            assemble(build_interval_mesh(0.0, 1.0, 16), field)
+
+
+class TestEigenvalueConvergence:
+    def test_interval_eigenvalues_converge_at_order_two(self):
+        # P1 eigenvalues on nested meshes of [-2, 2] against (k pi / 4)^2:
+        # from above (Rayleigh-Ritz) and at the a-priori O(h^2) (Strang & Fix
+        # 1973, ch. 6).  On a uniform mesh the relative error is
+        # theta^2/12 (1 + theta^2/30 + O(theta^4)), theta = k pi h / 4, so the
+        # observed order misses 2 by at most theta^2 / (40 ln 2) = 8.9e-4
+        # at theta = pi/20 (k = 4, 80 cells); eigenvalues within
+        # eps lambda_max / lambda_1 = 1.1e-10 at 640 cells move it by at most
+        # 1.6e-4 more, and the bound is twice the sum
+        k = np.arange(1, 5)
+        exact = (k * np.pi / 4) ** 2
+        errors = []
+        for n_cells in (80, 160, 320, 640):
+            mesh = build_interval_mesh(-2.0, 2.0, n_cells)
+            op = assemble(mesh, CoefficientField.build(mesh))
+            errors.append(op.eigenvalues[:4] / exact - 1.0)
+        errors = np.array(errors)
+        assert np.all(errors > 0)
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert np.abs(orders - 2.0).max() <= 2e-3
