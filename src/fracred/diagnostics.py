@@ -165,28 +165,17 @@ class HeatRatioReport:
     t_in_window: bool
 
 
-def is_plain_laplacian(op: DiscreteOperator) -> bool:
-    """A = I, b = 0, c = 0 and w = 1 on every element."""
-    coeffs = op.coeffs
-    return (
-        bool(np.all(coeffs.A == np.eye(op.mesh.dim)))
-        and not np.any(coeffs.b)
-        and not np.any(coeffs.c)
-        and bool(np.all(coeffs.w == 1))
-    )
-
-
 def heat_bound_check(
     op_neglap: DiscreteOperator, t: float, node_pairs
 ) -> HeatRatioReport:
     """Ratios of the discrete heat kernel to (4 pi t)^{-n/2} e^{-r^2/4t}.
 
     The operator must be the plain Laplacian assembly (see
-    is_plain_laplacian): the Gaussian is only the right comparison there.
+    CoefficientField.plain): the Gaussian is only the right comparison there.
     The window requirement h^2 << t << box^2 is reported via t_in_window
     (and logged when violated), not asserted.
     """
-    if not is_plain_laplacian(op_neglap):
+    if not op_neglap.coeffs.plain():
         raise ValueError("heat bound check requires the plain -Laplace operator")
     d = op_neglap.mesh.dim
     if not t > 0:

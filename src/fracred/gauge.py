@@ -132,6 +132,7 @@ def pushforward_operator(op: DiscreteOperator, F: Diffeo) -> DiscreteOperator:
         raise DiffeoError("deformation was built for a different mesh")
     DF, det = F.DF, F.det
     A2 = np.einsum("eji,ejk,ekl->eil", DF, op.coeffs.A, DF) / det[:, None, None]
+    # exactly symmetric: IEEE addition commutes, so entries (i, j) and (j, i) agree
     A2 = 0.5 * (A2 + np.swapaxes(A2, 1, 2))
     b2 = np.einsum("eji,ej->ei", DF, op.coeffs.b) / det[:, None]
     c2 = op.coeffs.c / det

@@ -33,7 +33,7 @@ import numpy as np
 
 from .calculus import apply_power, calibration_rows
 from .config import SUITE_NAMES, ConfigError, ExperimentConfig, check_key
-from .diagnostics import heat_bound_check, heatflow_rigidity_probe, heatflow_rows, is_plain_laplacian, runge_rank, ucp_quotient
+from .diagnostics import heat_bound_check, heatflow_rigidity_probe, heatflow_rows, runge_rank, ucp_quotient
 from .dirichlet import ExteriorData, solve_exterior_value, stability_constant
 from .gauge import gauge_invariance_check, pushforward_operator
 from .mesh import dump_json
@@ -333,7 +333,7 @@ def _suite_diagnostics(ctx: RunContext) -> dict:
         ]
         doc["per_a"][str(a)] = entry
 
-    if is_plain_laplacian(op):
+    if op.coeffs.plain():
         h = float(np.sqrt(2.0 * op.mesh.element_measures().min())
                   if op.mesh.dim == 2 else op.mesh.element_measures().min())
         span = float(np.min(op.mesh.box[:, 1] - op.mesh.box[:, 0]))

@@ -322,8 +322,8 @@ class TestSemanticChecks:
         refuse_at_build(raw, tmp_path / "o", "symmetric")
 
     def test_nearly_symmetric_conductivity_rejected(self, tmp_path):
-        # within observed_ellipticity's roundoff tolerance for computed
-        # stacks, but a stated A must be exactly symmetric
+        # 1e-15 from symmetric, inside any roundoff tolerance: every A,
+        # stated or computed, must be exactly symmetric
         raw = rect_raw()
         raw["operators"] = [{"A": [[2.0, 0.3], [0.3 + 1e-15, 1.0]]}]
         refuse_at_build(raw, tmp_path / "o", "A must be symmetric")

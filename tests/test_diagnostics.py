@@ -267,14 +267,16 @@ class TestRigidityProbe:
                 plain, plain, 0.5, f, quad, self.sigma(base1d)
             )
 
-    def test_rejects_partner_with_other_exterior_weight(self, base1d, quad):
-        # an unlabelled partner escapes the support rules, so only the
-        # shared-exterior check can see its mass weight differ off OMEGA
+    @pytest.mark.parametrize("name", ["A", "b", "c", "w"])
+    def test_rejects_partner_with_other_exterior_weight(self, base1d, quad, name):
+        # an unlabelled partner escapes the support rule, so only the
+        # shared-exterior check can see any one of its coefficients differ
+        # off OMEGA
         outside = np.setdiff1d(np.arange(base1d.mesh.element_count), base1d.labels.omega_elements)
-        w = np.ones(base1d.mesh.element_count)
-        w[outside[:5]] = 3.0
-        field = dataclasses.replace(CoefficientField.build(base1d.mesh), w=w)
-        partner = assemble(base1d.mesh, field)
+        field = CoefficientField.build(base1d.mesh)
+        changed = getattr(field, name).copy()
+        changed[outside[:5]] = 3.0
+        partner = assemble(base1d.mesh, dataclasses.replace(field, **{name: changed}))
         f = hat_probes(base1d)[0]
         with pytest.raises(ValueError, match="exterior coefficient mismatch"):
             rigidity(base1d.op, partner, 0.5, f, quad, self.sigma(base1d))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracred import operators
+from fracred.calculus import apply_power
 from fracred.mesh import build_interval_mesh, build_rect_mesh, label_regions
 from fracred.operators import (
     CoefficientError,
@@ -134,6 +135,15 @@ class TestCoefficientValidation:
         with pytest.raises(CoefficientError):
             CoefficientField.build(mesh, A=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_conductivity_one_ulp_from_symmetric_rejected(self):
+        # exact symmetry is the one rule: no tolerance lets a stack through
+        mesh = build_rect_mesh([[0, 1], [0, 1]], 8, 8)
+        field = CoefficientField.build(mesh, A=np.array([[2.0, 0.3], [0.3, 1.0]]))
+        A = field.A.copy()
+        A[0, 1, 0] = np.nextafter(A[0, 1, 0], 1.0)
+        with pytest.raises(CoefficientError, match="A must be symmetric"):
+            dataclasses.replace(field, A=A)
+
     def test_indefinite_conductivity_rejected(self):
         mesh = build_rect_mesh([[0, 1], [0, 1]], 4, 4)
         with pytest.raises(CoefficientError):
@@ -217,7 +227,7 @@ class TestCoefficientValidation:
         dataclasses.replace(field, w=inside)
         outside = field.w.copy()
         outside[np.setdiff1d(np.arange(80), labels.omega_elements)[0]] = 2.0
-        with pytest.raises(CoefficientError, match="w must be 1 off OMEGA"):
+        with pytest.raises(CoefficientError, match="w = 1 must hold off OMEGA"):
             dataclasses.replace(field, w=outside)
 
     def test_ellipticity_bound_computed_once(self, monkeypatch):
@@ -271,3 +281,24 @@ class TestEigenvalueConvergence:
         assert np.all(errors > 0)
         orders = np.log2(errors[:-1] / errors[1:])
         assert np.abs(orders - 2.0).max() <= 2e-3
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_interval_sine_mode_power_converges_at_order_two(self, a):
+        # v = sin(pi (x + 2) / 4) at the free nodes is an exact eigenvector
+        # of the uniform P1 pencil on [-2, 2], so the relative error of
+        # L^a v against (pi/4)^{2a} v is (lambda_h / lambda)^a - 1, with
+        # lambda_h / lambda - 1 = theta^2/12 (1 + theta^2/30 + O(theta^4)),
+        # theta = pi h / 4.  The observed order then misses 2 by
+        # theta^2 |1/40 + (a - 1)/32| / ln 2 <= 5.6e-5 at 80 cells.  A
+        # roundoff of eps lambda_max / lambda_1 = 1.1e-10 in L^a v against
+        # the errors a theta^2 / 12 = 5.0e-7 and 2.0e-6 (a = 0.25, 640 and
+        # 320 cells) moves it by at most 4.0e-4 more; 1e-3 is above twice
+        # the sum
+        errors = []
+        for n_cells in (80, 160, 320, 640):
+            op = plain_op(n_cells, -2.0, 2.0)
+            v = np.sin(np.pi * (op.mesh.nodes[op.free_nodes, 0] + 2.0) / 4.0)
+            mu = (np.pi / 4.0) ** (2.0 * a)
+            errors.append(np.abs(apply_power(op, a, v) - mu * v).max() / (mu * np.abs(v).max()))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.abs(orders - 2.0).max() <= 1e-3
